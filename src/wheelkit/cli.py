@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 from wheelkit import gio
 from wheelkit.catalog import catalog, matches_catalog
 from wheelkit.coloring import four_color
-from wheelkit.errors import WheelkitError
+from wheelkit.errors import InputDomainError, WheelkitError
 from wheelkit.experiments import EXPERIMENTS, Config, run_experiment
 from wheelkit.gadgets import apply_gadget, gadget_case, gadget_library, lift_subdivision
 from wheelkit.generate import FILTERS, generate_terminal_planar
@@ -28,7 +30,7 @@ from wheelkit.wheels import find_s_good_wheel
 
 
 def _read(path: str):
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
     return gio.sniff_graph(text)
 
 
@@ -80,7 +82,7 @@ def cmd_disc_planar(args):
     parsed = _read(args.graph)
     g, _ = parsed
     ts = _terminals(args, parsed)
-    tg = TerminalGraph(g, ts, ordered=not args.unordered)
+    tg = TerminalGraph(g, ts, ordered=args.ordered)
     ok = is_disc_planar(tg)
     _emit({"disc_planar": ok, "ordered": tg.ordered, "terminals": list(ts)}, args.out)
     return 0 if ok else 1
@@ -253,17 +255,31 @@ def cmd_gen(args):
     return 0
 
 
-def cmd_verify(args):
+def _read_config(path: str) -> Config:
+    """A Config from `key = value` lines; unknown keys and non-integer
+    values are input errors."""
     cfg = Config()
-    if args.config:
-        for line in open(args.config):
+    keys = {f.name for f in fields(Config)}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if hasattr(cfg, key):
-                setattr(cfg, key, int(value.strip()))
+            if key not in keys:
+                raise InputDomainError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                setattr(cfg, key, int(value))
+            except ValueError:
+                raise InputDomainError(
+                    f"{path}:{lineno}: {key} must be an integer, got {value.strip()!r}"
+                ) from None
+    return cfg
+
+
+def cmd_verify(args):
+    cfg = _read_config(args.config) if args.config else Config()
     if args.seed is not None:
         cfg.seed = args.seed
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -293,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--terminals", help="comma-separated terminal ids (else S: line)")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--ordered", action="store_true", default=True)
-    mode.add_argument("--unordered", action="store_true")
+    mode.add_argument("--ordered", dest="ordered", action="store_true", default=True)
+    mode.add_argument("--unordered", dest="ordered", action="store_false")
     p.set_defaults(func=cmd_disc_planar)
 
     p = sub.add_parser("good-wheel", help="search for a terminal-good wheel")
@@ -370,10 +386,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except WheelkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (WheelkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

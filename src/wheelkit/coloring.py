@@ -63,13 +63,7 @@ def four_color(g: Graph, *, limit: int = DEFAULT_COLOR_LIMIT) -> Coloring | None
     """A total proper 4-coloring, or None; exact backtracking search."""
     if g.n > limit:
         raise ResourceLimitError(f"coloring search capped at {limit} vertices, got {g.n}")
-    if g.n > kernels.MAX_KERNEL_VERTICES:
-        raise ResourceLimitError("kernel vertex limit exceeded")
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[idx[u]] |= 1 << idx[v]
-        adj[idx[v]] |= 1 << idx[u]
+    idx, adj = kernels.index_graph(g)
     res = kernels.four_color_masks(g.n, adj)
     if res is None:
         return None

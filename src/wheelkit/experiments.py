@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 
 from wheelkit import gio
 from wheelkit.catalog import catalog, verify_catalog
-from wheelkit.errors import InputDomainError
+from wheelkit.errors import InputDomainError, WheelkitError
 from wheelkit.gadgets import apply_gadget, foreign_edges, gadget_library, lift_subdivision
 from wheelkit.generate import (
     generate_terminal_planar,
@@ -132,7 +132,7 @@ def run_wheel_k5_construction(cfg: Config) -> ExperimentReport:
         try:
             sub = wheel_plus_paths_to_k5(g, wheel, corners, ps)
             validate_subdivision(g, sub)
-        except Exception as exc:  # counterexample, not a crash
+        except WheelkitError as exc:  # counterexample, not a crash
             rep.counterexamples.append(f"{gio.to_graph6(g)}: {exc}")
     rep.elapsed = time.perf_counter() - t0
     return rep
@@ -158,7 +158,7 @@ def run_lift_all_gadgets(cfg: Config) -> ExperimentReport:
                         out = lift_subdivision(host, rule, sub)
                         if not is_valid_subdivision(host, out):
                             raise InputDomainError("lift output failed validation")
-                    except Exception as exc:
+                    except WheelkitError as exc:
                         rep.counterexamples.append(f"{rule.name}: {exc}")
     rep.elapsed = time.perf_counter() - t0
     return rep

@@ -1,9 +1,10 @@
-"""Pure-Python search kernels over bitmask adjacency.
+"""Search kernels over bitmask adjacency, in pure Python.
 
 These are the hot loops of the whole package: exact 4-coloring and exact
-vertex-disjoint linkage.  A compiled twin lives in ``_fast.pyx``; the two
-must return bit-identical answers, so any change here must be mirrored
-there.  Vertex counts are capped at 63 so vertex sets fit in one word.
+vertex-disjoint linkage.  A graph enters them through `index_graph`,
+which numbers its vertices in canonical order and builds one adjacency
+bitmask per vertex.  Vertex counts are capped at 63 so vertex sets fit in
+one word.
 
 Both kernels are deterministic:
 - coloring picks the uncolored vertex with the fewest admissible colors
@@ -14,9 +15,32 @@ Both kernels are deterministic:
 
 from __future__ import annotations
 
+from wheelkit.errors import ResourceLimitError
+from wheelkit.graph import Graph, Vertex
+
 BACKEND = "pure"
 
+MAX_KERNEL_VERTICES = 63
+
 _FULL = 0b1111
+
+
+def index_graph(g: Graph) -> tuple[dict[Vertex, int], list[int]]:
+    """Vertex-to-index map and per-vertex adjacency bitmasks of g.
+
+    Indices follow `g.vertices`.  Raises ResourceLimitError above
+    MAX_KERNEL_VERTICES vertices.
+    """
+    if g.n > MAX_KERNEL_VERTICES:
+        raise ResourceLimitError(
+            f"kernels capped at {MAX_KERNEL_VERTICES} vertices, got {g.n}"
+        )
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[idx[u]] |= 1 << idx[v]
+        adj[idx[v]] |= 1 << idx[u]
+    return idx, adj
 
 
 def four_color_masks(n: int, adj: list[int]) -> list[int] | None:
@@ -101,7 +125,7 @@ def linkage_masks(
     lbs = []
     for s, t in pairs:
         block = (forbidden | ep_mask) & ~((1 << s) | (1 << t))
-        d = _bfs_dist(n, adj, s, t, block)
+        d = bfs_dist(n, adj, s, t, block)
         if d < 0:
             return None
         lbs.append(d)
@@ -118,7 +142,7 @@ def linkage_masks(
         for j in range(i, k):
             s, t = pairs[j]
             block = (used | forbidden) & ~((1 << s) | (1 << t))
-            if _bfs_dist(n, adj, s, t, block) < 0:
+            if bfs_dist(n, adj, s, t, block) < 0:
                 return False
         return True
 
@@ -163,23 +187,7 @@ def linkage_masks(
     return None
 
 
-# -- helpers ---------------------------------------------------------------
-
-
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
-
-
-def _bfs_dist(n: int, adj: list[int], s: int, t: int, block: int) -> int:
+def bfs_dist(n: int, adj: list[int], s: int, t: int, block: int) -> int:
     """Shortest path length from s to t with interior vertices outside
     `block`; -1 when unreachable."""
     if s == t:
@@ -203,6 +211,22 @@ def _bfs_dist(n: int, adj: list[int], s: int, t: int, block: int) -> int:
         frontier = nxt & ~seen
         d += 1
     return -1
+
+
+# -- helpers ---------------------------------------------------------------
+
+
+def _popcount(x: int) -> int:
+    return x.bit_count()
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
 
 
 def _path_from(s: int, t: int, interior_order: list[int]) -> list[int]:

@@ -141,15 +141,6 @@ def is_valid_subdivision(g: Graph, sub: Subdivision) -> bool:
 # -- search ------------------------------------------------------------------
 
 
-def _index_graph(g: Graph):
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[idx[u]] |= 1 << idx[v]
-        adj[idx[v]] |= 1 << idx[u]
-    return idx, adj
-
-
 def find_disjoint_paths(
     g: Graph,
     pairs,
@@ -168,8 +159,7 @@ def find_disjoint_paths(
     fset = set(forbidden)
     if g.n > limit:
         raise ResourceLimitError(f"linkage search capped at {limit} vertices, got {g.n}")
-    if g.n > kernels.MAX_KERNEL_VERTICES:
-        raise ResourceLimitError("kernel vertex limit exceeded")
+    idx, adj = kernels.index_graph(g)
     for s, t in pairs:
         if s == t:
             raise InputDomainError("pair endpoints must be distinct")
@@ -182,7 +172,6 @@ def find_disjoint_paths(
         if not g.has_vertex(x):
             raise InputDomainError(f"unknown forbidden vertex {x!r}")
 
-    idx, adj = _index_graph(g)
     ipairs = [(idx[s], idx[t]) for s, t in pairs]
     fmask = 0
     for x in fset:
@@ -191,7 +180,7 @@ def find_disjoint_paths(
     order = sorted(
         range(len(pairs)),
         key=lambda i: (
-            _pair_distance(g, adj, idx, ipairs[i]),
+            _pair_distance(g, adj, ipairs[i]),
             vkey(pairs[i][0]),
             vkey(pairs[i][1]),
         ),
@@ -207,10 +196,8 @@ def find_disjoint_paths(
     return ps
 
 
-def _pair_distance(g: Graph, adj, idx, pair) -> int:
-    from wheelkit.kernels.pure import _bfs_dist
-
-    d = _bfs_dist(g.n, adj, pair[0], pair[1], 0)
+def _pair_distance(g: Graph, adj, pair) -> int:
+    d = kernels.bfs_dist(g.n, adj, pair[0], pair[1], 0)
     return d if d >= 0 else g.n + 1
 
 
@@ -219,14 +206,16 @@ def find_k5_subdivision(g: Graph, *, limit: int = DEFAULT_SEARCH_LIMIT) -> Subdi
 
     Branch candidates are the vertices of degree >= 4 (forced by the
     definition); each 5-subset is tried in canonical order against a
-    10-pair internally disjoint linkage search.
+    10-pair internally disjoint linkage search.  Raises
+    ResourceLimitError above `limit` or kernels.MAX_KERNEL_VERTICES
+    vertices, whatever the graph's degrees.
     """
     if g.n > limit:
         raise ResourceLimitError(f"subdivision search capped at {limit} vertices, got {g.n}")
+    idx, adj = kernels.index_graph(g)
     cands = [v for v in g.vertices if g.degree(v) >= 4]
     if len(cands) < 5 or g.m < 10:
         return None
-    idx, adj = _index_graph(g)
     names = g.vertices
     for combo in combinations(cands, 5):
         ipairs = [(idx[combo[i]], idx[combo[j]]) for i, j in K5_PAIRS]

@@ -132,5 +132,27 @@ def test_verify_with_config_file(tmp_path, capsys):
     assert payload[0]["instances"] == 20
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("seed = abc\n", "must be an integer"), ("sead = 4\n", "unknown config key")],
+)
+def test_verify_bad_config_exits_2(tmp_path, capsys, text, message):
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["verify", "planar-no-k5", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_disc_planar_unordered_flag(tmp_path, capsys):
+    c5 = cycle_graph([f"v{i}" for i in range(5)])
+    path = write(tmp_path, "c5.txt", to_edgelist(c5, terminals=tuple(c5.vertices)))
+    code, payload = run(capsys, "disc-planar", path, "--unordered")
+    assert code == 0 and payload["ordered"] is False
+    code, payload = run(capsys, "disc-planar", path, "--ordered")
+    assert code == 0 and payload["ordered"] is True
+
+
 def test_usage_error_exit_2(tmp_path):
     assert main(["k5", str(tmp_path / "missing.g6")]) == 2

@@ -15,6 +15,10 @@ def test_k4_colorable_all_distinct():
     assert len(set(col.as_dict().values())) == 4
 
 
+def test_empty_graph_has_empty_coloring():
+    assert four_color(Graph([])) == Coloring({})
+
+
 def test_k5_not_colorable():
     assert four_color(complete_graph(list("abcde"))) is None
 

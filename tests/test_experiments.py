@@ -1,5 +1,6 @@
 import pytest
 
+from wheelkit import experiments
 from wheelkit.errors import InputDomainError
 from wheelkit.experiments import EXPERIMENTS, Config, run_experiment, small_graph_classes
 
@@ -43,3 +44,12 @@ def test_small_graph_class_counts():
     for g in small_graph_classes(6):
         by_n[g.n] = by_n.get(g.n, 0) + 1
     assert by_n == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+
+
+def test_programming_error_is_not_a_counterexample(monkeypatch):
+    def broken(*args):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(experiments, "wheel_plus_paths_to_k5", broken)
+    with pytest.raises(TypeError):
+        run_experiment("wheel-k5-construction")

@@ -75,6 +75,18 @@ def test_resource_limit():
         find_disjoint_paths(g, [("v0", "v7")], limit=12)
 
 
+def test_linkage_trivial_cases():
+    g = path_graph(["a", "b", "c"])
+    assert find_disjoint_paths(g, []) == PathSystem((), ())
+    assert find_disjoint_paths(g, [("a", "c")]).paths == (("a", "b", "c"),)
+
+
+def test_k5_search_kernel_vertex_cap():
+    g = cycle_graph([f"v{i}" for i in range(64)])
+    with pytest.raises(ResourceLimitError):
+        find_k5_subdivision(g, limit=100)
+
+
 def test_k5_identity_subdivision():
     sub = find_k5_subdivision(complete_graph(list("abcde")))
     assert sub is not None
