@@ -20,6 +20,7 @@ from wheelkit.generate import (
     generate_terminal_planar,
     random_planar_graph,
     random_wheel_host,
+    rooted_canonical_form,
 )
 from wheelkit.graph import Graph, remove
 from wheelkit.oracles import (
@@ -361,8 +362,6 @@ def run_disc_planar_oracle(cfg: Config) -> ExperimentReport:
                 continue
             for ts in combinations(g.vertices, size):
                 tg = TerminalGraph(g, ts, ordered=True)
-                from wheelkit.generate import rooted_canonical_form
-
                 key = rooted_canonical_form(tg)
                 if key in seen_rooted:
                     continue
@@ -448,7 +447,10 @@ def run_gen_catalog_members(cfg: Config) -> ExperimentReport:
     from wheelkit.catalog import matches_catalog
 
     found = set()
-    for tg in generate_terminal_planar(6, 5, filters=("s-independent",)):
+    # W1 and W2 have six vertices; a larger bound would only add graphs
+    # that cannot match them.
+    n_max = min(cfg.generation_bound, 6)
+    for tg in generate_terminal_planar(n_max, 5, filters=("s-independent",)):
         rep.instances += 1
         m = matches_catalog(tg)
         if m is not None:

@@ -9,7 +9,8 @@ stay valid even if every optimization elsewhere is wrong.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, permutations, product
 
 from wheelkit.errors import InputDomainError
 from wheelkit.graph import Graph, Vertex, vkey
@@ -172,48 +173,57 @@ def brute_disc_planar(g: Graph, terminals) -> bool:
     reflection, so co-faciality decides disc-planarity outright; larger
     terminal sets are refused (the fence construction covers them, and the
     agreement corpus stops at three).
+
+    The faces depend on `g` alone, so `_component_faces` enumerates them
+    once per graph and each terminal set is answered by lookup.  The memo
+    holds the last 64 graphs, enough for the terminal sets of one graph to
+    be asked one after another.
     """
     ts = tuple(terminals)
     if len(ts) > 3:
         raise InputDomainError("rotation oracle only supports up to 3 terminals")
     if len(ts) < 1:
         raise InputDomainError("need at least one terminal")
-    for comp in g.components():
-        sub = g.induced(comp)
-        if not _component_disc_ok(sub, [t for t in ts if t in comp]):
+    for comp, faces in _component_faces(g):
+        if faces is None:
+            return False
+        cts = comp.intersection(ts)
+        if cts and not any(cts <= f for f in faces):
             return False
     return True
 
 
-def _component_disc_ok(g: Graph, ts) -> bool:
-    if g.m > max(0, 3 * g.n - 6) and g.n >= 3:
-        return False  # Euler bound: not even planar
-    if g.m == 0:
-        return True
-    from itertools import permutations as perms
-
-    vs = g.vertices
-    rot_choices = []
-    for v in vs:
-        ns = list(g.neighbors(v))
-        if len(ns) <= 2:
-            rot_choices.append([tuple(ns)])
-        else:
-            first = ns[0]
-            rot_choices.append([(first,) + p for p in perms(ns[1:])])
-    target_faces = 2 - g.n + g.m  # Euler, connected
-    for combo in product(*rot_choices):
-        rotation = dict(zip(vs, combo))
-        faces = _trace(rotation)
-        if len(faces) != target_faces:
+@lru_cache(maxsize=64)
+def _component_faces(g: Graph) -> tuple:
+    """Per component of `g`: (its vertex set, the vertex sets of every face
+    of every genus-0 rotation system), or None in place of the faces when
+    the component has no genus-0 rotation system."""
+    out = []
+    for comp in g.components():
+        sub = g.induced(comp)
+        if sub.m > max(0, 3 * sub.n - 6) and sub.n >= 3:
+            out.append((comp, None))  # Euler bound: not even planar
             continue
-        if not ts:
-            return True
-        for face in faces:
-            fvs = {u for u, _ in face}
-            if all(t in fvs for t in ts):
-                return True
-    return False
+        if sub.m == 0:
+            out.append((comp, frozenset([comp])))  # a lone vertex is its one face
+            continue
+        vs = sub.vertices
+        rot_choices = []
+        for v in vs:
+            ns = list(sub.neighbors(v))
+            if len(ns) <= 2:
+                rot_choices.append([tuple(ns)])
+            else:
+                first = ns[0]
+                rot_choices.append([(first,) + p for p in permutations(ns[1:])])
+        target_faces = 2 - sub.n + sub.m  # Euler, connected
+        found = set()
+        for combo in product(*rot_choices):
+            faces = _trace(dict(zip(vs, combo)))
+            if len(faces) == target_faces:
+                found.update(frozenset(u for u, _ in face) for face in faces)
+        out.append((comp, frozenset(found) if found else None))
+    return tuple(out)
 
 
 def _trace(rotation):

@@ -145,6 +145,14 @@ def test_verify_bad_config_exits_2(tmp_path, capsys, text, message):
     assert captured.err.count("\n") == 1
 
 
+def test_verify_generation_bound_below_terminal_count_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path, "gen.cfg", "generation_bound = 4\n")
+    assert main(["verify", "gen-catalog-members", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_disc_planar_unordered_flag(tmp_path, capsys):
     c5 = cycle_graph([f"v{i}" for i in range(5)])
     path = write(tmp_path, "c5.txt", to_edgelist(c5, terminals=tuple(c5.vertices)))

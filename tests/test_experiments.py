@@ -53,3 +53,14 @@ def test_programming_error_is_not_a_counterexample(monkeypatch):
     monkeypatch.setattr(experiments, "wheel_plus_paths_to_k5", broken)
     with pytest.raises(TypeError):
         run_experiment("wheel-k5-construction")
+
+
+def test_generation_bound_steers_gen_catalog_members():
+    full = run_experiment("gen-catalog-members")
+    assert full.passed and full.instances == 7
+    short = run_experiment("gen-catalog-members", Config(generation_bound=5))
+    assert not short.passed
+    assert short.counterexamples == [
+        "stream missed catalog member W1",
+        "stream missed catalog member W2",
+    ]

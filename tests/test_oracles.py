@@ -1,0 +1,82 @@
+from itertools import combinations
+
+import pytest
+
+from wheelkit.errors import InputDomainError
+from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, remove, union
+from wheelkit.oracles import _component_faces, brute_disc_planar
+
+
+def k23():
+    return Graph("a b x y z".split(), [(u, v) for u in "ab" for v in "xyz"])
+
+
+def five_wheel():
+    rim = [f"r{i}" for i in range(5)]
+    return add(cycle_graph(rim), {"c"}, [("c", r) for r in rim])
+
+
+def c6_with_chord():
+    return add(cycle_graph([f"v{i}" for i in range(6)]), (), [("v0", "v3")])
+
+
+def terminal_sets(g):
+    return [ts for size in (1, 2, 3) for ts in combinations(g.vertices, size)]
+
+
+# -- hand cases ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ts", list(combinations("abcd", 3)))
+def test_k4_any_three_terminals(ts):
+    assert brute_disc_planar(complete_graph(list("abcd")), ts) is True
+
+
+def test_k23_degree_two_vertices():
+    assert brute_disc_planar(k23(), ("x", "y", "z")) is False
+    for ts in combinations("xyz", 2):
+        assert brute_disc_planar(k23(), ts) is True
+
+
+def test_nonplanar_component_without_terminals():
+    g = union(complete_graph(list("abcde")), path_graph(["p", "q"]))
+    assert brute_disc_planar(g, ("p",)) is False
+
+
+def test_terminals_split_across_path_components():
+    g = union(path_graph(["a", "b", "c"]), path_graph(["x", "y", "z"]))
+    assert brute_disc_planar(g, ("a", "c", "y")) is True
+
+
+def test_isolated_vertex_terminal():
+    assert brute_disc_planar(Graph(["v"]), ("v",)) is True
+
+
+@pytest.mark.parametrize("ts", [(), ("a", "b", "c", "d")])
+def test_terminal_count_outside_one_to_three(ts):
+    with pytest.raises(InputDomainError):
+        brute_disc_planar(complete_graph(list("abcd")), ts)
+
+
+# -- the per-graph face memo -----------------------------------------------------
+
+
+def test_faces_enumerated_once_per_graph():
+    _component_faces.cache_clear()
+    graphs = [k23(), five_wheel(), c6_with_chord()]
+    for g in graphs:
+        sets = terminal_sets(g)
+        forward = [brute_disc_planar(g, ts) for ts in sets]
+        backward = [brute_disc_planar(g, ts) for ts in reversed(sets)]
+        assert forward == backward[::-1]
+    assert _component_faces.cache_info().misses == len(graphs)
+
+
+def test_same_names_different_edges_do_not_share_faces():
+    _component_faces.cache_clear()
+    full = k23()
+    less = remove(full, edges=[("a", "z")])
+    assert full.vertices == less.vertices
+    assert brute_disc_planar(full, ("x", "y", "z")) is False
+    assert brute_disc_planar(less, ("x", "y", "z")) is True
+    assert _component_faces.cache_info().misses == 2
