@@ -282,6 +282,7 @@ def cmd_verify(args):
     cfg = _read_config(args.config) if args.config else Config()
     if args.seed is not None:
         cfg.seed = args.seed
+    cfg.validate()
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     reports = [run_experiment(n, cfg) for n in names]
     _emit([r.as_dict() for r in reports], args.out)

@@ -66,6 +66,18 @@ class Config:
             "instances": self.instances,
         }
 
+    def validate(self) -> None:
+        """Raise InputDomainError naming the first key below its minimum.
+
+        oracle-equivalence draws graphs of 5 to oracle_bound vertices for
+        its K5 check, and gen-catalog-members streams graphs with 5
+        terminals, so both bounds must reach 5.
+        """
+        for key, low in (("oracle_bound", 5), ("generation_bound", 5), ("instances", 1)):
+            value = getattr(self, key)
+            if value < low:
+                raise InputDomainError(f"config {key} = {value} is below its minimum {low}")
+
 
 @dataclass
 class ExperimentReport:

@@ -31,7 +31,7 @@ def norm_edge(u: Vertex, v: Vertex) -> Edge:
     """The canonical (ordered) form of the undirected edge {u, v}."""
     if u == v:
         raise InputDomainError(f"self-loop at {u!r}")
-    return (u, v) if vkey(u) < vkey(v) else (v, u)
+    return (u, v) if (len(u), u) < (len(v), v) else (v, u)
 
 
 @total_ordering
@@ -51,14 +51,18 @@ class Graph:
             vs.add(u)
             vs.add(v)
         self._vertices: tuple[Vertex, ...] = tuple(sorted(vs, key=vkey))
-        self._edges: tuple[Edge, ...] = tuple(sorted(es, key=lambda e: (vkey(e[0]), vkey(e[1]))))
-        adj: dict[Vertex, set[Vertex]] = {v: set() for v in self._vertices}
+        self._edges: tuple[Edge, ...] = tuple(
+            sorted(es, key=lambda e: (len(e[0]), e[0], len(e[1]), e[1]))
+        )
+        # Edges come in vkey order, so each vertex first meets its smaller
+        # neighbours (as the second end, by the first end's key) and then
+        # its larger ones (as the first end, by the second end's key):
+        # every neighbour list is built already sorted.
+        adj: dict[Vertex, list[Vertex]] = {v: [] for v in self._vertices}
         for u, v in self._edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj: dict[Vertex, tuple[Vertex, ...]] = {
-            v: tuple(sorted(ns, key=vkey)) for v, ns in adj.items()
-        }
+            adj[u].append(v)
+            adj[v].append(u)
+        self._adj: dict[Vertex, tuple[Vertex, ...]] = {v: tuple(ns) for v, ns in adj.items()}
         self._hash = hash((self._vertices, self._edges))
 
     # -- basic queries ----------------------------------------------------
@@ -194,7 +198,7 @@ def add(g: Graph, vertices: Iterable[Vertex] = (), edges: Iterable = ()) -> Grap
         if g.has_edge(u, v) or ne in new_es:
             raise InputDomainError(f"duplicate edge {ne!r}")
         new_es.add(ne)
-    return Graph(allowed, list(g.edges) + sorted(new_es))
+    return Graph(allowed, [*g.edges, *new_es])
 
 
 def identify(g: Graph, u: Vertex, w: Vertex, name: Vertex) -> Graph:

@@ -20,12 +20,22 @@ COLORS = (1, 2, 3, 4)
 
 
 def brute_four_color(g: Graph) -> dict[Vertex, int] | None:
-    """Try all 4^n assignments in lexicographic order."""
+    """Try all 4^n assignments in lexicographic order; the first proper
+    one is returned.
+
+    The edges are indexed to vertex positions once.  Every assignment is
+    still tried in turn, with no pruning; it is rejected at its first
+    edge whose ends share a color.
+    """
     vs = g.vertices
+    pos = {v: i for i, v in enumerate(vs)}
+    pairs = [(pos[u], pos[v]) for u, v in g.edges]
     for combo in product(COLORS, repeat=len(vs)):
-        cmap = dict(zip(vs, combo))
-        if all(cmap[u] != cmap[v] for u, v in g.edges):
-            return cmap
+        for i, j in pairs:
+            if combo[i] == combo[j]:
+                break
+        else:
+            return dict(zip(vs, combo))
     return None
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator
 
 from wheelkit.catalog import CatalogMember, matches_catalog
@@ -90,8 +90,6 @@ def enumerate_separations(g: Graph, k: int, *, mode: str = "canonical") -> Itera
                 if mode == "canonical":
                     splits = [tuple(False for _ in inner)]  # all inner edges to side2
                 else:
-                    from itertools import product
-
                     splits = product((False, True), repeat=len(inner))
                 for split in splits:
                     sep = _build(g, a, b, cset, inner, split)
@@ -105,8 +103,10 @@ def enumerate_separations(g: Graph, k: int, *, mode: str = "canonical") -> Itera
 
 
 def _build(g, a, b, cset, inner, split):
-    e1 = [e for e in g.edges if set(e) <= a | cset and not set(e) <= cset]
-    e2 = [e for e in g.edges if set(e) <= b | cset and not set(e) <= cset]
+    # a and b are unions of components of G - cut, so an edge outside the
+    # cut lies on a side exactly when one of its ends does.
+    e1 = [e for e in g.edges if e[0] in a or e[1] in a]
+    e2 = [e for e in g.edges if e[0] in b or e[1] in b]
     for e, to_side1 in zip(inner, split):
         (e1 if to_side1 else e2).append(e)
     if (not a and not e1) or (not b and not e2):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wheelkit import cli
 from wheelkit.cli import main
 from wheelkit.gio import to_edgelist, to_graph6
 from wheelkit.graph import add, complete_graph, cycle_graph
@@ -151,6 +152,23 @@ def test_verify_generation_bound_below_terminal_count_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "key, value", [("generation_bound", 4), ("oracle_bound", 4), ("instances", 0)]
+)
+def test_verify_config_range_checked_before_any_experiment(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args: calls.append(args))
+    cfg = write(tmp_path, "range.cfg", f"{key} = {value}\n")
+    assert main(["verify", "all", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"{key} = {value}" in captured.err
+    assert calls == []
 
 
 def test_disc_planar_unordered_flag(tmp_path, capsys):

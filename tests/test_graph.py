@@ -16,6 +16,7 @@ from wheelkit.graph import (
     path_graph,
     remove,
     union,
+    vkey,
 )
 
 
@@ -144,8 +145,8 @@ names = st.text(alphabet="abcdef", min_size=1, max_size=2)
 
 
 @st.composite
-def graphs(draw, max_n=7):
-    vs = draw(st.sets(names, min_size=1, max_size=max_n))
+def graphs(draw, max_n=7, ids=names):
+    vs = draw(st.sets(ids, min_size=1, max_size=max_n))
     vs = sorted(vs)
     pairs = [(u, v) for i, u in enumerate(vs) for v in vs[i + 1 :]]
     es = draw(st.sets(st.sampled_from(pairs), max_size=len(pairs)) if pairs else st.just(set()))
@@ -181,3 +182,17 @@ def test_identify_edge_count_property(g):
     gi = identify(g, u, w, "zz")
     common = len(set(g.neighbors(u)) & set(g.neighbors(w)))
     assert gi.m == g.m - common - (1 if g.has_edge(u, w) else 0)
+
+
+# Mixed lengths, where vkey order differs from plain string order.
+mixed_ids = st.sampled_from(["2", "10", "t1", "t10", "__fence0", "__fence12"]) | st.text(
+    alphabet="0129_aft", min_size=1, max_size=9
+)
+
+
+@given(graphs(ids=mixed_ids))
+def test_neighbors_and_edges_in_vkey_order(g):
+    assert list(g.edges) == sorted(g.edges, key=lambda e: (vkey(e[0]), vkey(e[1])))
+    for v in g.vertices:
+        assert list(g.neighbors(v)) == sorted(g.neighbors(v), key=vkey)
+        assert set(g.neighbors(v)) == {x for e in g.edges if v in e for x in e if x != v}

@@ -1,10 +1,11 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from wheelkit.errors import InputDomainError
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, remove, union
-from wheelkit.oracles import _component_faces, brute_disc_planar
+from wheelkit.experiments import small_graph_classes
+from wheelkit.oracles import _component_faces, brute_disc_planar, brute_four_color
 
 
 def k23():
@@ -80,3 +81,30 @@ def test_same_names_different_edges_do_not_share_faces():
     assert brute_disc_planar(full, ("x", "y", "z")) is False
     assert brute_disc_planar(less, ("x", "y", "z")) is True
     assert _component_faces.cache_info().misses == 2
+
+
+# -- the 4^n coloring oracle -----------------------------------------------------
+
+
+def dict_per_assignment(g):
+    """The first proper assignment in lexicographic order, one dict per try."""
+    for combo in product((1, 2, 3, 4), repeat=g.n):
+        cmap = dict(zip(g.vertices, combo))
+        if all(cmap[u] != cmap[v] for u, v in g.edges):
+            return cmap
+    return None
+
+
+def test_four_color_oracle_returns_first_proper_assignment():
+    for g in small_graph_classes(5):
+        got = brute_four_color(g)
+        want = dict_per_assignment(g)
+        assert got == want
+        if want is not None:
+            assert list(got.items()) == list(want.items())
+
+
+def test_four_color_oracle_on_c5_and_k5():
+    c5 = cycle_graph([f"v{i}" for i in range(5)])
+    assert brute_four_color(c5) == {"v0": 1, "v1": 2, "v2": 1, "v3": 2, "v4": 3}
+    assert brute_four_color(complete_graph(list("abcde"))) is None

@@ -60,6 +60,10 @@ def test_exhaustive_mode_matches_definition_oracle():
         cycle_graph([f"v{i}" for i in range(5)]),
         complete_graph(list("abcd")),
         add(cycle_graph(["a", "b", "c", "d"]), {"e"}, [("e", "a"), ("e", "b")]),
+        # the star K1,3: its 1-cut leaves three components
+        Graph(edges=[("c", "x"), ("c", "y"), ("c", "z")]),
+        # two triangles sharing the edge bc: its 2-cut {b, c} holds an edge
+        Graph(edges=[("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d")]),
     ]
     for g in graphs:
         for k in (1, 2, 3):
