@@ -10,9 +10,9 @@ interior neighbors.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
-from wheelkit.graph import Graph, Vertex, vkey
+from wheelkit.generate import canonical_form
+from wheelkit.graph import Graph, Vertex
 from wheelkit.planarity import TerminalGraph, is_disc_planar
 from wheelkit.wheels import find_s_good_wheel
 
@@ -112,60 +112,7 @@ def rooted_isomorphic(a: TerminalGraph, b: TerminalGraph) -> bool:
     ga, gb = a.graph, b.graph
     if ga.n != gb.n or ga.m != gb.m or len(a.terminals) != len(b.terminals):
         return False
-    ta, tb = set(a.terminals), set(b.terminals)
-
-    def profile(g: Graph, tset):
-        return sorted(
-            (v in tset, g.degree(v), sorted(g.degree(u) for u in g.neighbors(v)))
-            for v in g.vertices
-        )
-
-    if profile(ga, ta) != profile(gb, tb):
-        return False
-
-    order = sorted(ga.vertices, key=lambda v: (-ga.degree(v), vkey(v)))
-    cands: dict[Vertex, list[Vertex]] = {}
-    for v in order:
-        key = (v in ta, ga.degree(v), sorted(ga.degree(u) for u in ga.neighbors(v)))
-        cands[v] = [
-            w
-            for w in gb.vertices
-            if (w in tb, gb.degree(w), sorted(gb.degree(u) for u in gb.neighbors(w))) == key
-        ]
-
-    mapping: dict[Vertex, Vertex] = {}
-    used: set[Vertex] = set()
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in cands[v]:
-            if w in used:
-                continue
-            ok = True
-            for u in ga.neighbors(v):
-                if u in mapping and not gb.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                # non-neighbors must stay non-neighbors (same edge count
-                # makes one direction enough, but check both for safety)
-                for u, img in mapping.items():
-                    if ga.has_edge(v, u) != gb.has_edge(w, img):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if backtrack(i + 1):
-                return True
-            del mapping[v]
-            used.remove(w)
-        return False
-
-    return backtrack(0)
+    return canonical_form(ga, a.terminals) == canonical_form(gb, b.terminals)
 
 
 def matches_catalog(tg: TerminalGraph) -> CatalogMember | None:

@@ -10,13 +10,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 
 from wheelkit import gio
 from wheelkit.catalog import catalog, verify_catalog
 from wheelkit.errors import InputDomainError, WheelkitError
 from wheelkit.gadgets import apply_gadget, foreign_edges, gadget_library, lift_subdivision
 from wheelkit.generate import (
+    canonical_form,
     generate_terminal_planar,
     random_planar_graph,
     random_wheel_host,
@@ -304,51 +305,13 @@ def run_planar_no_k5(cfg: Config) -> ExperimentReport:
     return rep
 
 
-def _unlabeled_canon(g: Graph) -> tuple:
-    """Canonical adjacency bits, permuting only within refinement classes."""
-    n = g.n
-    profile = {
-        v: (g.degree(v), tuple(sorted(g.degree(u) for u in g.neighbors(v))))
-        for v in g.vertices
-    }
-    classes: dict = {}
-    for v in g.vertices:
-        classes.setdefault(profile[v], []).append(v)
-    ordered_classes = [classes[k] for k in sorted(classes)]
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    bits_of = {
-        v: frozenset(idx[u] for u in g.neighbors(v)) for v in g.vertices
-    }
-    best = None
-    for perm_parts in _class_perms(ordered_classes):
-        orderv = [v for part in perm_parts for v in part]
-        pos = {v: i for i, v in enumerate(orderv)}
-        bits = 0
-        for u, v in g.edges:
-            i, j = sorted((pos[u], pos[v]))
-            bits |= 1 << (i * n + j)
-        if best is None or bits < best:
-            best = bits
-    return (n, best)
-
-
-def _class_perms(parts):
-    if not parts:
-        yield []
-        return
-    head, rest = parts[0], parts[1:]
-    for p in permutations(head):
-        for tail in _class_perms(rest):
-            yield [list(p)] + tail
-
-
 def small_graph_classes(n_max: int) -> list[Graph]:
     """One representative per isomorphism class, all graphs up to n_max."""
     out = []
     for n in range(1, n_max + 1):
         names = [str(i) for i in range(n)]
         pairs = list(combinations(names, 2))
-        level = {_unlabeled_canon(Graph(names, ())): Graph(names, ())}
+        level = {canonical_form(Graph(names, ())): Graph(names, ())}
         while level:
             out.extend(level.values())
             nxt: dict = {}
@@ -357,7 +320,7 @@ def small_graph_classes(n_max: int) -> list[Graph]:
                     if g.has_edge(a, b):
                         continue
                     bigger = add(g, (), [(a, b)])
-                    key = _unlabeled_canon(bigger)
+                    key = canonical_form(bigger)
                     if key not in nxt:
                         nxt[key] = bigger
             level = nxt
@@ -492,4 +455,6 @@ def run_experiment(name: str, cfg: Config | None = None) -> ExperimentReport:
         raise InputDomainError(
             f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}"
         )
-    return EXPERIMENTS[name](cfg or Config())
+    cfg = cfg or Config()
+    cfg.validate()
+    return EXPERIMENTS[name](cfg)

@@ -7,13 +7,17 @@ count), pruning branches that already fail a monotone property
 graph never recovers by adding edges; terminal independence likewise) and
 deduplicating levels by a rooted canonical form, so no two emitted graphs
 are rooted-isomorphic.
+
+`canonical_form` is the package's one isomorphism test: the stream, the
+unrooted small-graph classes of the experiments and the catalog's rooted
+isomorphism all compare its keys.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
-from typing import Callable, Iterator
+from itertools import chain, combinations, permutations, product
+from typing import Callable, Iterable, Iterator
 
 from wheelkit.errors import InputDomainError, ResourceLimitError
 from wheelkit.graph import Graph, Vertex, add, remove
@@ -59,24 +63,54 @@ def _resolve_filters(filters) -> list[Filter]:
     return out
 
 
-def rooted_canonical_form(tg: TerminalGraph) -> tuple:
-    """A label-independent key: minimal adjacency bitstring over all
-    permutations that keep terminals on terminals."""
-    ts = list(tg.terminals)
-    interior = [v for v in tg.graph.vertices if v not in set(ts)]
-    n = len(ts) + len(interior)
+def canonical_form(g: Graph, terminals: Iterable[Vertex] = ()) -> tuple:
+    """A label-independent key of g rooted at the terminal set: two keys
+    are equal exactly when some isomorphism maps one terminal set onto
+    the other.
+
+    Colour refinement first: each vertex starts as (not a terminal,
+    degree), and each round recolours it by its colour and the sorted
+    colours of its neighbours, relabelled by rank, until the number of
+    cells stops growing.  The key is (terminal count, n, bits), with bits
+    the smallest upper-triangle adjacency bitstring over the vertex
+    orders that take the cells in colour order and permute only inside
+    them.  Terminals come first, so the key fixes the terminal set.  The
+    graphs here are small enough to need no individualisation search.
+    """
+    tset = set(terminals)
+    colour = {v: (v not in tset, g.degree(v)) for v in g.vertices}
+    cells = 0
+    while True:
+        rank = {c: i for i, c in enumerate(sorted(set(colour.values())))}
+        colour = {v: rank[c] for v, c in colour.items()}
+        if len(rank) == cells:
+            break
+        cells = len(rank)
+        colour = {
+            v: (c, tuple(sorted(colour[u] for u in g.neighbors(v))))
+            for v, c in colour.items()
+        }
+    parts: list[list[Vertex]] = [[] for _ in range(cells)]
+    for v in g.vertices:
+        parts[colour[v]].append(v)
+    n = g.n
     best = None
-    for pt in permutations(ts):
-        for pi in permutations(interior):
-            orderv = list(pt) + list(pi)
-            pos = {v: i for i, v in enumerate(orderv)}
-            bits = 0
-            for u, v in tg.graph.edges:
-                i, j = sorted((pos[u], pos[v]))
-                bits |= 1 << (i * n + j)
-            if best is None or bits < best:
-                best = bits
-    return (len(ts), n, best)
+    for order in product(*map(permutations, parts)):
+        pos = {v: i for i, v in enumerate(chain.from_iterable(order))}
+        bits = 0
+        for u, v in g.edges:
+            i, j = pos[u], pos[v]
+            if i > j:
+                i, j = j, i
+            bits |= 1 << (i * n + j)
+        if best is None or bits < best:
+            best = bits
+    return (len(tset), n, best)
+
+
+def rooted_canonical_form(tg: TerminalGraph) -> tuple:
+    """The canonical form of tg's graph rooted at its terminal set."""
+    return canonical_form(tg.graph, tg.terminals)
 
 
 def generate_terminal_planar(

@@ -3,8 +3,9 @@ library search paths.
 
 Nothing here calls the fast implementations.  The oracles enumerate raw
 search spaces (all color assignments, all simple-path systems, all
-subgraph pairs, all rotation systems) and filter by definition, so they
-stay valid even if every optimization elsewhere is wrong.
+subgraph pairs, all bijections, all rotation systems) and filter by
+definition, so they stay valid even if every optimization elsewhere is
+wrong.
 """
 
 from __future__ import annotations
@@ -169,6 +170,29 @@ def _all_cycles(g: Graph):
 
     for v in g.vertices:
         yield from extend([v], {v})
+
+
+# -- rooted isomorphism oracle --------------------------------------------------
+
+
+def brute_rooted_isomorphic(a, b) -> bool:
+    """Whether some bijection maps the terminals of a onto those of b and
+    the edges of a onto those of b; a and b are terminal graphs (a graph
+    and a terminal sequence, taken as a set).  Tries every bijection that
+    sends terminals to terminals, no pruning.
+    """
+    ga, gb = a.graph, b.graph
+    sa, sb = tuple(a.terminals), tuple(b.terminals)
+    if ga.n != gb.n or ga.m != gb.m or len(sa) != len(sb):
+        return False
+    ia = tuple(v for v in ga.vertices if v not in sa)
+    ib = tuple(v for v in gb.vertices if v not in sb)
+    for ps in permutations(sb):
+        for pi in permutations(ib):
+            f = dict(zip(sa + ia, ps + pi))
+            if all(gb.has_edge(f[u], f[v]) for u, v in ga.edges):
+                return True
+    return False
 
 
 # -- rotation-system disc-planarity oracle -----------------------------------

@@ -64,3 +64,9 @@ def test_generation_bound_steers_gen_catalog_members():
         "stream missed catalog member W1",
         "stream missed catalog member W2",
     ]
+
+
+def test_run_experiment_validates_config():
+    # the library entry point checks the ranges that `wheelkit verify` does
+    with pytest.raises(InputDomainError, match="oracle_bound"):
+        run_experiment("oracle-equivalence", Config(oracle_bound=4))

@@ -1,12 +1,17 @@
 import random
+from itertools import combinations
 
-from wheelkit.catalog import catalog, matches_catalog, rooted_isomorphic
+from wheelkit.catalog import matches_catalog
+from wheelkit.experiments import small_graph_classes
 from wheelkit.generate import (
+    canonical_form,
     generate_terminal_planar,
     random_planar_graph,
     random_wheel_host,
     rooted_canonical_form,
 )
+from wheelkit.graph import Graph
+from wheelkit.oracles import brute_rooted_isomorphic
 from wheelkit.planarity import TerminalGraph, is_disc_planar, is_planar
 from wheelkit.subdivisions import find_disjoint_paths, wheel_plus_paths_to_k5
 from wheelkit.wheels import is_wheel
@@ -32,13 +37,63 @@ def test_stream_isomorph_free_and_disc_planar():
     sample = seen[:40]
     for i, a in enumerate(sample):
         for b in sample[i + 1 :]:
-            assert not rooted_isomorphic(a, b)
+            assert not brute_rooted_isomorphic(a, b)
 
 
 def test_stream_counts_small():
     # n = s = 5 with independent terminals: the edgeless graph only
     tgs = list(generate_terminal_planar(5, 5, filters=("s-independent",)))
     assert len(tgs) == 1 and tgs[0].graph.m == 0
+
+
+def test_stream_counts_to_eight_vertices():
+    by_n = {}
+    found = set()
+    for tg in generate_terminal_planar(8, 5, filters=("s-independent",)):
+        by_n[tg.graph.n] = by_n.get(tg.graph.n, 0) + 1
+        m = matches_catalog(tg)
+        if m is not None:
+            found.add(m.name)
+    # graphs with at most 6, 7 and 8 vertices
+    assert [sum(c for n, c in by_n.items() if n <= k) for k in (6, 7, 8)] == [7, 61, 749]
+    assert found == {"W1", "W2", "X1", "X2", "Y"}
+
+
+def rooted_small_graphs():
+    """Every graph on at most five vertices with every terminal set of
+    size at most two."""
+    return [
+        TerminalGraph(g, ts, ordered=False)
+        for g in small_graph_classes(5)
+        for size in (0, 1, 2)
+        for ts in combinations(g.vertices, size)
+    ]
+
+
+def test_canonical_form_decides_rooted_isomorphism():
+    by_shape = {}
+    for tg in rooted_small_graphs():
+        g = tg.graph
+        key = canonical_form(g, tg.terminals)
+        # the key fixes |S|, n and (as the bit count) m, so rooted graphs
+        # of different shapes never share a key
+        assert key[:2] == (len(tg.terminals), g.n) and bin(key[2]).count("1") == g.m
+        by_shape.setdefault((len(tg.terminals), g.n, g.m), []).append((tg, key))
+    for group in by_shape.values():
+        for i, (a, ka) in enumerate(group):
+            for b, kb in group[i + 1 :]:
+                assert (ka == kb) == brute_rooted_isomorphic(a, b)
+
+
+def test_canonical_form_ignores_vertex_names():
+    rng = random.Random(7)
+    for tg in rooted_small_graphs():
+        g = tg.graph
+        names = [f"x{i}" for i in range(g.n)]
+        rng.shuffle(names)
+        f = dict(zip(g.vertices, names))
+        h = Graph(names, [(f[u], f[v]) for u, v in g.edges])
+        assert canonical_form(h, [f[t] for t in tg.terminals]) == canonical_form(g, tg.terminals)
 
 
 def test_filters_reject_everything():
