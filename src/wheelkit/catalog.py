@@ -9,14 +9,13 @@ interior neighbors.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 from wheelkit.generate import canonical_form
 from wheelkit.graph import Graph, Vertex
 from wheelkit.planarity import TerminalGraph, is_disc_planar
 from wheelkit.wheels import find_s_good_wheel
-
-from dataclasses import dataclass
 
 TERMINALS = ("t1", "t2", "t3", "t4", "t5")
 
@@ -115,9 +114,22 @@ def rooted_isomorphic(a: TerminalGraph, b: TerminalGraph) -> bool:
     return canonical_form(ga, a.terminals) == canonical_form(gb, b.terminals)
 
 
+@lru_cache(maxsize=1)
+def _members_by_form() -> dict[tuple, CatalogMember]:
+    # verify_catalog checks that no two members are rooted-isomorphic, so
+    # the keys are distinct
+    return {canonical_form(m.tg.graph, m.tg.terminals): m for m in catalog()}
+
+
+@lru_cache(maxsize=1)
+def _member_shapes() -> frozenset[tuple[int, int, int]]:
+    return frozenset((len(m.tg.terminals), m.tg.graph.n, m.tg.graph.m) for m in catalog())
+
+
 def matches_catalog(tg: TerminalGraph) -> CatalogMember | None:
     """The unique catalog member rooted-isomorphic to tg, if any."""
-    for m in catalog():
-        if rooted_isomorphic(tg, m.tg):
-            return m
-    return None
+    g = tg.graph
+    # A key costs far more than this screen, which most graphs fail.
+    if (len(tg.terminals), g.n, g.m) not in _member_shapes():
+        return None
+    return _members_by_form().get(canonical_form(g, tg.terminals))

@@ -18,12 +18,12 @@ from pathlib import Path
 from wheelkit import gio
 from wheelkit.catalog import catalog, matches_catalog
 from wheelkit.coloring import four_color
-from wheelkit.errors import InputDomainError, WheelkitError
+from wheelkit.errors import InputDomainError, PreconditionError, WheelkitError
 from wheelkit.experiments import EXPERIMENTS, Config, run_experiment
 from wheelkit.gadgets import apply_gadget, gadget_case, gadget_library, lift_subdivision
 from wheelkit.generate import FILTERS, generate_terminal_planar
 from wheelkit.graph import Graph
-from wheelkit.planarity import TerminalGraph, embed, is_disc_planar, is_planar
+from wheelkit.planarity import TerminalGraph, embed, is_disc_planar
 from wheelkit.separations import Separation, check_trichotomy, enumerate_separations
 from wheelkit.subdivisions import find_k5_subdivision
 from wheelkit.wheels import find_s_good_wheel
@@ -54,14 +54,14 @@ def _terminals(args, parsed) -> tuple:
 
 def cmd_planar(args):
     g, _ = _read(args.graph)
-    emb_faces = None
-    if is_planar(g):
+    try:
         emb = embed(g)
-        emb_faces = [list(emb.face_vertices(i)) for i in range(len(emb.faces))]
-        _emit({"planar": True, "faces": emb_faces}, args.out)
-        return 0
-    _emit({"planar": False, "faces": None}, args.out)
-    return 1
+    except PreconditionError:
+        _emit({"planar": False, "faces": None}, args.out)
+        return 1
+    faces = [list(emb.face_vertices(i)) for i in range(len(emb.faces))]
+    _emit({"planar": True, "faces": faces}, args.out)
+    return 0
 
 
 def cmd_faces(args):

@@ -1,19 +1,23 @@
 """Batch verification experiments over the package's finite claims.
 
 Each experiment checks one machine-checkable property on a corpus of
-instances and reports instance counts, counterexamples (serialized), and
-wall time.  Reports are deterministic for a fixed seed and configuration.
+instances.  It is a plain function whose parameters are the `Config`
+keys it reads, and it returns (instance count, counterexamples
+serialized).  `run_experiment` times it and builds the report, which
+echoes exactly those keys.  Reports are deterministic for a fixed seed
+and configuration.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 from wheelkit import gio
-from wheelkit.catalog import catalog, verify_catalog
+from wheelkit.catalog import catalog, matches_catalog, verify_catalog
 from wheelkit.errors import InputDomainError, WheelkitError
 from wheelkit.gadgets import apply_gadget, foreign_edges, gadget_library, lift_subdivision
 from wheelkit.generate import (
@@ -23,7 +27,7 @@ from wheelkit.generate import (
     random_wheel_host,
     rooted_canonical_form,
 )
-from wheelkit.graph import Graph, remove
+from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, remove, union
 from wheelkit.oracles import (
     brute_disc_planar,
     brute_disjoint_paths,
@@ -47,7 +51,6 @@ from wheelkit.subdivisions import (
     validate_subdivision,
     wheel_plus_paths_to_k5,
 )
-from wheelkit.graph import add, union
 
 
 @dataclass
@@ -57,15 +60,6 @@ class Config:
     search_bound: int = 12
     generation_bound: int = 9
     instances: int = 200
-
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "oracle_bound": self.oracle_bound,
-            "search_bound": self.search_bound,
-            "generation_bound": self.generation_bound,
-            "instances": self.instances,
-        }
 
     def validate(self) -> None:
         """Raise InputDomainError naming the first key below its minimum.
@@ -103,10 +97,6 @@ class ExperimentReport:
         }
 
 
-def _report(name, cfg):
-    return ExperimentReport(name=name, instances=0, config=cfg.as_dict())
-
-
 def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
     names = [str(i) for i in range(n)]
     edges = [(a, b) for a, b in combinations(names, 2) if rng.random() < p]
@@ -116,22 +106,15 @@ def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
 # -- experiments ---------------------------------------------------------------
 
 
-def run_catalog_no_good_wheel(cfg: Config) -> ExperimentReport:
-    rep = _report("catalog-no-good-wheel", cfg)
-    t0 = time.perf_counter()
-    problems = verify_catalog()
-    rep.instances = len(catalog())
-    rep.counterexamples = problems
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+def run_catalog_no_good_wheel():
+    return len(catalog()), verify_catalog()
 
 
-def run_wheel_k5_construction(cfg: Config) -> ExperimentReport:
-    rep = _report("wheel-k5-construction", cfg)
-    t0 = time.perf_counter()
-    rng = random.Random(cfg.seed)
+def run_wheel_k5_construction(seed):
+    rng = random.Random(seed)
+    instances, counterexamples = 0, []
     want = 100
-    while rep.instances < want:
+    while instances < want:
         g, wheel, corners = random_wheel_host(rng)
         w1, w2, w3, w4 = corners
         ps = find_disjoint_paths(
@@ -142,19 +125,17 @@ def run_wheel_k5_construction(cfg: Config) -> ExperimentReport:
         )
         if ps is None:
             continue  # noise edges occasionally block the planted linkage
-        rep.instances += 1
+        instances += 1
         try:
             sub = wheel_plus_paths_to_k5(g, wheel, corners, ps)
             validate_subdivision(g, sub)
         except WheelkitError as exc:  # counterexample, not a crash
-            rep.counterexamples.append(f"{gio.to_graph6(g)}: {exc}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+            counterexamples.append(f"{gio.to_graph6(g)}: {exc}")
+    return instances, counterexamples
 
 
-def run_lift_all_gadgets(cfg: Config) -> ExperimentReport:
-    rep = _report("lift-all-gadgets", cfg)
-    t0 = time.perf_counter()
+def run_lift_all_gadgets():
+    instances, counterexamples = 0, []
     for case in gadget_library():
         rule = case.rule
         for host in case.hosts:
@@ -167,31 +148,26 @@ def run_lift_all_gadgets(cfg: Config) -> ExperimentReport:
                     sub = find_k5_subdivision(trimmed)
                     if sub is None:
                         continue
-                    rep.instances += 1
+                    instances += 1
                     try:
                         out = lift_subdivision(host, rule, sub)
                         if not is_valid_subdivision(host, out):
                             raise InputDomainError("lift output failed validation")
                     except WheelkitError as exc:
-                        rep.counterexamples.append(f"{rule.name}: {exc}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+                        counterexamples.append(f"{rule.name}: {exc}")
+    return instances, counterexamples
 
 
-def run_coloring_recipes(cfg: Config) -> ExperimentReport:
-    rep = _report("coloring-recipes", cfg)
-    t0 = time.perf_counter()
+def run_coloring_recipes():
+    instances, counterexamples = 0, []
     for report in verify_all_recipes():
-        rep.instances += report.cases
-        rep.counterexamples.extend(f"{report.name}: {f}" for f in report.failures)
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+        instances += report.cases
+        counterexamples.extend(f"{report.name}: {f}" for f in report.failures)
+    return instances, counterexamples
 
 
 def _structured_small_graphs() -> list[Graph]:
     """Hand-picked shapes that exercise the searches' edge cases."""
-    from wheelkit.graph import complete_graph, cycle_graph, path_graph
-
     k5 = complete_graph(list("abcde"))
     k5_minus = remove(k5, edges=[("a", "b")])
     sub_k5 = add(k5_minus, {"m"}, [("a", "m"), ("m", "b")])
@@ -217,56 +193,54 @@ def _structured_small_graphs() -> list[Graph]:
     ]
 
 
-def run_oracle_equivalence(cfg: Config) -> ExperimentReport:
-    rep = _report("oracle-equivalence", cfg)
-    t0 = time.perf_counter()
-    rng = random.Random(cfg.seed)
-    n_each = cfg.instances
+def run_oracle_equivalence(seed, oracle_bound, instances):
+    rng = random.Random(seed)
+    count, counterexamples = 0, []
     structured = _structured_small_graphs()
 
     # four_color vs exhaustive enumeration
-    for i in range(n_each):
+    for i in range(instances):
         if i < len(structured):
             g = structured[i]
         else:
-            g = _random_graph(rng, rng.randrange(3, cfg.oracle_bound + 1), rng.uniform(0.2, 0.9))
-        rep.instances += 1
+            g = _random_graph(rng, rng.randrange(3, oracle_bound + 1), rng.uniform(0.2, 0.9))
+        count += 1
         ours = four_color(g)
         brute = brute_four_color(g)
         if (ours is None) != (brute is None):
-            rep.counterexamples.append(f"four-color: {gio.to_graph6(g)}")
+            counterexamples.append(f"four-color: {gio.to_graph6(g)}")
 
     # disjoint paths vs brute force
-    for _ in range(n_each):
-        g = _random_graph(rng, rng.randrange(4, cfg.oracle_bound + 1), rng.uniform(0.3, 0.8))
+    for _ in range(instances):
+        g = _random_graph(rng, rng.randrange(4, oracle_bound + 1), rng.uniform(0.3, 0.8))
         vs = list(g.vertices)
         rng.shuffle(vs)
         if len(vs) < 4:
             continue
         pairs = [(vs[0], vs[1]), (vs[2], vs[3])]
-        rep.instances += 1
+        count += 1
         ours = find_disjoint_paths(g, pairs)
         brute = brute_disjoint_paths(g, pairs)
         if (ours is None) != (brute is None):
-            rep.counterexamples.append(f"linkage: {gio.to_graph6(g)} pairs {pairs}")
+            counterexamples.append(f"linkage: {gio.to_graph6(g)} pairs {pairs}")
 
     # K5-subdivision vs brute force
-    for i in range(n_each):
+    for i in range(instances):
         if i < len(structured):
             g = structured[i]
         else:
-            g = _random_graph(rng, rng.randrange(5, cfg.oracle_bound + 1), rng.uniform(0.3, 0.85))
-        rep.instances += 1
+            g = _random_graph(rng, rng.randrange(5, oracle_bound + 1), rng.uniform(0.3, 0.85))
+        count += 1
         ours = find_k5_subdivision(g)
         brute = brute_k5_subdivision(g)
         if (ours is not None) != brute:
-            rep.counterexamples.append(f"k5: {gio.to_graph6(g)}")
+            counterexamples.append(f"k5: {gio.to_graph6(g)}")
 
     # separations vs the definition filter
-    for _ in range(n_each):
-        g = _random_graph(rng, rng.randrange(4, min(7, cfg.oracle_bound) + 1), rng.uniform(0.3, 0.8))
+    for _ in range(instances):
+        g = _random_graph(rng, rng.randrange(4, min(7, oracle_bound) + 1), rng.uniform(0.3, 0.8))
         k = rng.randrange(1, 4)
-        rep.instances += 1
+        count += 1
         got = {
             (s.side1.vertices, s.side1.edges, s.side2.vertices, s.side2.edges)
             for s in enumerate_separations(g, k, mode="exhaustive")
@@ -278,31 +252,27 @@ def run_oracle_equivalence(cfg: Config) -> ExperimentReport:
                 s1, s2 = s2, s1
             want.add((s1.vertices, s1.edges, s2.vertices, s2.edges))
         if got != want:
-            rep.counterexamples.append(f"separations: {gio.to_graph6(g)} k={k}")
+            counterexamples.append(f"separations: {gio.to_graph6(g)} k={k}")
 
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return count, counterexamples
 
 
-def run_planar_no_k5(cfg: Config) -> ExperimentReport:
-    rep = _report("planar-no-k5", cfg)
-    t0 = time.perf_counter()
-    rng = random.Random(cfg.seed)
-    for _ in range(cfg.instances):
+def run_planar_no_k5(seed, search_bound, instances):
+    rng = random.Random(seed)
+    counterexamples = []
+    for _ in range(instances):
         n = rng.randrange(5, 13)
         g = random_planar_graph(n, rng, keep_fraction=rng.uniform(0.6, 1.0))
-        rep.instances += 1
-        if find_k5_subdivision(g, limit=cfg.search_bound) is not None:
-            rep.counterexamples.append(f"k5-in-planar: {gio.to_graph6(g)}")
+        if find_k5_subdivision(g, limit=search_bound) is not None:
+            counterexamples.append(f"k5-in-planar: {gio.to_graph6(g)}")
             continue
         emb = embed(g)
         comps = len(g.components())
         if g.n - g.m + emb.face_count() != 1 + comps:
-            rep.counterexamples.append(f"euler: {gio.to_graph6(g)}")
+            counterexamples.append(f"euler: {gio.to_graph6(g)}")
         if not is_planar(g):
-            rep.counterexamples.append(f"planarity-flip: {gio.to_graph6(g)}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+            counterexamples.append(f"planarity-flip: {gio.to_graph6(g)}")
+    return instances, counterexamples
 
 
 def small_graph_classes(n_max: int) -> list[Graph]:
@@ -327,9 +297,8 @@ def small_graph_classes(n_max: int) -> list[Graph]:
     return out
 
 
-def run_disc_planar_oracle(cfg: Config) -> ExperimentReport:
-    rep = _report("disc-planar-oracle", cfg)
-    t0 = time.perf_counter()
+def run_disc_planar_oracle():
+    instances, counterexamples = 0, []
     seen_rooted = set()
     for g in small_graph_classes(6):
         for size in (1, 2, 3):
@@ -341,21 +310,19 @@ def run_disc_planar_oracle(cfg: Config) -> ExperimentReport:
                 if key in seen_rooted:
                     continue
                 seen_rooted.add(key)
-                rep.instances += 1
+                instances += 1
                 fence = is_disc_planar(tg)
                 oracle = brute_disc_planar(g, ts)
                 if fence != oracle:
-                    rep.counterexamples.append(
+                    counterexamples.append(
                         f"disc-planar: {gio.to_graph6(g)} S={ts} fence={fence} oracle={oracle}"
                     )
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return instances, counterexamples
 
 
-def run_trichotomy_regression(cfg: Config) -> ExperimentReport:
-    rep = _report("trichotomy-regression", cfg)
-    t0 = time.perf_counter()
-    rng = random.Random(cfg.seed)
+def run_trichotomy_regression(seed):
+    rng = random.Random(seed)
+    instances, counterexamples = 0, []
 
     def hub_side(ts):
         edges = [(t, h) for t in ts for h in ("h1", "h2")] + [("h1", "h2")]
@@ -365,10 +332,10 @@ def run_trichotomy_regression(cfg: Config) -> ExperimentReport:
     for m in catalog():
         side2 = hub_side(m.tg.terminals)
         g = union(m.tg.graph, side2)
-        rep.instances += 1
+        instances += 1
         res = check_trichotomy(g, Separation(m.tg.graph, side2))
         if res.verdict is not Verdict.CATALOG:
-            rep.counterexamples.append(f"catalog-glue {m.name}: {res.verdict.value}")
+            counterexamples.append(f"catalog-glue {m.name}: {res.verdict.value}")
 
     # order-4 sides with five vertices
     for edges in (
@@ -380,10 +347,10 @@ def run_trichotomy_regression(cfg: Config) -> ExperimentReport:
         side1 = Graph(set(ts) | {"u"}, edges)
         side2 = hub_side(ts)
         g = union(side1, side2)
-        rep.instances += 1
+        instances += 1
         res = check_trichotomy(g, Separation(side1, side2))
         if res.verdict is not Verdict.SMALL:
-            rep.counterexamples.append(f"small-side: {res.verdict.value}")
+            counterexamples.append(f"small-side: {res.verdict.value}")
 
     # seeded wheel-bearing sides (orders 4 and 5)
     for _ in range(40):
@@ -407,34 +374,29 @@ def run_trichotomy_regression(cfg: Config) -> ExperimentReport:
         tg = TerminalGraph(side1, ts, ordered=False)
         if not is_disc_planar(tg):
             continue
-        rep.instances += 1
+        instances += 1
         res = check_trichotomy(g, Separation(side1, side2))
         if res.verdict is not Verdict.GOOD_WHEEL:
-            rep.counterexamples.append(f"wheel-side: {res.verdict.value}")
+            counterexamples.append(f"wheel-side: {res.verdict.value}")
 
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+    return instances, counterexamples
 
 
-def run_gen_catalog_members(cfg: Config) -> ExperimentReport:
-    rep = _report("gen-catalog-members", cfg)
-    t0 = time.perf_counter()
-    from wheelkit.catalog import matches_catalog
-
+def run_gen_catalog_members(generation_bound):
+    instances, counterexamples = 0, []
     found = set()
     # W1 and W2 have six vertices; a larger bound would only add graphs
     # that cannot match them.
-    n_max = min(cfg.generation_bound, 6)
+    n_max = min(generation_bound, 6)
     for tg in generate_terminal_planar(n_max, 5, filters=("s-independent",)):
-        rep.instances += 1
+        instances += 1
         m = matches_catalog(tg)
         if m is not None:
             found.add(m.name)
     for name in ("W1", "W2"):
         if name not in found:
-            rep.counterexamples.append(f"stream missed catalog member {name}")
-    rep.elapsed = time.perf_counter() - t0
-    return rep
+            counterexamples.append(f"stream missed catalog member {name}")
+    return instances, counterexamples
 
 
 EXPERIMENTS = {
@@ -451,10 +413,17 @@ EXPERIMENTS = {
 
 
 def run_experiment(name: str, cfg: Config | None = None) -> ExperimentReport:
+    """Run one experiment on the `Config` keys it takes as parameters and
+    report them, in field order, with its counts and wall time."""
     if name not in EXPERIMENTS:
         raise InputDomainError(
             f"unknown experiment {name!r}; known: {', '.join(sorted(EXPERIMENTS))}"
         )
     cfg = cfg or Config()
     cfg.validate()
-    return EXPERIMENTS[name](cfg)
+    fn = EXPERIMENTS[name]
+    params = inspect.signature(fn).parameters
+    used = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name in params}
+    t0 = time.perf_counter()
+    instances, counterexamples = fn(**used)
+    return ExperimentReport(name, instances, counterexamples, time.perf_counter() - t0, used)

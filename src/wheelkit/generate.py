@@ -145,9 +145,9 @@ def generate_terminal_planar(
         base = TerminalGraph(Graph(names, ()), ts, ordered=False)
         level = {rooted_canonical_form(base): base}
         while level:
-            for tg in sorted(level.values(), key=rooted_canonical_form):
-                if all(f(tg) for f in fs):
-                    yield tg
+            for key in sorted(level):
+                if all(f(level[key]) for f in fs):
+                    yield level[key]
             nxt: dict[tuple, TerminalGraph] = {}
             for tg in level.values():
                 for a, b in pairs:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from wheelkit.errors import InputDomainError, PreconditionError
-from wheelkit.graph import CycleArc, Graph, Vertex, add, norm_edge, vkey
+from wheelkit.graph import CycleArc, Graph, Vertex, add, norm_edge, remove, vkey
 
 Dart = tuple[Vertex, Vertex]
 
@@ -142,6 +142,15 @@ def is_planar(g: Graph) -> bool:
     return bool(ok)
 
 
+def _rotation(g: Graph) -> dict[Vertex, tuple[Vertex, ...]] | None:
+    """The rotation system networkx's left-right test finds for g, or
+    None when g is not planar."""
+    ok, emb = nx.check_planarity(_to_networkx(g), counterexample=False)
+    if not ok:
+        return None
+    return {v: tuple(emb.neighbors_cw_order(v)) if g.degree(v) else () for v in g.vertices}
+
+
 def _fresh_names(g: Graph, count: int, stem: str) -> list[Vertex]:
     taken = set(g.vertices)
     out = []
@@ -173,30 +182,33 @@ def _fence_augmented(g: Graph, terminals) -> tuple[Graph, list[Vertex]]:
     return add(g, fs + [hub], sorted(edges)), names
 
 
+def _augmented(tg: TerminalGraph) -> tuple[Graph, set[Vertex]]:
+    """The graph that is planar exactly when tg is disc-planar, and the
+    vertices it adds: a fence for three or more ordered terminals (two
+    or fewer have one cyclic order), else an apex."""
+    if len(tg.terminals) < 1:
+        raise InputDomainError("disc-planarity needs at least one terminal")
+    if tg.ordered and len(tg.terminals) > 2:
+        aug, names = _fence_augmented(tg.graph, tg.terminals)
+        return aug, set(names)
+    aug, apex = _apex_augmented(tg.graph, tg.terminals)
+    return aug, {apex}
+
+
 def is_disc_planar(tg: TerminalGraph) -> bool:
     """Can the graph be drawn in a closed disc with S on the boundary?
 
     Ordered terminal graphs must realize the given cyclic boundary order
     (up to rotation and reflection); unordered ones may use any order.
     """
-    if len(tg.terminals) < 1:
-        raise InputDomainError("disc-planarity needs at least one terminal")
-    if tg.ordered and len(tg.terminals) > 2:
-        aug, _ = _fence_augmented(tg.graph, tg.terminals)
-    else:
-        aug, _ = _apex_augmented(tg.graph, tg.terminals)
-    return is_planar(aug)
+    return is_planar(_augmented(tg)[0])
 
 
 def embed(g: Graph) -> Embedding:
     """A deterministic combinatorial embedding of a planar graph."""
-    ok, emb = nx.check_planarity(_to_networkx(g), counterexample=False)
-    if not ok:
+    rotation = _rotation(g)
+    if rotation is None:
         raise PreconditionError("graph is not planar")
-    rotation = {
-        v: tuple(emb.neighbors_cw_order(v)) if g.degree(v) else ()
-        for v in g.vertices
-    }
     return Embedding(rotation)
 
 
@@ -233,20 +245,10 @@ def embed_terminal(tg: TerminalGraph) -> Embedding:
     augmentation vertices; the merged face left behind is the disc
     boundary face.
     """
-    if not is_disc_planar(tg):
+    aug, removed = _augmented(tg)
+    rot_aug = _rotation(aug)
+    if rot_aug is None:
         raise PreconditionError("terminal pair is not disc-planar")
-    if tg.ordered and len(tg.terminals) > 2:
-        aug, names = _fence_augmented(tg.graph, tg.terminals)
-        removed = set(names)
-    else:
-        aug, apex = _apex_augmented(tg.graph, tg.terminals)
-        removed = {apex}
-    ok, emb = nx.check_planarity(_to_networkx(aug), counterexample=False)
-    assert ok
-    rot_aug = {
-        v: tuple(emb.neighbors_cw_order(v)) if aug.degree(v) else ()
-        for v in aug.vertices
-    }
     witness = _witness_dart_after_deletion(rot_aug, removed)
     rotation = _restrict_rotation(rot_aug, set(tg.graph.vertices))
     return Embedding(rotation, outer_dart=witness)
@@ -290,18 +292,13 @@ def outer_cycle(tg: TerminalGraph, dset) -> CycleArc:
             "D does not induce a 2-connected subgraph; no outer cycle exists"
         )
     aug, apex = _apex_augmented(g, tg.terminals)
-    if not is_planar(aug):
+    rotation = _rotation(aug)
+    if rotation is None:
         raise PreconditionError("terminal pair is not disc-planar")
-    ok, emb = nx.check_planarity(_to_networkx(aug), counterexample=False)
-    assert ok
-    rotation = {
-        v: tuple(emb.neighbors_cw_order(v)) if aug.degree(v) else ()
-        for v in aug.vertices
-    }
     # The boundary region is the component of the augmented graph minus D
     # that contains the apex; delete it first and take a dart on the face
     # it merges into.
-    boundary_side = _component_of(aug, apex, banned=d)
+    boundary_side = next(c for c in remove(aug, d).components() if apex in c)
     witness = _witness_dart_after_deletion(rotation, boundary_side)
     if witness is None:
         raise PreconditionError("no vertex of D touches the boundary region")
@@ -335,18 +332,6 @@ def outer_cycle(tg: TerminalGraph, dset) -> CycleArc:
 
 def _edges_of(rotation) -> list:
     return [(u, v) for u, ns in rotation.items() for v in ns if vkey(u) < vkey(v)]
-
-
-def _component_of(g: Graph, start: Vertex, banned: set[Vertex]) -> set[Vertex]:
-    comp = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in g.neighbors(x):
-            if y not in comp and y not in banned:
-                comp.add(y)
-                stack.append(y)
-    return comp
 
 
 def _is_two_connected(g: Graph) -> bool:

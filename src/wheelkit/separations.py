@@ -53,14 +53,6 @@ def validate_separation(g: Graph, sep: Separation) -> None:
             raise InputDomainError("a side owns neither a vertex nor an edge")
 
 
-def is_separation(g: Graph, sep: Separation) -> bool:
-    try:
-        validate_separation(g, sep)
-    except InputDomainError:
-        return False
-    return True
-
-
 def enumerate_separations(g: Graph, k: int, *, mode: str = "canonical") -> Iterator[Separation]:
     """All k-separations up to swapping sides.
 

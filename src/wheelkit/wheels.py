@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from wheelkit.errors import InputDomainError, ResourceLimitError
-from wheelkit.graph import Graph, Vertex, vkey
+from wheelkit.graph import Graph, Vertex, enumerate_cycles, vkey
 
 DEFAULT_WHEEL_LIMIT = 12
 
@@ -71,42 +71,15 @@ def find_s_good_wheel(tg, *, limit: int = DEFAULT_WHEEL_LIMIT) -> Wheel | None:
     for center in centers:
         if g.degree(center) < 3:
             continue
-        rest = g.induced([v for v in g.vertices if v != center])
         spoke_ok = set(g.neighbors(center))
-        bad_rim = sset - spoke_ok  # any rim vertex here breaks S-goodness
-        w = _first_good_rim(rest, center, spoke_ok, bad_rim)
-        if w is not None:
-            return w
-    return None
-
-
-def _first_good_rim(rest: Graph, center: Vertex, spoke_ok: set, bad_rim: set) -> Wheel | None:
-    """Shortest rim cycle (in canonical order) avoiding bad_rim and
-    carrying at least three center-neighbors."""
-    order = {v: i for i, v in enumerate(rest.vertices)}
-
-    def extend(path: list[Vertex], used: set[Vertex], target_len: int):
-        if len(path) == target_len:
-            if rest.has_edge(path[-1], path[0]) and order[path[1]] < order[path[-1]]:
-                if sum(1 for v in path if v in spoke_ok) >= 3:
-                    yield tuple(path)
-            return
-        for w in rest.neighbors(path[-1]):
-            if w in used or order[w] <= order[path[0]] or w in bad_rim:
-                continue
-            path.append(w)
-            used.add(w)
-            yield from extend(path, used, target_len)
-            used.remove(w)
-            path.pop()
-
-    for length in range(3, rest.n + 1):
-        for start in rest.vertices:
-            if start in bad_rim:
-                continue
-            for rim in extend([start], {start}, length):
+        # a terminal off the spokes would make the wheel bad, so no rim uses one
+        bad_rim = sset - spoke_ok
+        rest = g.induced([v for v in g.vertices if v != center and v not in bad_rim])
+        for length in range(3, rest.n + 1):
+            for rim in enumerate_cycles(rest, length):
                 spokes = frozenset(v for v in rim if v in spoke_ok)
-                return Wheel(center, rim, spokes)
+                if len(spokes) >= 3:
+                    return Wheel(center, rim, spokes)
     return None
 
 

@@ -1,7 +1,10 @@
+import random
+
 from wheelkit.catalog import catalog, matches_catalog, rooted_isomorphic, verify_catalog
+from wheelkit.generate import generate_terminal_planar
 from wheelkit.graph import Graph, cycle_graph, remove
 from wheelkit.planarity import TerminalGraph
-from wheelkit.oracles import brute_wheel_search
+from wheelkit.oracles import brute_rooted_isomorphic, brute_wheel_search
 
 
 def test_catalog_certifies():
@@ -66,3 +69,26 @@ def test_rooted_iso_is_equivalence_on_catalog():
     for a in ms:
         for b in ms:
             assert rooted_isomorphic(a.tg, b.tg) == rooted_isomorphic(b.tg, a.tg)
+
+
+def test_matches_catalog_agrees_with_the_oracle():
+    cases = list(generate_terminal_planar(7, 5, ("s-independent",)))
+    assert len(cases) == 61
+    rng = random.Random(5)
+    for m in catalog():  # each member under fresh names and terminal order
+        g = m.tg.graph
+        names = [f"x{i}" for i in range(g.n)]
+        rng.shuffle(names)
+        rename = dict(zip(g.vertices, names))
+        ts = [rename[t] for t in m.tg.terminals]
+        rng.shuffle(ts)
+        h = Graph(names, [(rename[a], rename[b]) for a, b in g.edges])
+        cases.append(TerminalGraph(h, tuple(ts), ordered=False))
+    matched = []
+    for tg in cases:
+        want = [m for m in catalog() if brute_rooted_isomorphic(tg, m.tg)]
+        assert len(want) <= 1
+        assert matches_catalog(tg) is (want[0] if want else None)
+        matched += [m.name for m in want]
+    # the stream holds the four members with at most seven vertices
+    assert sorted(matched) == sorted(["W1", "W2", "X1", "X2"] + [m.name for m in catalog()])
