@@ -12,7 +12,17 @@ from wheelkit.errors import (
     WheelkitError,
 )
 from wheelkit.gadgets import GadgetRule, apply_gadget, gadget_library, lift_subdivision
-from wheelkit.graph import CycleArc, Graph, add, arc, cycle_arc, identify, remove, union
+from wheelkit.graph import (
+    CycleArc,
+    Graph,
+    add,
+    arc,
+    cycle_arc,
+    identify,
+    is_k_connected,
+    remove,
+    union,
+)
 from wheelkit.planarity import (
     Embedding,
     TerminalGraph,
@@ -28,7 +38,6 @@ from wheelkit.separations import (
     Verdict,
     check_trichotomy,
     enumerate_separations,
-    is_k_connected,
 )
 from wheelkit.subdivisions import (
     PathSystem,

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Iterator
 from wheelkit.errors import InputDomainError, ResourceLimitError
 from wheelkit.graph import Graph, Vertex, add, remove
 from wheelkit.planarity import TerminalGraph, is_disc_planar
+from wheelkit.wheels import Wheel
 
 DEFAULT_GENERATION_LIMIT = 9
 
@@ -194,8 +195,6 @@ def random_wheel_host(rng: random.Random):
     The crossing linkage is planted but not handed over: callers are meant
     to rediscover it with the exact disjoint-path search.
     """
-    from wheelkit.wheels import Wheel
-
     rim_len = rng.randrange(4, 9)
     rim = tuple(f"r{i}" for i in range(rim_len))
     g = Graph(rim, [(rim[i], rim[(i + 1) % rim_len]) for i in range(rim_len)])

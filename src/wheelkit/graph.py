@@ -222,6 +222,30 @@ def union(g1: Graph, g2: Graph) -> Graph:
     return Graph(set(g1.vertices) | set(g2.vertices), set(g1.edges) | set(g2.edges))
 
 
+# -- connectivity ---------------------------------------------------------
+
+
+def is_k_connected(g: Graph, k: int) -> bool:
+    """Vertex connectivity >= k; complete graphs count as (n-1)-connected."""
+    if k <= 0:
+        return True
+    n = g.n
+    if n == 0:
+        return False
+    if g.m == n * (n - 1) // 2:
+        return n - 1 >= k
+    if not g.is_connected():
+        return False
+    if n <= k:
+        return False  # incomplete graph on <= k vertices
+    for size in range(1, k):
+        for cut in combinations(g.vertices, size):
+            rest = g.induced([v for v in g.vertices if v not in cut])
+            if rest.n and not rest.is_connected():
+                return False
+    return True
+
+
 # -- cycles and arcs -------------------------------------------------------
 
 

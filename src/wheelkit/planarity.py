@@ -17,12 +17,12 @@ Disc-planarity of a terminal pair (G, S):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 
 from wheelkit.errors import InputDomainError, PreconditionError
-from wheelkit.graph import CycleArc, Graph, Vertex, add, norm_edge, remove, vkey
+from wheelkit.graph import CycleArc, Graph, Vertex, add, is_k_connected, norm_edge, remove, vkey
 
 Dart = tuple[Vertex, Vertex]
 
@@ -74,10 +74,8 @@ class Embedding:
 
     def face_count(self) -> int:
         """Face count with the unbounded face shared across components."""
-        comps_with_edges = _edge_component_count(self.rotation)
-        if comps_with_edges == 0:
-            return 1
-        return len(self.faces) - comps_with_edges + 1
+        darts = [(u, v) for u, ns in self.rotation.items() for v in ns]
+        return len(self.faces) - len(Graph(edges=darts).components()) + 1
 
 
 def _trace_faces(rotation: dict[Vertex, tuple[Vertex, ...]]) -> tuple[tuple[Dart, ...], ...]:
@@ -106,24 +104,6 @@ def _trace_faces(rotation: dict[Vertex, tuple[Vertex, ...]]) -> tuple[tuple[Dart
                 break
         faces.append(tuple(face))
     return tuple(faces)
-
-
-def _edge_component_count(rotation) -> int:
-    seen: set[Vertex] = set()
-    count = 0
-    for v, ns in rotation.items():
-        if v in seen or not ns:
-            continue
-        count += 1
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            for y in rotation[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return count
 
 
 # -- planarity tests --------------------------------------------------------
@@ -163,11 +143,6 @@ def _fresh_names(g: Graph, count: int, stem: str) -> list[Vertex]:
     return out
 
 
-def _apex_augmented(g: Graph, terminals) -> tuple[Graph, Vertex]:
-    (apex,) = _fresh_names(g, 1, "apex")
-    return add(g, [apex], [(apex, t) for t in terminals]), apex
-
-
 def _fence_augmented(g: Graph, terminals) -> tuple[Graph, list[Vertex]]:
     k = len(terminals)
     names = _fresh_names(g, k + 1, "fence")
@@ -176,8 +151,7 @@ def _fence_augmented(g: Graph, terminals) -> tuple[Graph, list[Vertex]]:
     for i, f in enumerate(fs):
         edges.add(norm_edge(f, terminals[i]))
         edges.add(norm_edge(f, terminals[(i + 1) % k]))
-        if k > 1:
-            edges.add(norm_edge(f, fs[(i + 1) % k]))
+        edges.add(norm_edge(f, fs[(i + 1) % k]))
         edges.add(norm_edge(f, hub))
     return add(g, fs + [hub], sorted(edges)), names
 
@@ -191,8 +165,8 @@ def _augmented(tg: TerminalGraph) -> tuple[Graph, set[Vertex]]:
     if tg.ordered and len(tg.terminals) > 2:
         aug, names = _fence_augmented(tg.graph, tg.terminals)
         return aug, set(names)
-    aug, apex = _apex_augmented(tg.graph, tg.terminals)
-    return aug, {apex}
+    (apex,) = _fresh_names(tg.graph, 1, "apex")
+    return add(tg.graph, [apex], [(apex, t) for t in tg.terminals]), {apex}
 
 
 def is_disc_planar(tg: TerminalGraph) -> bool:
@@ -216,25 +190,19 @@ def _restrict_rotation(rotation, keep: set[Vertex]):
     return {v: tuple(u for u in ns if u in keep) for v, ns in rotation.items() if v in keep}
 
 
-def _witness_dart_after_deletion(rotation, removed: set[Vertex]) -> Dart | None:
-    """A dart of the restricted embedding bordering the face that the
-    removed (connected) vertex set used to occupy."""
-    for y in sorted(rotation, key=vkey):
-        if y in removed:
-            continue
+def _corner_dart(rotation, region: set[Vertex], keep: set[Vertex]) -> Dart | None:
+    """A dart of the rotation restricted to `keep` on the face that holds
+    the connected vertex set `region` (disjoint from keep): at the first
+    kept vertex (in vkey order) with a neighbour in region, the next kept
+    neighbour after that one in rotation order."""
+    for y in sorted(keep, key=vkey):
         ns = rotation[y]
-        if not any(x in removed for x in ns):
+        i = next((i for i, x in enumerate(ns) if x in region), None)
+        if i is None:
             continue
-        keep = [x for x in ns if x not in removed]
-        if not keep:
-            continue
-        d = len(ns)
-        for i, x in enumerate(ns):
-            if x in removed:
-                for step in range(1, d):
-                    z = ns[(i + step) % d]
-                    if z not in removed:
-                        return (y, z)
+        z = next((z for z in ns[i + 1 :] + ns[:i] if z in keep), None)
+        if z is not None:
+            return (y, z)
     return None
 
 
@@ -245,13 +213,13 @@ def embed_terminal(tg: TerminalGraph) -> Embedding:
     augmentation vertices; the merged face left behind is the disc
     boundary face.
     """
-    aug, removed = _augmented(tg)
+    aug, added = _augmented(tg)
     rot_aug = _rotation(aug)
     if rot_aug is None:
         raise PreconditionError("terminal pair is not disc-planar")
-    witness = _witness_dart_after_deletion(rot_aug, removed)
-    rotation = _restrict_rotation(rot_aug, set(tg.graph.vertices))
-    return Embedding(rotation, outer_dart=witness)
+    keep = set(tg.graph.vertices)
+    witness = _corner_dart(rot_aug, added, keep)
+    return Embedding(_restrict_rotation(rot_aug, keep), outer_dart=witness)
 
 
 # -- faces, outer cycles, cofacial closures ---------------------------------
@@ -272,13 +240,16 @@ def cofacial_closure(emb: Embedding, x: Vertex) -> Graph:
 
 
 def outer_cycle(tg: TerminalGraph, dset) -> CycleArc:
-    """The facial cycle of G[D] bounding the face holding the disc boundary.
+    """The facial cycle of G[D] bounding the face that holds the disc boundary.
 
-    D must induce a 2-connected subgraph of a disc-planar terminal graph.
-    Everything outside D is deleted from the embedding one component at a
-    time, starting from the component carrying the boundary terminals; the
-    face that region merges into is tracked through the deletions.  The
-    cycle is returned in the orientation the face trace produces, with
+    D must induce a 2-connected subgraph of a disc-planar terminal graph
+    (in the given cyclic order when tg is ordered).  The disc embedding is
+    the one `embed_terminal` uses.  The component of the augmented graph
+    minus D that holds the apex or fence is connected and disjoint from
+    G[D], so it lies in a single face of G[D], and deleting everything
+    else only merges faces away from it: that face is read off the
+    rotation restricted to D at a corner where the component touches D.
+    The cycle is returned in the orientation the face trace produces, with
     both arc endpoints parked on its first vertex (rebase to taste).
     """
     d = set(dset)
@@ -286,57 +257,18 @@ def outer_cycle(tg: TerminalGraph, dset) -> CycleArc:
     for v in d:
         if not g.has_vertex(v):
             raise InputDomainError(f"unknown vertex {v!r}")
-    sub = g.induced(d)
-    if not _is_two_connected(sub):
+    if not is_k_connected(g.induced(d), 2):
         raise PreconditionError(
             "D does not induce a 2-connected subgraph; no outer cycle exists"
         )
-    aug, apex = _apex_augmented(g, tg.terminals)
+    aug, added = _augmented(tg)
     rotation = _rotation(aug)
     if rotation is None:
         raise PreconditionError("terminal pair is not disc-planar")
-    # The boundary region is the component of the augmented graph minus D
-    # that contains the apex; delete it first and take a dart on the face
-    # it merges into.
-    boundary_side = next(c for c in remove(aug, d).components() if apex in c)
-    witness = _witness_dart_after_deletion(rotation, boundary_side)
+    region = next(c for c in remove(aug, d).components() if not added.isdisjoint(c))
+    witness = _corner_dart(rotation, region, d)
     if witness is None:
         raise PreconditionError("no vertex of D touches the boundary region")
-    keep = set(aug.vertices) - boundary_side
-    rotation = _restrict_rotation(rotation, keep)
-    # Peel off the remaining non-D components.  Deleting a component only
-    # merges faces, so the witness dart keeps bordering the boundary face
-    # unless the deleted component was incident to it, in which case the
-    # corner rule hands us a dart on the merged face.
-    leftover = Graph(keep, _edges_of(rotation)).induced(keep - d)
-    junk = sorted(leftover.components(), key=lambda c: sorted(c, key=vkey))
-    for comp in junk:
-        faces = _trace_faces(rotation)
-        wface = next(f for f in faces if witness in f)
-        incident = any(u in comp for face_dart in wface for u in face_dart)
-        new_witness = _witness_dart_after_deletion(rotation, set(comp))
-        keep -= set(comp)
-        rotation = _restrict_rotation(rotation, keep)
-        if incident:
-            if new_witness is None:
-                raise PreconditionError("boundary face collapsed while peeling")
-            witness = new_witness
-    restricted = Embedding(rotation, outer_dart=witness)
+    restricted = Embedding(_restrict_rotation(rotation, d), outer_dart=witness)
     walk = restricted.face_vertices(restricted.outer_face)
-    if len(set(walk)) != len(walk) or any(v not in d for v in walk):
-        raise PreconditionError(
-            "the boundary-side face of D is not a simple cycle through D"
-        )
-    return CycleArc(tuple(walk), walk[0], walk[0])
-
-
-def _edges_of(rotation) -> list:
-    return [(u, v) for u, ns in rotation.items() for v in ns if vkey(u) < vkey(v)]
-
-
-def _is_two_connected(g: Graph) -> bool:
-    if g.n < 3 or not g.is_connected():
-        return False
-    return all(
-        g.induced([u for u in g.vertices if u != v]).is_connected() for v in g.vertices
-    )
+    return CycleArc(walk, walk[0], walk[0])

@@ -26,7 +26,7 @@ from typing import Callable
 from wheelkit.coloring import Coloring, assign_then_extend, is_proper
 from wheelkit.errors import InputDomainError
 from wheelkit.gadgets import gadget_case
-from wheelkit.graph import Graph, Vertex, add, union
+from wheelkit.graph import Graph, Vertex, add
 
 Sigma = dict[Vertex, int]
 FULL = (1, 2, 3, 4)
@@ -119,7 +119,7 @@ def _side(name: str) -> Graph:
     return gadget_case(name).side.graph
 
 
-def _ring_config(rim_edges, arc_interiors, chords):
+def _ring_config(arc_interiors, chords):
     """A five-terminal ring: t_i attaches to v_i and v_{i+1}; arcs listed
     in `arc_interiors` get one interior vertex a_i between v_i and
     v_{i+1}, the rest are direct rim edges."""
@@ -281,7 +281,6 @@ def recipe_library() -> tuple[ColoringRecipe, ...]:
     ring0 = ColoringRecipe(
         name="ring0",
         config=_ring_config(
-            rim_edges=(),
             arc_interiors={1, 2, 3, 4, 5},
             chords=[("a1", "a2"), ("a2", "a3"), ("a3", "a4"), ("a4", "a5"), ("a5", "a1")],
         ),
@@ -302,7 +301,6 @@ def recipe_library() -> tuple[ColoringRecipe, ...]:
     ring1 = ColoringRecipe(
         name="ring1",
         config=_ring_config(
-            rim_edges={1},
             arc_interiors={2, 3, 4, 5},
             chords=[("a2", "a3"), ("a3", "a4"), ("a4", "a5"), ("a5", "a2")],
         ),
@@ -323,7 +321,6 @@ def recipe_library() -> tuple[ColoringRecipe, ...]:
     ring2 = ColoringRecipe(
         name="ring2",
         config=_ring_config(
-            rim_edges={5, 1},
             arc_interiors={2, 3, 4},
             chords=[("a2", "a3"), ("a3", "a4"), ("a2", "a4")],
         ),
@@ -344,7 +341,6 @@ def recipe_library() -> tuple[ColoringRecipe, ...]:
     ring3a = ColoringRecipe(
         name="ring3a",
         config=_ring_config(
-            rim_edges={3, 4, 5},
             arc_interiors={1, 2},
             chords=[("a1", "a2"), ("a2", "v4"), ("a1", "v5")],
         ),
@@ -370,7 +366,6 @@ def recipe_library() -> tuple[ColoringRecipe, ...]:
     ring3b = ColoringRecipe(
         name="ring3b",
         config=_ring_config(
-            rim_edges={2, 4, 5},
             arc_interiors={1, 3},
             chords=[("a1", "a3"), ("a1", "v5"), ("a3", "v5")],
         ),

@@ -1,4 +1,4 @@
-"""k-separations, vertex connectivity, and the planar-side trichotomy.
+"""k-separations and the planar-side trichotomy.
 
 A k-separation is a pair of edge-disjoint subgraphs covering the host
 graph whose vertex sets overlap in exactly k vertices, each side owning
@@ -116,30 +116,6 @@ def _side_sort_key(side: Graph):
 
 def _sep_key(sep: Separation):
     return (sep.side1.vertices, sep.side1.edges, sep.side2.vertices, sep.side2.edges)
-
-
-# -- connectivity -------------------------------------------------------------
-
-
-def is_k_connected(g: Graph, k: int) -> bool:
-    """Vertex connectivity >= k; complete graphs count as (n-1)-connected."""
-    if k <= 0:
-        return True
-    n = g.n
-    if n == 0:
-        return False
-    if g.m == n * (n - 1) // 2:
-        return n - 1 >= k
-    if not g.is_connected():
-        return False
-    if n <= k:
-        return False  # incomplete graph on <= k vertices
-    for size in range(1, k):
-        for cut in combinations(g.vertices, size):
-            rest = g.induced([v for v in g.vertices if v not in cut])
-            if rest.n and not rest.is_connected():
-                return False
-    return True
 
 
 # -- the trichotomy check ------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from wheelkit.errors import InputDomainError, ResourceLimitError
 from wheelkit.graph import Graph, Vertex, enumerate_cycles, vkey
+from wheelkit.planarity import cofacial_closure
 
 DEFAULT_WHEEL_LIMIT = 12
 
@@ -86,8 +87,6 @@ def find_s_good_wheel(tg, *, limit: int = DEFAULT_WHEEL_LIMIT) -> Wheel | None:
 def wheel_from_cofacial(emb, x: Vertex) -> Wheel | None:
     """The wheel formed by everything cofacial with x, when that closure
     is a wheel centered at x (its link is a single cycle)."""
-    from wheelkit.planarity import cofacial_closure
-
     closure = cofacial_closure(emb, x)
     nbrs = [v for v in closure.vertices if closure.has_edge(x, v)]
     if len(nbrs) < 3:
@@ -96,20 +95,6 @@ def wheel_from_cofacial(emb, x: Vertex) -> Wheel | None:
     link = closure.induced(link_vs)
     if any(link.degree(v) != 2 for v in link.vertices) or not link.is_connected():
         return None
-    if link.m != link.n:
-        return None
-    # Walk the cycle into an explicit cyclic order.
-    start = link.vertices[0]
-    rim = [start]
-    prev = None
-    while True:
-        cands = [v for v in link.neighbors(rim[-1]) if v != prev]
-        nxt = cands[0]
-        if nxt == start:
-            break
-        prev = rim[-1]
-        rim.append(nxt)
-    if len(rim) != link.n:
-        return None
-    spokes = frozenset(nbrs)
-    return Wheel(x, tuple(rim), spokes) if set(nbrs) <= set(rim) else None
+    # a connected 2-regular link is one cycle through every vertex but x
+    rim = next(enumerate_cycles(link, link.n))
+    return Wheel(x, rim, frozenset(nbrs))

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 
 from wheelkit.errors import InputDomainError, PreconditionError
-from wheelkit.graph import Graph, add, complete_graph, cycle_graph, remove
+from wheelkit.experiments import small_graph_classes
+from wheelkit.graph import Graph, add, complete_graph, cycle_graph, is_k_connected, remove
 from wheelkit.planarity import (
     Embedding,
     TerminalGraph,
@@ -179,6 +182,47 @@ def test_outer_cycle_of_nine_vertex_member_interior():
     # cycle neighbors of both z and v
     i = cyc.cycle.index("z")
     assert {cyc.cycle[(i + 1) % 4], cyc.cycle[(i - 1) % 4]} == {"u", "w"}
+
+
+def test_outer_cycle_respects_terminal_order():
+    c4 = cycle_graph(["a", "b", "c", "d"])
+    with pytest.raises(PreconditionError):
+        outer_cycle(TerminalGraph(c4, ("a", "c", "b", "d"), ordered=True), "abcd")
+
+
+def test_outer_cycle_agrees_with_disc_planarity():
+    """Every planar graph on at most 5 vertices, every ordered terminal set
+    of size 3-5 (4-5 in two cyclic orders) and every D inducing a
+    2-connected subgraph: outer_cycle raises exactly when the terminal
+    graph is not disc-planar, and D's terminals lie on the cycle in the
+    given cyclic order up to rotation and reflection."""
+    for g in small_graph_classes(5):
+        if not is_planar(g):
+            continue
+        ds = [
+            set(d)
+            for r in range(3, g.n + 1)
+            for d in combinations(g.vertices, r)
+            if is_k_connected(g.induced(d), 2)
+        ]
+        for k in range(3, min(5, g.n) + 1):
+            for ts in combinations(g.vertices, k):
+                for order in [ts] if k == 3 else [ts, (ts[0], ts[2], ts[1]) + ts[3:]]:
+                    tg = TerminalGraph(g, order, ordered=True)
+                    disc = is_disc_planar(tg)
+                    for d in ds:
+                        if not disc:
+                            with pytest.raises(PreconditionError):
+                                outer_cycle(tg, d)
+                            continue
+                        cyc = outer_cycle(tg, d).cycle
+                        want = [t for t in order if t in d]
+                        visits = [v for v in cyc if v in want]
+                        assert sorted(visits) == sorted(want)
+                        if want:
+                            i = visits.index(want[0])
+                            rot = visits[i:] + visits[:i]
+                            assert rot in (want, want[:1] + want[:0:-1]), (g.edges, order, d, cyc)
 
 
 def test_face_tracing_partitions_darts():

@@ -2,14 +2,13 @@ import pytest
 
 from wheelkit.catalog import catalog
 from wheelkit.errors import PreconditionError
-from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, union
+from wheelkit.graph import Graph, add, complete_graph, cycle_graph, is_k_connected, path_graph, union
 from wheelkit.oracles import brute_separations
 from wheelkit.separations import (
     Separation,
     Verdict,
     check_trichotomy,
     enumerate_separations,
-    is_k_connected,
     validate_separation,
 )
 
@@ -87,6 +86,8 @@ def test_connectivity_standards():
     assert not is_k_connected(cycle_graph(list("abcde")), 3)
     assert not is_k_connected(path_graph(["a", "b", "c"]), 2)
     assert is_k_connected(complete_graph(["a"]), 0)
+    assert not is_k_connected(complete_graph(["a", "b"]), 2)
+    assert is_k_connected(complete_graph(["a", "b", "c"]), 2)
 
 
 def test_catalog_member_y_not_4_connected_standalone():
