@@ -47,6 +47,9 @@ def _terminals(args, parsed) -> tuple:
     if getattr(args, "terminals", None):
         g, _ = parsed
         names = args.terminals.split(",")
+        for t in names:
+            if t.isdigit() and int(t) >= g.n:
+                raise InputDomainError(f"terminal index {t} out of range for {g.n} vertices")
         return tuple(g.vertices[int(t)] if t.isdigit() else t for t in names)
     _, ts = parsed
     return ts or ()

@@ -311,11 +311,11 @@ def run_disc_planar_oracle():
                     continue
                 seen_rooted.add(key)
                 instances += 1
-                fence = is_disc_planar(tg)
+                disc = is_disc_planar(tg)
                 oracle = brute_disc_planar(g, ts)
-                if fence != oracle:
+                if disc != oracle:
                     counterexamples.append(
-                        f"disc-planar: {gio.to_graph6(g)} S={ts} fence={fence} oracle={oracle}"
+                        f"disc-planar: {gio.to_graph6(g)} S={ts} disc={disc} oracle={oracle}"
                     )
     return instances, counterexamples
 

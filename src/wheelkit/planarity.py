@@ -7,12 +7,15 @@ its left; the package applies it consistently but it has no geometric
 content.
 
 Disc-planarity of a terminal pair (G, S):
-- unordered: G plus one fresh apex adjacent to all of S must be planar;
-- ordered: a fence is added instead (fresh vertices f_i joined to
-  consecutive terminals and to each other in a ring, plus a hub adjacent
-  to all f_i), which pins the cyclic boundary order up to rotation and
-  reflection.  Correctness of the fence reduction is cross-checked
-  against a brute-force rotation-system oracle in the test suite.
+- unordered, or ordered with at most three terminals (which have one
+  cyclic order up to reflection): G plus one fresh apex adjacent to all
+  of S must be planar;
+- ordered with four or more terminals: a fence is added instead (fresh
+  vertices f_i joined to consecutive terminals and to each other in a
+  ring, plus a hub adjacent to all f_i), which pins the cyclic boundary
+  order up to rotation and reflection.  The apex is cross-checked against
+  a brute-force rotation-system oracle in the test suite, and the fence
+  against the apex at three terminals.
 """
 
 from __future__ import annotations
@@ -116,9 +119,45 @@ def _to_networkx(g: Graph) -> nx.Graph:
     return h
 
 
+def _core(g: Graph) -> dict[Vertex, set[Vertex]]:
+    """The adjacency of g after deleting vertices of degree at most 1 and
+    smoothing vertices of degree 2 until none is left.  Smoothing v with
+    neighbours a and b drops v and adds the edge a-b, unless it is already
+    there.  Every step keeps planarity in both directions."""
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    stack = [v for v, ns in adj.items() if len(ns) <= 2]
+    while stack:
+        v = stack.pop()
+        ns = adj.get(v)
+        if ns is None or len(ns) > 2:
+            continue
+        del adj[v]
+        for u in ns:
+            adj[u].discard(v)
+        if len(ns) == 2:
+            a, b = ns
+            adj[a].add(b)
+            adj[b].add(a)
+        stack.extend(u for u in ns if len(adj[u]) <= 2)
+    return adj
+
+
 def is_planar(g: Graph) -> bool:
-    """Standard planarity test (backed by networkx's left-right check)."""
-    ok, _ = nx.check_planarity(_to_networkx(g), counterexample=False)
+    """Standard planarity test on the core of g (see `_core`).
+
+    With n' vertices and m' edges, the core is planar when m' <= 8 (a
+    subdivided K5 or K3,3 needs 9 edges) or n' <= 5 and m' <= 3n' - 6, and
+    non-planar when n' >= 3 and m' > 3n' - 6; otherwise networkx's
+    left-right test decides it.
+    """
+    adj = _core(g)
+    n = len(adj)
+    m = sum(len(ns) for ns in adj.values()) // 2
+    if m <= 8 or (n <= 5 and m <= 3 * n - 6):
+        return True
+    if n >= 3 and m > 3 * n - 6:
+        return False
+    ok, _ = nx.check_planarity(nx.Graph(adj), counterexample=False)
     return bool(ok)
 
 
@@ -158,11 +197,11 @@ def _fence_augmented(g: Graph, terminals) -> tuple[Graph, list[Vertex]]:
 
 def _augmented(tg: TerminalGraph) -> tuple[Graph, set[Vertex]]:
     """The graph that is planar exactly when tg is disc-planar, and the
-    vertices it adds: a fence for three or more ordered terminals (two
-    or fewer have one cyclic order), else an apex."""
+    vertices it adds: a fence for four or more ordered terminals (three
+    or fewer have one cyclic order up to reflection), else an apex."""
     if len(tg.terminals) < 1:
         raise InputDomainError("disc-planarity needs at least one terminal")
-    if tg.ordered and len(tg.terminals) > 2:
+    if tg.ordered and len(tg.terminals) > 3:
         aug, names = _fence_augmented(tg.graph, tg.terminals)
         return aug, set(names)
     (apex,) = _fresh_names(tg.graph, 1, "apex")

@@ -97,7 +97,7 @@ def test_criterion_7_disc_planarity_oracle():
     report = run_experiment("disc-planar-oracle", CFG)
     # rooted classes of graphs on <= 6 vertices with 1 to 3 terminals
     assert report.instances == 3571
-    _check(7, "fence construction vs rotation-system oracle (<=6v, <=3 terminals)", report, 300.0)
+    _check(7, "disc-planarity (apex/fence) vs rotation-system oracle (<=6v, <=3 terminals)", report, 300.0)
 
 
 def test_criterion_8_trichotomy_regression():

@@ -180,5 +180,13 @@ def test_disc_planar_unordered_flag(tmp_path, capsys):
     assert code == 0 and payload["ordered"] is True
 
 
+def test_disc_planar_terminal_index_out_of_range_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "tri.txt", to_edgelist(cycle_graph(list("abc"))))
+    assert main(["disc-planar", path, "--terminals", "0,1,9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: terminal index 9 out of range for 3 vertices\n"
+
+
 def test_usage_error_exit_2(tmp_path):
     assert main(["k5", str(tmp_path / "missing.g6")]) == 2

@@ -1,13 +1,19 @@
+import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
+from wheelkit import planarity
 from wheelkit.errors import InputDomainError, PreconditionError
 from wheelkit.experiments import small_graph_classes
+from wheelkit.generate import rooted_canonical_form
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, is_k_connected, remove
 from wheelkit.planarity import (
     Embedding,
     TerminalGraph,
+    _core,
+    _fence_augmented,
     cofacial_closure,
     embed,
     embed_terminal,
@@ -55,6 +61,87 @@ def test_planarity_standards():
     assert not is_planar(k33())
     assert is_planar(octahedron())
     assert is_planar(icosahedron())
+
+
+def _from_networkx(h) -> Graph:
+    return Graph([str(v) for v in h.nodes], [(str(u), str(v)) for u, v in h.edges])
+
+
+def _networkx_planar(g: Graph) -> bool:
+    return nx.check_planarity(planarity._to_networkx(g))[0]
+
+
+def test_is_planar_matches_networkx_on_graph_atlas():
+    """Every graph on at most 7 vertices."""
+    for h in nx.graph_atlas_g():
+        g = _from_networkx(h)
+        assert is_planar(g) == _networkx_planar(g), g.edges
+
+
+def test_is_planar_matches_networkx_on_seeded_graphs():
+    rng = random.Random(2024)
+    for _ in range(600):
+        n = rng.randint(8, 12)
+        h = nx.gnp_random_graph(n, rng.uniform(0.2, 0.6), seed=rng.randrange(1 << 30))
+        g = _from_networkx(h)
+        assert is_planar(g) == _networkx_planar(g), g.edges
+
+
+def _subdivided(g: Graph) -> Graph:
+    """g with every edge replaced by a path of length two."""
+    return Graph(
+        g.vertices,
+        [e for u, v in g.edges for e in ((u, f"{u}~{v}"), (f"{u}~{v}", v))],
+    )
+
+
+def _prism() -> Graph:
+    triangles = [("a", "b"), ("b", "c"), ("a", "c"), ("x", "y"), ("y", "z"), ("x", "z")]
+    return Graph(edges=triangles + [("a", "x"), ("b", "y"), ("c", "z")])
+
+
+@pytest.mark.parametrize(
+    "g, core_size, planar",
+    [
+        (_subdivided(complete_graph(list("abcde"))), (5, 10), False),
+        (_subdivided(k33()), (6, 9), False),
+        # smoothing the third vertex of the 4-cycle meets the edge the
+        # first smoothing added
+        (cycle_graph(list("abcd")), (0, 0), True),
+        (Graph(edges=[("a", "b"), ("b", "c"), ("b", "d"), ("d", "e"), ("d", "f")]), (0, 0), True),
+        (k33(), (6, 9), False),
+        (_prism(), (6, 9), True),
+    ],
+    ids=["subdivided-k5", "subdivided-k33", "subdivided-triangle", "tree", "k33", "prism"],
+)
+def test_is_planar_hand_cases(g, core_size, planar, monkeypatch):
+    assert _networkx_planar(g) is planar
+    core = _core(g)
+    assert (len(core), sum(map(len, core.values())) // 2) == core_size
+    calls = []
+    check = nx.check_planarity
+    monkeypatch.setattr(
+        planarity.nx, "check_planarity", lambda *a, **k: calls.append(a) or check(*a, **k)
+    )
+    assert is_planar(g) is planar
+    # only a core with 9 edges on 6 vertices is left to networkx
+    assert len(calls) == (core_size == (6, 9))
+
+
+def test_fence_matches_apex_at_three_terminals():
+    """The fence, which decides four or more ordered terminals, gives the
+    apex's verdict on every 3-terminal set (up to rooted isomorphism) of
+    every graph on at most 6 vertices.  Criterion 7 checks the apex
+    against the rotation-system oracle on the same corpus."""
+    seen = set()
+    for g in small_graph_classes(6):
+        for ts in combinations(g.vertices, 3):
+            tg = TerminalGraph(g, ts, ordered=True)
+            key = rooted_canonical_form(tg)
+            if key in seen:
+                continue
+            seen.add(key)
+            assert is_planar(_fence_augmented(g, ts)[0]) == is_disc_planar(tg), (g.edges, ts)
 
 
 def test_face_counts_match_euler():
