@@ -65,10 +65,12 @@ class Config:
         """Raise InputDomainError naming the first key below its minimum.
 
         oracle-equivalence draws graphs of 5 to oracle_bound vertices for
-        its K5 check, and gen-catalog-members streams graphs with 5
-        terminals, so both bounds must reach 5.
+        its K5 check, planar-no-k5 draws graphs of 5 to search_bound
+        vertices, and gen-catalog-members streams graphs with 5 terminals,
+        so all three bounds must reach 5.
         """
-        for key, low in (("oracle_bound", 5), ("generation_bound", 5), ("instances", 1)):
+        minimums = {"oracle_bound": 5, "search_bound": 5, "generation_bound": 5, "instances": 1}
+        for key, low in minimums.items():
             value = getattr(self, key)
             if value < low:
                 raise InputDomainError(f"config {key} = {value} is below its minimum {low}")
@@ -261,7 +263,7 @@ def run_planar_no_k5(seed, search_bound, instances):
     rng = random.Random(seed)
     counterexamples = []
     for _ in range(instances):
-        n = rng.randrange(5, 13)
+        n = rng.randrange(5, search_bound + 1)
         g = random_planar_graph(n, rng, keep_fraction=rng.uniform(0.6, 1.0))
         if find_k5_subdivision(g, limit=search_bound) is not None:
             counterexamples.append(f"k5-in-planar: {gio.to_graph6(g)}")

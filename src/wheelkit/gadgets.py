@@ -92,16 +92,6 @@ def lift_subdivision(g: Graph, rule: GadgetRule, sub_prime: Subdivision) -> Subd
     for removed, paths in _plans(rule, used, deg):
         new_edges = set(tedges)
         new_edges -= removed
-        ok = True
-        for p in paths:
-            for a, b in zip(p, p[1:]):
-                if not g.has_edge(a, b):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
         for p in paths:
             new_edges.update(norm_edge(a, b) for a, b in zip(p, p[1:]))
         candidate = subdivision_from_edges(g, new_edges)

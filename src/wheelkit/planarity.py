@@ -11,11 +11,12 @@ Disc-planarity of a terminal pair (G, S):
   cyclic order up to reflection): G plus one fresh apex adjacent to all
   of S must be planar;
 - ordered with four or more terminals: a fence is added instead (fresh
-  vertices f_i joined to consecutive terminals and to each other in a
-  ring, plus a hub adjacent to all f_i), which pins the cyclic boundary
-  order up to rotation and reflection.  The apex is cross-checked against
-  a brute-force rotation-system oracle in the test suite, and the fence
-  against the apex at three terminals.
+  vertices f_i joined to the consecutive terminals t_i and t_{i+1}, plus
+  a hub adjacent to all f_i), which pins the cyclic boundary order up to
+  rotation and reflection (see `_fence_augmented`).  The apex is
+  cross-checked against a brute-force rotation-system oracle in the test
+  suite, and the fence against the apex at three terminals and, over
+  every cyclic order, at four and five.
 """
 
 from __future__ import annotations
@@ -183,6 +184,17 @@ def _fresh_names(g: Graph, count: int, stem: str) -> list[Vertex]:
 
 
 def _fence_augmented(g: Graph, terminals) -> tuple[Graph, list[Vertex]]:
+    """g plus the fence of the terminal order t_1..t_k: fresh f_i joined to
+    t_i and t_{i+1} (indices mod k) and a hub joined to every f_i, and the
+    names of the fresh vertices.
+
+    The cycle t_1 f_1 t_2 f_2 ... t_k f_k with the hub joined to every f_i
+    is a subdivided wheel, whose embedding is unique up to reflection.
+    Each of its spoke faces touches only one terminal, so every part of g
+    that meets two or more terminals lies on the rim side, where the
+    terminals sit in the given cyclic order.  A ring f_i f_{i+1} would add
+    nothing to that, so the fence has none.
+    """
     k = len(terminals)
     names = _fresh_names(g, k + 1, "fence")
     fs, hub = names[:k], names[k]
@@ -190,7 +202,6 @@ def _fence_augmented(g: Graph, terminals) -> tuple[Graph, list[Vertex]]:
     for i, f in enumerate(fs):
         edges.add(norm_edge(f, terminals[i]))
         edges.add(norm_edge(f, terminals[(i + 1) % k]))
-        edges.add(norm_edge(f, fs[(i + 1) % k]))
         edges.add(norm_edge(f, hub))
     return add(g, fs + [hub], sorted(edges)), names
 

@@ -69,6 +69,15 @@ def test_generation_bound_steers_gen_catalog_members():
     ]
 
 
+def test_search_bound_steers_planar_no_k5():
+    # graphs are drawn with 5 to search_bound vertices, so a bound below
+    # the default 12 still runs every instance inside the search cap
+    report = run_experiment("planar-no-k5", Config(search_bound=11))
+    assert report.passed and report.instances == 200
+    with pytest.raises(InputDomainError, match="search_bound"):
+        run_experiment("planar-no-k5", Config(search_bound=4))
+
+
 def test_run_experiment_validates_config():
     # the library entry point checks the ranges that `wheelkit verify` does
     with pytest.raises(InputDomainError, match="oracle_bound"):

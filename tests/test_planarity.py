@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -142,6 +142,30 @@ def test_fence_matches_apex_at_three_terminals():
                 continue
             seen.add(key)
             assert is_planar(_fence_augmented(g, ts)[0]) == is_disc_planar(tg), (g.edges, ts)
+
+
+def test_fence_matches_apex_over_cyclic_orders_at_four_and_five_terminals():
+    """A 4- or 5-terminal set is disc-planar in some order (the apex)
+    exactly when one of its cyclic orders up to reflection is (the fence):
+    3 orders at four terminals, 12 at five.  Every terminal set (up to
+    rooted isomorphism) of every graph on at most 6 vertices."""
+    seen = set()
+    for g in small_graph_classes(6):
+        for k in (4, 5):
+            for ts in combinations(g.vertices, k):
+                tg = TerminalGraph(g, ts, ordered=False)
+                key = rooted_canonical_form(tg)
+                if key in seen:
+                    continue
+                seen.add(key)
+                orders = [
+                    (ts[0],) + rest
+                    for rest in permutations(ts[1:])
+                    if rest[0] < rest[-1]  # one of each reflected pair
+                ]
+                fence = any(is_disc_planar(TerminalGraph(g, o, ordered=True)) for o in orders)
+                assert fence == is_disc_planar(tg), (g.edges, ts)
+    assert len(seen) == 1823
 
 
 def test_face_counts_match_euler():

@@ -1,15 +1,28 @@
+from itertools import combinations
+
 import pytest
 
 from wheelkit.errors import ConstructionError, InputDomainError, PreconditionError, ResourceLimitError
-from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, union
+from wheelkit.graph import (
+    Graph,
+    add,
+    complete_graph,
+    cycle_graph,
+    norm_edge,
+    path_graph,
+    remove,
+    union,
+)
 from wheelkit.oracles import brute_disjoint_paths, brute_k5_subdivision
 from wheelkit.subdivisions import (
+    K5_PAIRS,
     PathSystem,
     Subdivision,
     find_disjoint_paths,
     find_k5_subdivision,
     is_valid_subdivision,
     subdivision_from_edges,
+    validate_path_system,
     validate_subdivision,
     wheel_plus_paths_to_k5,
 )
@@ -49,8 +62,6 @@ def test_k5_minus_edge_links_cross_pairs():
 
 
 def remove_edge(g, u, v):
-    from wheelkit.graph import remove
-
     return remove(g, edges=[(u, v)])
 
 
@@ -163,6 +174,104 @@ def test_subdivision_from_edges_rejects_stray_cycle():
     assert subdivision_from_edges(g, edges) is None
 
 
+# -- malformed witnesses: one per reject branch of the validators -------------
+
+
+def k5_with_path(g, pair, path):
+    """The identity K5-subdivision on branch vertices a..e, with the path
+    for the branch pair `pair` (indices into "abcde") swapped for `path`."""
+    paths = list(combinations("abcde", 2))
+    paths[K5_PAIRS.index(pair)] = path
+    return g, Subdivision(tuple("abcde"), tuple(paths))
+
+
+def k5_plus(*edges):
+    return union(complete_graph(list("abcde")), Graph(edges=edges))
+
+
+BAD_LINKAGES = {
+    "repeated vertex": (path_graph(list("abc")), [("a", "c")], [("a", "b", "a", "b", "c")], ()),
+    "missing edge": (path_graph(list("abc")), [("a", "c")], [("a", "c")], ()),
+    "forbidden interior": (path_graph(list("abc")), [("a", "c")], [("a", "b", "c")], ("b",)),
+    "interior on an endpoint": (
+        Graph(edges=[("a", "b"), ("b", "c"), ("b", "d")]),
+        [("a", "c"), ("b", "d")],
+        [("a", "b", "c"), ("b", "d")],
+        (),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LINKAGES))
+def test_validate_path_system_rejects(case):
+    g, pairs, paths, forbidden = BAD_LINKAGES[case]
+    ps = PathSystem(tuple(pairs), tuple(map(tuple, paths)))
+    with pytest.raises(ConstructionError):
+        validate_path_system(g, ps, frozenset(forbidden))
+
+
+BAD_SUBDIVISIONS = {
+    "wrong endpoints": k5_with_path(complete_graph(list("abcde")), (0, 1), ("a", "c")),
+    "missing edge": k5_with_path(k5_plus(("a", "x")), (0, 1), ("a", "x", "b")),
+    "repeated vertex": k5_with_path(k5_plus(("a", "x")), (0, 1), ("a", "x", "a", "b")),
+    "branch vertex on an interior": k5_with_path(
+        complete_graph(list("abcde")), (0, 1), ("a", "c", "b")
+    ),
+    "branch vertex not in graph": k5_with_path(
+        remove(complete_graph(list("abcde")), ["a"]), (0, 1), ("a", "b")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SUBDIVISIONS))
+def test_validate_subdivision_rejects(case):
+    g, sub = BAD_SUBDIVISIONS[case]
+    with pytest.raises(ConstructionError):
+        validate_subdivision(g, sub)
+    assert not is_valid_subdivision(g, sub)
+
+
+def k5_edges():
+    return set(complete_graph(list("abcde")).edges)
+
+
+def subdivided(*pairs):
+    """K5 on a..e with each listed edge (u, v, mid) subdivided by mid."""
+    edges = k5_edges()
+    for u, v, mid in pairs:
+        edges -= {norm_edge(u, v)}
+        edges |= {norm_edge(u, mid), norm_edge(mid, v)}
+    return edges
+
+
+NOT_SUBDIVISIONS = {
+    # every edge of K5 plus one the host lacks
+    "edge missing from g": (
+        complete_graph(list("abcde")),
+        k5_edges() | {("a", "x")},
+    ),
+    # a-x-b and c-y-d subdivide two edges; x-y gives both degree 3
+    "vertex of degree 3": (None, subdivided(("a", "b", "x"), ("c", "d", "y")) | {("x", "y")}),
+    # five vertices of degree 4, but a's walk through x and y returns to a
+    "cycle off a branch vertex": (None, [
+        ("a", "x"), ("x", "y"), ("y", "a"), ("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"),
+        ("b", "e"), ("c", "d"), ("c", "e"), ("d", "e"), ("d", "z"), ("z", "e"),
+    ]),
+    # five vertices of degree 4 joined as ab twice (a-b, a-x-b) and cd
+    # twice (c-d, c-y-d), with ac and bd missing
+    "branch pair realised twice": (None, [
+        ("a", "b"), ("a", "x"), ("x", "b"), ("a", "d"), ("a", "e"), ("b", "c"), ("b", "e"),
+        ("c", "d"), ("c", "y"), ("y", "d"), ("c", "e"), ("d", "e"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_SUBDIVISIONS))
+def test_subdivision_from_edges_rejects(case):
+    g, edges = NOT_SUBDIVISIONS[case]
+    assert subdivision_from_edges(g or Graph(edges=edges), edges) is None
+
+
 # -- the wheel construction ---------------------------------------------------
 
 
@@ -197,6 +306,39 @@ def test_wheel_plus_paths_rejects_shared_interior():
     g2 = add(g, edges=[("x", "w2"), ("x", "w4")])
     with pytest.raises(ConstructionError):
         wheel_plus_paths_to_k5(g2, wheel, ("w1", "w2", "w3", "w4"), ps)
+
+
+def five_rim_wheel_with_cross(w1_to_w3):
+    """Rim w1 w2 r w3 w4 around spokes w1..w4, the crossing path w2-y-w4,
+    and w1_to_w3 as the other crossing path (the host gets its edges)."""
+    rim = ["w1", "w2", "r", "w3", "w4"]
+    g = cycle_graph(rim)
+    g = add(g, {"c", "y"}, [("c", w) for w in ("w1", "w2", "w3", "w4")] + [("y", "w2"), ("y", "w4")])
+    extra = {norm_edge(a, b) for a, b in zip(w1_to_w3, w1_to_w3[1:])} - set(g.edges)
+    g = add(g, set(w1_to_w3) - set(g.vertices), sorted(extra))
+    wheel = Wheel("c", tuple(rim), frozenset(["w1", "w2", "w3", "w4"]))
+    ps = PathSystem((("w1", "w3"), ("w2", "w4")), (tuple(w1_to_w3), ("w2", "y", "w4")))
+    return g, wheel, ps
+
+
+@pytest.mark.parametrize(
+    "w1_to_w3",
+    [
+        ("w1", "c", "w3"),  # through the center, a branch vertex
+        ("w1", "x", "r", "w3"),  # through a rim vertex inside the arc w2..w3
+    ],
+    ids=["center", "rim-vertex"],
+)
+def test_wheel_plus_paths_rejects_crossing_path_through_wheel(w1_to_w3):
+    g, wheel, ps = five_rim_wheel_with_cross(w1_to_w3)
+    with pytest.raises(ConstructionError):
+        wheel_plus_paths_to_k5(g, wheel, ("w1", "w2", "w3", "w4"), ps)
+
+
+def test_wheel_plus_paths_builds_valid_k5_on_five_rim():
+    g, wheel, ps = five_rim_wheel_with_cross(("w1", "x", "w3"))
+    sub = wheel_plus_paths_to_k5(g, wheel, ("w1", "w2", "w3", "w4"), ps)
+    assert is_valid_subdivision(g, sub)
 
 
 def test_wheel_plus_paths_rejects_three_spokes():
