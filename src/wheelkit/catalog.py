@@ -92,12 +92,7 @@ def verify_catalog() -> list[str]:
             if rooted_isomorphic(a.tg, b.tg):
                 problems.append(f"{a.name} and {b.name} are rooted-isomorphic")
     y = next(m for m in members if m.name == "Y")
-    interior = set(y.tg.graph.vertices) - set(y.tg.terminals)
-    three = [
-        t
-        for t in y.tg.terminals
-        if sum(1 for x in y.tg.graph.neighbors(t) if x in interior) == 3
-    ]
+    three = [t for t in y.tg.terminals if y.tg.interior_degree(t) == 3]
     if three != [y.special_vertex]:
         problems.append(f"Y: degree-3 terminal is {three}, expected [{y.special_vertex}]")
     return problems

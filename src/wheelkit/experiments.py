@@ -21,11 +21,11 @@ from wheelkit.catalog import catalog, matches_catalog, verify_catalog
 from wheelkit.errors import InputDomainError, WheelkitError
 from wheelkit.gadgets import apply_gadget, foreign_edges, gadget_library, lift_subdivision
 from wheelkit.generate import (
-    canonical_form,
     generate_terminal_planar,
     random_planar_graph,
     random_wheel_host,
-    rooted_canonical_form,
+    small_graph_classes,
+    terminal_set_classes,
 )
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, remove, union
 from wheelkit.oracles import (
@@ -62,18 +62,24 @@ class Config:
     instances: int = 200
 
     def validate(self) -> None:
-        """Raise InputDomainError naming the first key below its minimum.
+        """Raise InputDomainError naming the first key out of its range.
 
         oracle-equivalence draws graphs of 5 to oracle_bound vertices for
         its K5 check, planar-no-k5 draws graphs of 5 to search_bound
         vertices, and gen-catalog-members streams graphs with 5 terminals,
-        so all three bounds must reach 5.
+        so all three bounds must reach 5.  planar-no-k5's exhaustive K5
+        search grows about tenfold per two vertices, so search_bound stops
+        at 16, where the default instances still take seconds.
         """
         minimums = {"oracle_bound": 5, "search_bound": 5, "generation_bound": 5, "instances": 1}
         for key, low in minimums.items():
             value = getattr(self, key)
             if value < low:
                 raise InputDomainError(f"config {key} = {value} is below its minimum {low}")
+        if self.search_bound > 16:
+            raise InputDomainError(
+                f"config search_bound = {self.search_bound} is above its maximum 16"
+            )
 
 
 @dataclass
@@ -277,43 +283,13 @@ def run_planar_no_k5(seed, search_bound, instances):
     return instances, counterexamples
 
 
-def small_graph_classes(n_max: int) -> list[Graph]:
-    """One representative per isomorphism class, all graphs up to n_max."""
-    out = []
-    for n in range(1, n_max + 1):
-        names = [str(i) for i in range(n)]
-        pairs = list(combinations(names, 2))
-        level = {canonical_form(Graph(names, ())): Graph(names, ())}
-        while level:
-            out.extend(level.values())
-            nxt: dict = {}
-            for g in level.values():
-                for a, b in pairs:
-                    if g.has_edge(a, b):
-                        continue
-                    bigger = add(g, (), [(a, b)])
-                    key = canonical_form(bigger)
-                    if key not in nxt:
-                        nxt[key] = bigger
-            level = nxt
-    return out
-
-
 def run_disc_planar_oracle():
     instances, counterexamples = 0, []
-    seen_rooted = set()
     for g in small_graph_classes(6):
         for size in (1, 2, 3):
-            if size > g.n:
-                continue
-            for ts in combinations(g.vertices, size):
-                tg = TerminalGraph(g, ts, ordered=True)
-                key = rooted_canonical_form(tg)
-                if key in seen_rooted:
-                    continue
-                seen_rooted.add(key)
+            for ts in terminal_set_classes(g, size):
                 instances += 1
-                disc = is_disc_planar(tg)
+                disc = is_disc_planar(TerminalGraph(g, ts, ordered=True))
                 oracle = brute_disc_planar(g, ts)
                 if disc != oracle:
                     counterexamples.append(

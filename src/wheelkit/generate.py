@@ -1,23 +1,23 @@
-"""Instance generation: small disc-planar terminal graphs, seeded random
+"""Instance generation: the isomorph-free class enumerators, seeded random
 planar graphs, and wheel-plus-crossing hosts.
 
-The terminal-graph stream enumerates edge sets level by level (by edge
-count), pruning branches that already fail a monotone property
-(disc-planarity is monotone under edge deletion, so a non-disc-planar
-graph never recovers by adding edges; terminal independence likewise) and
-deduplicating levels by a rooted canonical form, so no two emitted graphs
-are rooted-isomorphic.
+`_classes` is the one level loop: it enumerates edge sets level by level
+(by edge count), deduplicating each level by a rooted canonical form and
+optionally pruning by a monotone property.  It feeds the disc-planar
+terminal-graph stream (disc-planarity is monotone under edge deletion, so
+a non-disc-planar graph never recovers by adding edges) and the unrooted
+small-graph classes.  `terminal_set_classes` is the one rooted dedup of a
+graph's terminal sets.
 
-`canonical_form` is the package's one isomorphism test: the stream, the
-unrooted small-graph classes of the experiments and the catalog's rooted
-isomorphism all compare its keys.
+`canonical_form` is the package's one isomorphism test: the enumerators
+and the catalog's rooted isomorphism all compare its keys.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import chain, combinations, permutations, product
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from wheelkit.errors import InputDomainError, ResourceLimitError
 from wheelkit.graph import Graph, Vertex, add, remove
@@ -26,42 +26,14 @@ from wheelkit.wheels import Wheel
 
 DEFAULT_GENERATION_LIMIT = 9
 
-Filter = Callable[[TerminalGraph], bool]
-
-
-def s_independent(tg: TerminalGraph) -> bool:
-    ts = tg.terminals
-    return not any(tg.graph.has_edge(a, b) for i, a in enumerate(ts) for b in ts[i + 1 :])
-
-
-def terminals_see_interior(minimum: int) -> Filter:
-    def check(tg: TerminalGraph) -> bool:
-        interior = set(tg.graph.vertices) - set(tg.terminals)
-        return all(
-            sum(1 for x in tg.graph.neighbors(t) if x in interior) >= minimum
-            for t in tg.terminals
-        )
-
-    return check
-
-
-FILTERS: dict[str, Filter] = {
-    "s-independent": s_independent,
-    "terminal-interior-degree-2": terminals_see_interior(2),
-    "terminal-interior-degree-1": terminals_see_interior(1),
+# Stream filters by name, each with the interior degree it demands of
+# every terminal.  "s-independent" demands none: the stream enforces it by
+# never adding an edge between two terminals.
+FILTERS = {
+    "s-independent": 0,
+    "terminal-interior-degree-1": 1,
+    "terminal-interior-degree-2": 2,
 }
-
-
-def _resolve_filters(filters) -> list[Filter]:
-    out = []
-    for f in filters:
-        if callable(f):
-            out.append(f)
-        elif f in FILTERS:
-            out.append(FILTERS[f])
-        else:
-            raise InputDomainError(f"unknown filter {f!r}")
-    return out
 
 
 def canonical_form(g: Graph, terminals: Iterable[Vertex] = ()) -> tuple:
@@ -114,54 +86,86 @@ def rooted_canonical_form(tg: TerminalGraph) -> tuple:
     return canonical_form(tg.graph, tg.terminals)
 
 
-def generate_terminal_planar(
-    n_max: int,
-    s_size: int,
-    filters=(),
-    *,
-    limit: int = DEFAULT_GENERATION_LIMIT,
-) -> Iterator[TerminalGraph]:
+def _classes(names, terminals, pairs, keep=None) -> Iterator[dict[tuple, TerminalGraph]]:
+    """The graphs on `names` with edges from `pairs`, one per rooted
+    isomorphism class: one dict per edge count, from the edgeless graph
+    up, mapping `rooted_canonical_form` to the first graph found with it.
+
+    A candidate failing `keep` is dropped together with every supergraph,
+    so `keep` must be monotone under edge deletion.
+    """
+    base = TerminalGraph(Graph(names, ()), terminals, ordered=False)
+    level = {rooted_canonical_form(base): base}
+    while level:
+        yield level
+        nxt: dict[tuple, TerminalGraph] = {}
+        for tg in level.values():
+            for a, b in pairs:
+                if tg.graph.has_edge(a, b):
+                    continue
+                bigger = TerminalGraph(add(tg.graph, (), [(a, b)]), terminals, ordered=False)
+                key = rooted_canonical_form(bigger)
+                if key in nxt:
+                    continue
+                if keep is not None and not keep(bigger):
+                    continue  # monotone: no supergraph recovers
+                nxt[key] = bigger
+        level = nxt
+
+
+def small_graph_classes(n_max: int) -> list[Graph]:
+    """One representative per isomorphism class, all graphs up to n_max
+    vertices, by vertex count, then edge count, then order of discovery."""
+    out = []
+    for n in range(1, n_max + 1):
+        names = tuple(str(i) for i in range(n))
+        for level in _classes(names, (), list(combinations(names, 2))):
+            out.extend(tg.graph for tg in level.values())
+    return out
+
+
+def terminal_set_classes(g: Graph, size: int) -> list[tuple[Vertex, ...]]:
+    """The terminal sets of g with `size` vertices, one per rooted
+    isomorphism class: the first of each class in `combinations` order."""
+    first: dict[tuple, tuple[Vertex, ...]] = {}
+    for ts in combinations(g.vertices, size):
+        first.setdefault(canonical_form(g, ts), ts)
+    return list(first.values())
+
+
+def generate_terminal_planar(n_max: int, s_size: int, filters=()) -> Iterator[TerminalGraph]:
     """All disc-planar terminal graphs with at most n_max vertices and
-    s_size terminals, one per rooted-isomorphism class, passing filters.
+    s_size terminals, one per rooted-isomorphism class, passing the named
+    filters (see `FILTERS`).
 
     Terminals are unordered (disc-planarity in the some-boundary-order
     sense).  Emission order: by vertex count, then edge count, then
     canonical form.
     """
-    if n_max > limit:
-        raise ResourceLimitError(f"generation capped at {limit} vertices, got {n_max}")
+    if n_max > DEFAULT_GENERATION_LIMIT:
+        raise ResourceLimitError(
+            f"generation capped at {DEFAULT_GENERATION_LIMIT} vertices, got {n_max}"
+        )
     if s_size < 1 or s_size > n_max:
         raise InputDomainError("terminal count must be between 1 and n_max")
-    fs = _resolve_filters(filters)
-    prune_s_independent = s_independent in fs
+    for f in filters:
+        if f not in FILTERS:
+            raise InputDomainError(f"unknown filter {f!r}")
+    independent = "s-independent" in filters
+    minimum = max((FILTERS[f] for f in filters), default=0)
+    ts = tuple(f"t{i}" for i in range(1, s_size + 1))
     for n in range(s_size, n_max + 1):
-        ts = tuple(f"t{i}" for i in range(1, s_size + 1))
-        interior = tuple(f"u{i}" for i in range(1, n - s_size + 1))
-        names = ts + interior
+        names = ts + tuple(f"u{i}" for i in range(1, n - s_size + 1))
         pairs = [
             (a, b)
             for a, b in combinations(names, 2)
-            if not (prune_s_independent and a in ts and b in ts)
+            if not (independent and a in ts and b in ts)
         ]
-        base = TerminalGraph(Graph(names, ()), ts, ordered=False)
-        level = {rooted_canonical_form(base): base}
-        while level:
+        for level in _classes(names, ts, pairs, keep=is_disc_planar):
             for key in sorted(level):
-                if all(f(level[key]) for f in fs):
-                    yield level[key]
-            nxt: dict[tuple, TerminalGraph] = {}
-            for tg in level.values():
-                for a, b in pairs:
-                    if tg.graph.has_edge(a, b):
-                        continue
-                    bigger = TerminalGraph(add(tg.graph, (), [(a, b)]), ts, ordered=False)
-                    key = rooted_canonical_form(bigger)
-                    if key in nxt:
-                        continue
-                    if not is_disc_planar(bigger):
-                        continue  # monotone: no supergraph recovers
-                    nxt[key] = bigger
-            level = nxt
+                tg = level[key]
+                if minimum == 0 or all(tg.interior_degree(t) >= minimum for t in ts):
+                    yield tg
 
 
 # -- random planar graphs ------------------------------------------------------

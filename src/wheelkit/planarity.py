@@ -50,6 +50,10 @@ class TerminalGraph:
             if not self.graph.has_vertex(t):
                 raise InputDomainError(f"terminal {t!r} not in graph")
 
+    def interior_degree(self, t: Vertex) -> int:
+        """The number of t's neighbours outside the terminal set."""
+        return sum(1 for x in self.graph.neighbors(t) if x not in self.terminals)
+
 
 class Embedding:
     """A rotation system with traced faces and a distinguished outer face."""

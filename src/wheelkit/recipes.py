@@ -12,9 +12,10 @@ the configuration.
 
 Boundary colorings are enumerated up to symmetry: schedules that never
 mention an absolute color fix the first boundary color to 1 (they are
-color-permutable), while the five-terminal ring recipes draw terminal
-colors from {1,2,3}, which is the usual normalization of "at most three
-colors on the boundary" and leaves 4 as the schedule's free color.
+color-permutable), while the five-terminal ring recipes (`low_boundary`)
+draw terminal colors from {1,2,3}, which is the usual normalization of
+"at most three colors on the boundary" and leaves 4 as the schedule's
+free color.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ class ColoringRecipe:
     boundary: tuple
     sigma_edges: tuple  # extra constraint pairs on the boundary coloring
     branches: tuple
-    palette: tuple = ()  # ((vertex, colors), ...) overrides; default 1..4
-    sym_fix: bool = True
+    low_boundary: bool = False  # boundary colors from {1,2,3}, else 1..4 with the first fixed
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,9 @@ def verify_recipe(recipe: ColoringRecipe) -> RecipeReport:
     constraints = [
         (u, v) for u, v in g.edges if u in bset and v in bset
     ] + list(recipe.sigma_edges)
-    pal = dict(recipe.palette)
-    domains = [pal.get(b, FULL) for b in recipe.boundary]
-    if recipe.sym_fix and domains:
-        domains = [(domains[0][0],)] + list(domains[1:])
+    domains = [LOW if recipe.low_boundary else FULL for _ in recipe.boundary]
+    if domains and not recipe.low_boundary:
+        domains[0] = (1,)
     cases = 0
     failures = []
     for combo in product(*domains):
@@ -119,9 +118,9 @@ def _side(name: str) -> Graph:
     return gadget_case(name).side.graph
 
 
-def _ring_config(arc_interiors, chords):
-    """A five-terminal ring: t_i attaches to v_i and v_{i+1}; arcs listed
-    in `arc_interiors` get one interior vertex a_i between v_i and
+def _ring_recipe(name: str, arc_interiors, chords, branch: RecipeBranch) -> ColoringRecipe:
+    """A five-terminal ring recipe: t_i attaches to v_i and v_{i+1}; arcs
+    listed in `arc_interiors` get one interior vertex a_i between v_i and
     v_{i+1}, the rest are direct rim edges."""
 
     def v(i):
@@ -138,7 +137,14 @@ def _ring_config(arc_interiors, chords):
             edges.append((v(i), v(i + 1)))
         edges += [(t(i), v(i)), (t(i), v(i + 1))]
     edges += list(chords)
-    return Graph((), edges)
+    return ColoringRecipe(
+        name=name,
+        config=Graph((), edges),
+        boundary=tuple(t(i) for i in range(1, 6)),
+        sigma_edges=(),
+        branches=(branch,),
+        low_boundary=True,
+    )
 
 
 def recipe_library() -> tuple[ColoringRecipe, ...]:
@@ -276,114 +282,72 @@ def recipe_library() -> tuple[ColoringRecipe, ...]:
         ),
     )
 
-    low_palette = tuple((f"t{i}", LOW) for i in range(1, 6))
-
-    ring0 = ColoringRecipe(
-        name="ring0",
-        config=_ring_config(
-            arc_interiors={1, 2, 3, 4, 5},
-            chords=[("a1", "a2"), ("a2", "a3"), ("a3", "a4"), ("a4", "a5"), ("a5", "a1")],
-        ),
-        boundary=tuple(f"t{i}" for i in range(1, 6)),
-        sigma_edges=(),
-        palette=low_palette,
-        sym_fix=False,
-        branches=(
-            RecipeBranch(
-                "lift-ring",
-                always,
-                forced=tuple((f"v{i}", ("const", 4)) for i in range(1, 6)),
-                greedy=("a1", "a2", "a3", "a4", "a5"),
-            ),
+    ring0 = _ring_recipe(
+        "ring0",
+        arc_interiors={1, 2, 3, 4, 5},
+        chords=[("a1", "a2"), ("a2", "a3"), ("a3", "a4"), ("a4", "a5"), ("a5", "a1")],
+        branch=RecipeBranch(
+            "lift-ring",
+            always,
+            forced=tuple((f"v{i}", ("const", 4)) for i in range(1, 6)),
+            greedy=("a1", "a2", "a3", "a4", "a5"),
         ),
     )
 
-    ring1 = ColoringRecipe(
-        name="ring1",
-        config=_ring_config(
-            arc_interiors={2, 3, 4, 5},
-            chords=[("a2", "a3"), ("a3", "a4"), ("a4", "a5"), ("a5", "a2")],
-        ),
-        boundary=tuple(f"t{i}" for i in range(1, 6)),
-        sigma_edges=(),
-        palette=low_palette,
-        sym_fix=False,
-        branches=(
-            RecipeBranch(
-                "free-corner",
-                always,
-                forced=tuple((f"v{i}", ("const", 4)) for i in (2, 3, 4, 5)),
-                greedy=("v1", "a2", "a3", "a4", "a5"),
-            ),
+    ring1 = _ring_recipe(
+        "ring1",
+        arc_interiors={2, 3, 4, 5},
+        chords=[("a2", "a3"), ("a3", "a4"), ("a4", "a5"), ("a5", "a2")],
+        branch=RecipeBranch(
+            "free-corner",
+            always,
+            forced=tuple((f"v{i}", ("const", 4)) for i in (2, 3, 4, 5)),
+            greedy=("v1", "a2", "a3", "a4", "a5"),
         ),
     )
 
-    ring2 = ColoringRecipe(
-        name="ring2",
-        config=_ring_config(
-            arc_interiors={2, 3, 4},
-            chords=[("a2", "a3"), ("a3", "a4"), ("a2", "a4")],
-        ),
-        boundary=tuple(f"t{i}" for i in range(1, 6)),
-        sigma_edges=(),
-        palette=low_palette,
-        sym_fix=False,
-        branches=(
-            RecipeBranch(
-                "free-corner",
-                always,
-                forced=tuple((f"v{i}", ("const", 4)) for i in (2, 3, 4, 5)),
-                greedy=("v1", "a2", "a3", "a4"),
-            ),
+    ring2 = _ring_recipe(
+        "ring2",
+        arc_interiors={2, 3, 4},
+        chords=[("a2", "a3"), ("a3", "a4"), ("a2", "a4")],
+        branch=RecipeBranch(
+            "free-corner",
+            always,
+            forced=tuple((f"v{i}", ("const", 4)) for i in (2, 3, 4, 5)),
+            greedy=("v1", "a2", "a3", "a4"),
         ),
     )
 
-    ring3a = ColoringRecipe(
-        name="ring3a",
-        config=_ring_config(
-            arc_interiors={1, 2},
-            chords=[("a1", "a2"), ("a2", "v4"), ("a1", "v5")],
-        ),
-        boundary=tuple(f"t{i}" for i in range(1, 6)),
-        sigma_edges=(),
-        palette=low_palette,
-        sym_fix=False,
-        branches=(
-            RecipeBranch(
-                "copy-t4",
-                always,
-                forced=(
-                    ("a1", ("sigma", "t4")),
-                    ("v1", ("const", 4)),
-                    ("v2", ("const", 4)),
-                    ("v4", ("const", 4)),
-                ),
-                greedy=("v5", "v3", "a2"),
+    ring3a = _ring_recipe(
+        "ring3a",
+        arc_interiors={1, 2},
+        chords=[("a1", "a2"), ("a2", "v4"), ("a1", "v5")],
+        branch=RecipeBranch(
+            "copy-t4",
+            always,
+            forced=(
+                ("a1", ("sigma", "t4")),
+                ("v1", ("const", 4)),
+                ("v2", ("const", 4)),
+                ("v4", ("const", 4)),
             ),
+            greedy=("v5", "v3", "a2"),
         ),
     )
 
-    ring3b = ColoringRecipe(
-        name="ring3b",
-        config=_ring_config(
-            arc_interiors={1, 3},
-            chords=[("a1", "a3"), ("a1", "v5"), ("a3", "v5")],
-        ),
-        boundary=tuple(f"t{i}" for i in range(1, 6)),
-        sigma_edges=(),
-        palette=low_palette,
-        sym_fix=False,
-        branches=(
-            RecipeBranch(
-                "spread",
-                always,
-                forced=(
-                    ("v1", ("const", 4)),
-                    ("v2", ("const", 4)),
-                    ("v4", ("const", 4)),
-                ),
-                greedy=("v5", "v3", "a3", "a1"),
+    ring3b = _ring_recipe(
+        "ring3b",
+        arc_interiors={1, 3},
+        chords=[("a1", "a3"), ("a1", "v5"), ("a3", "v5")],
+        branch=RecipeBranch(
+            "spread",
+            always,
+            forced=(
+                ("v1", ("const", 4)),
+                ("v2", ("const", 4)),
+                ("v4", ("const", 4)),
             ),
+            greedy=("v5", "v3", "a3", "a1"),
         ),
     )
 

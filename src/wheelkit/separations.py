@@ -165,12 +165,7 @@ def check_trichotomy(g: Graph, sep: Separation) -> TrichotomyResult:
                 return TrichotomyResult(Verdict.CATALOG, member=member)
             # The eight-vertex member constrains its fan terminal: it must
             # have host degree at least 5.
-            interior = set(side1.vertices) - set(cut)
-            fan = [
-                t
-                for t in cut
-                if sum(1 for x in side1.neighbors(t) if x in interior) == 3
-            ]
+            fan = [t for t in cut if tg.interior_degree(t) == 3]
             if fan and all(g.degree(t) >= 5 for t in fan):
                 return TrichotomyResult(Verdict.CATALOG, member=member)
     return TrichotomyResult(Verdict.NONE)

@@ -2,16 +2,28 @@
 each, at its stated tolerance and time budget.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-pass lines.
+pass lines.  Every report must also equal its entry in the golden file,
+the output of `wheelkit verify all` without `elapsed_seconds`.
 """
 
+import json
 import time
+from pathlib import Path
 
 from wheelkit.experiments import Config, run_experiment
 from wheelkit.gadgets import gadget_library
 from wheelkit.recipes import recipe_library, verify_all_recipes
 
 CFG = Config()
+
+GOLDEN = {
+    r["experiment"]: r
+    for r in json.loads((Path(__file__).parent / "golden" / "verify-all.json").read_text())
+}
+
+
+def without_elapsed(report) -> dict:
+    return {k: v for k, v in report.as_dict().items() if k != "elapsed_seconds"}
 
 
 def _check(number, title, report, budget_seconds):
@@ -24,6 +36,7 @@ def _check(number, title, report, budget_seconds):
     assert report.elapsed < budget_seconds, (
         f"criterion {number} exceeded its {budget_seconds}s budget: {report.elapsed:.1f}s"
     )
+    assert without_elapsed(report) == GOLDEN[report.name]
 
 
 def test_criterion_1_catalog_certification():

@@ -156,7 +156,13 @@ def test_verify_generation_bound_below_terminal_count_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("generation_bound", 4), ("oracle_bound", 4), ("search_bound", 4), ("instances", 0)],
+    [
+        ("generation_bound", 4),
+        ("oracle_bound", 4),
+        ("search_bound", 4),
+        ("search_bound", 17),
+        ("instances", 0),
+    ],
 )
 def test_verify_config_range_checked_before_any_experiment(
     tmp_path, capsys, monkeypatch, key, value

@@ -5,7 +5,10 @@ import pytest
 
 from wheelkit import experiments
 from wheelkit.errors import InputDomainError
-from wheelkit.experiments import EXPERIMENTS, Config, run_experiment, small_graph_classes
+from wheelkit.experiments import EXPERIMENTS, Config, run_experiment
+from wheelkit.generate import small_graph_classes
+
+from tests.test_acceptance import GOLDEN, without_elapsed
 
 
 def test_unknown_experiment_errors():
@@ -61,6 +64,7 @@ def test_programming_error_is_not_a_counterexample(monkeypatch):
 def test_generation_bound_steers_gen_catalog_members():
     full = run_experiment("gen-catalog-members")
     assert full.passed and full.instances == 7
+    assert without_elapsed(full) == GOLDEN["gen-catalog-members"]
     short = run_experiment("gen-catalog-members", Config(generation_bound=5))
     assert not short.passed
     assert short.counterexamples == [

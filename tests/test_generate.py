@@ -1,14 +1,18 @@
 import random
 from itertools import combinations
 
+import pytest
+
 from wheelkit.catalog import matches_catalog
-from wheelkit.experiments import small_graph_classes
+from wheelkit.errors import InputDomainError
 from wheelkit.generate import (
     canonical_form,
     generate_terminal_planar,
     random_planar_graph,
     random_wheel_host,
     rooted_canonical_form,
+    small_graph_classes,
+    terminal_set_classes,
 )
 from wheelkit.graph import Graph
 from wheelkit.oracles import brute_rooted_isomorphic
@@ -96,8 +100,42 @@ def test_canonical_form_ignores_vertex_names():
         assert canonical_form(h, [f[t] for t in tg.terminals]) == canonical_form(g, tg.terminals)
 
 
-def test_filters_reject_everything():
-    assert list(generate_terminal_planar(5, 5, filters=(lambda tg: False,))) == []
+def test_unknown_filter_name_raises():
+    with pytest.raises(InputDomainError, match="unknown filter"):
+        list(generate_terminal_planar(5, 5, filters=("no-such-filter",)))
+
+
+def _terminals_see_interior(tg, minimum):
+    interior = set(tg.graph.vertices) - set(tg.terminals)
+    return all(len(interior & set(tg.graph.neighbors(t))) >= minimum for t in tg.terminals)
+
+
+@pytest.mark.parametrize(
+    "n_max, s_size, base, minimum, count",
+    [(8, 5, ("s-independent",), 1, 323), (6, 3, (), 2, 64)],
+)
+def test_interior_degree_filters_match_filtering_afterwards(n_max, s_size, base, minimum, count):
+    name = f"terminal-interior-degree-{minimum}"
+    filtered = list(generate_terminal_planar(n_max, s_size, filters=base + (name,)))
+    afterwards = [
+        tg
+        for tg in generate_terminal_planar(n_max, s_size, filters=base)
+        if _terminals_see_interior(tg, minimum)
+    ]
+    assert filtered == afterwards
+    assert len(filtered) == count
+
+
+def test_terminal_set_classes_one_per_rooted_class():
+    for g in small_graph_classes(4):
+        for size in range(g.n + 1):
+            reps = [TerminalGraph(g, ts, ordered=False) for ts in terminal_set_classes(g, size)]
+            for i, a in enumerate(reps):
+                for b in reps[i + 1 :]:
+                    assert not brute_rooted_isomorphic(a, b)
+            for ts in combinations(g.vertices, size):
+                tg = TerminalGraph(g, ts, ordered=False)
+                assert any(brute_rooted_isomorphic(tg, r) for r in reps)
 
 
 def test_random_planar_graphs_are_planar_and_reproducible():

@@ -3,8 +3,8 @@ from itertools import combinations, product
 import pytest
 
 from wheelkit.errors import InputDomainError
+from wheelkit.generate import small_graph_classes
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, remove, union
-from wheelkit.experiments import small_graph_classes
 from wheelkit.oracles import _component_faces, brute_disc_planar, brute_four_color
 
 
