@@ -2,7 +2,7 @@
 separations, and exhaustive small-graph verification."""
 
 from wheelkit.catalog import CatalogMember, catalog, matches_catalog, rooted_isomorphic
-from wheelkit.coloring import Coloring, assign_then_extend, extend_greedy, four_color, is_proper
+from wheelkit.coloring import Coloring, assign_then_extend, four_color, is_proper
 from wheelkit.errors import (
     ConstructionError,
     InputDomainError,
@@ -12,26 +12,14 @@ from wheelkit.errors import (
     WheelkitError,
 )
 from wheelkit.gadgets import GadgetRule, apply_gadget, gadget_library, lift_subdivision
-from wheelkit.graph import (
-    CycleArc,
-    Graph,
-    add,
-    arc,
-    cycle_arc,
-    identify,
-    is_k_connected,
-    remove,
-    union,
-)
+from wheelkit.graph import Graph, add, identify, is_k_connected, remove, union
 from wheelkit.planarity import (
     Embedding,
     TerminalGraph,
-    cofacial_closure,
     embed,
     embed_terminal,
     is_disc_planar,
     is_planar,
-    outer_cycle,
 )
 from wheelkit.separations import (
     Separation,
@@ -47,7 +35,7 @@ from wheelkit.subdivisions import (
     validate_subdivision,
     wheel_plus_paths_to_k5,
 )
-from wheelkit.wheels import Wheel, find_s_good_wheel, is_s_good, is_wheel, wheel_from_cofacial
+from wheelkit.wheels import Wheel, find_s_good_wheel, is_s_good, is_wheel
 
 __version__ = "0.1.0"
 
@@ -55,7 +43,6 @@ __all__ = [
     "CatalogMember",
     "Coloring",
     "ConstructionError",
-    "CycleArc",
     "Embedding",
     "GadgetRule",
     "Graph",
@@ -72,16 +59,12 @@ __all__ = [
     "WheelkitError",
     "add",
     "apply_gadget",
-    "arc",
     "assign_then_extend",
     "catalog",
     "check_trichotomy",
-    "cofacial_closure",
-    "cycle_arc",
     "embed",
     "embed_terminal",
     "enumerate_separations",
-    "extend_greedy",
     "find_disjoint_paths",
     "find_k5_subdivision",
     "find_s_good_wheel",
@@ -96,11 +79,9 @@ __all__ = [
     "is_wheel",
     "lift_subdivision",
     "matches_catalog",
-    "outer_cycle",
     "remove",
     "rooted_isomorphic",
     "union",
     "validate_subdivision",
-    "wheel_from_cofacial",
     "wheel_plus_paths_to_k5",
 ]

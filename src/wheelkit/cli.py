@@ -63,21 +63,7 @@ def cmd_planar(args):
         _emit({"planar": False, "faces": None}, args.out)
         return 1
     faces = [list(emb.face_vertices(i)) for i in range(len(emb.faces))]
-    _emit({"planar": True, "faces": faces}, args.out)
-    return 0
-
-
-def cmd_faces(args):
-    g, _ = _read(args.graph)
-    emb = embed(g)
-    _emit(
-        {
-            "planar": True,
-            "faces": [list(emb.face_vertices(i)) for i in range(len(emb.faces))],
-            "face_count": emb.face_count(),
-        },
-        args.out,
-    )
+    _emit({"planar": True, "faces": faces, "face_count": emb.face_count()}, args.out)
     return 0
 
 
@@ -304,10 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("planar", help="planarity plus a face report")
     common(p)
     p.set_defaults(func=cmd_planar)
-
-    p = sub.add_parser("faces", help="faces of a planar embedding")
-    common(p)
-    p.set_defaults(func=cmd_faces)
 
     p = sub.add_parser("disc-planar", help="disc-planarity of a terminal graph")
     common(p)

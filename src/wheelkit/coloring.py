@@ -72,29 +72,6 @@ def four_color(g: Graph, *, limit: int = DEFAULT_COLOR_LIMIT) -> Coloring | None
     return out
 
 
-def extend_greedy(g: Graph, base: Coloring, order: Iterable[Vertex]) -> Coloring | None:
-    """Greedily color `order`, which must cover exactly the uncolored set.
-
-    Each vertex receives the least color absent from its already-colored
-    neighbors; None as soon as some vertex sees all four colors.
-    """
-    seq = list(order)
-    uncolored = set(g.vertices) - base.domain
-    if set(seq) != uncolored or len(seq) != len(uncolored):
-        raise InputDomainError("order must cover exactly the uncolored vertices")
-    return _greedy(g, base.as_dict(), seq)
-
-
-def _greedy(g: Graph, cmap: dict[Vertex, int], seq: list[Vertex]) -> Coloring | None:
-    for v in seq:
-        seen = {cmap[u] for u in g.neighbors(v) if u in cmap}
-        free = [c for c in COLORS if c not in seen]
-        if not free:
-            return None
-        cmap[v] = free[0]
-    return Coloring(cmap)
-
-
 def assign_then_extend(
     g: Graph,
     base: Coloring,
@@ -127,9 +104,13 @@ def assign_then_extend(
     remaining = set(g.vertices) - set(staged)
     if set(seq) != remaining or len(seq) != len(remaining):
         raise InputDomainError("order must cover exactly the still-uncolored vertices")
-    out = _greedy(g, staged, seq)
-    if out is None:
-        return None
+    for v in seq:
+        seen = {staged[u] for u in g.neighbors(v) if u in staged}
+        free = [c for c in COLORS if c not in seen]
+        if not free:
+            return None
+        staged[v] = free[0]
+    out = Coloring(staged)
     if not is_proper(g, out):
         return None
     return out

@@ -19,7 +19,13 @@ from itertools import combinations
 from wheelkit import gio
 from wheelkit.catalog import catalog, matches_catalog, verify_catalog
 from wheelkit.errors import InputDomainError, WheelkitError
-from wheelkit.gadgets import apply_gadget, foreign_edges, gadget_library, lift_subdivision
+from wheelkit.gadgets import (
+    apply_gadget,
+    foreign_edges,
+    gadget_library,
+    lift_subdivision,
+    validate_rule,
+)
 from wheelkit.generate import (
     generate_terminal_planar,
     random_planar_graph,
@@ -146,6 +152,7 @@ def run_lift_all_gadgets():
     instances, counterexamples = 0, []
     for case in gadget_library():
         rule = case.rule
+        counterexamples.extend(validate_rule(case))
         for host in case.hosts:
             gp = apply_gadget(host, rule)
             foreign = sorted(foreign_edges(host, rule))

@@ -11,7 +11,6 @@ identical outputs, and values are safe to share between workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import total_ordering
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -244,60 +243,6 @@ def is_k_connected(g: Graph, k: int) -> bool:
             if rest.n and not rest.is_connected():
                 return False
     return True
-
-
-# -- cycles and arcs -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CycleArc:
-    """A cyclically ordered vertex sequence with two marked vertices.
-
-    The stored order is the cycle's fixed orientation (declared clockwise
-    by whoever built it; this module never infers orientation).
-    """
-
-    cycle: tuple[Vertex, ...]
-    u: Vertex
-    v: Vertex
-
-    def __post_init__(self):
-        if len(self.cycle) < 3:
-            raise InputDomainError("a cycle needs at least 3 vertices")
-        if len(set(self.cycle)) != len(self.cycle):
-            raise InputDomainError("cycle sequence repeats a vertex")
-        for x in (self.u, self.v):
-            if x not in self.cycle:
-                raise InputDomainError(f"{x!r} is not on the cycle")
-
-    def rebase(self, u: Vertex, v: Vertex) -> "CycleArc":
-        """The same oriented cycle with new marked endpoints."""
-        return CycleArc(self.cycle, u, v)
-
-
-def cycle_arc(g: Graph, cycle: Iterable[Vertex], u: Vertex, v: Vertex) -> CycleArc:
-    """Build a CycleArc after checking the cycle actually lives in g."""
-    cyc = tuple(cycle)
-    for i, x in enumerate(cyc):
-        y = cyc[(i + 1) % len(cyc)]
-        if not g.has_edge(x, y):
-            raise InputDomainError(f"consecutive cycle vertices {x!r},{y!r} not adjacent")
-    return CycleArc(cyc, u, v)
-
-
-def arc(c: CycleArc) -> tuple[Vertex, ...]:
-    """The subpath of the cycle from u to v along the stored orientation.
-
-    Returns the single vertex when u == v, and wraps past the end of the
-    stored sequence when necessary.
-    """
-    if c.u == c.v:
-        return (c.u,)
-    i = c.cycle.index(c.u)
-    j = c.cycle.index(c.v)
-    n = len(c.cycle)
-    length = (j - i) % n
-    return tuple(c.cycle[(i + k) % n] for k in range(length + 1))
 
 
 # -- small constructors (shared by tests, the catalog, and generators) -----

@@ -4,7 +4,9 @@ An embedding is a rotation system (a cyclic order of neighbors at every
 vertex); faces come from dart tracing.  "Clockwise" is, by convention,
 the direction dart tracing walks a face boundary with the outer face to
 its left; the package applies it consistently but it has no geometric
-content.
+content.  `embed` embeds a planar graph; `embed_terminal` gives the disc
+embedding of a disc-planar terminal pair, read off the same apex or
+fence augmentation that `is_disc_planar` tests.
 
 Disc-planarity of a terminal pair (G, S):
 - unordered, or ordered with at most three terminals (which have one
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from wheelkit.errors import InputDomainError, PreconditionError
-from wheelkit.graph import CycleArc, Graph, Vertex, add, is_k_connected, norm_edge, remove, vkey
+from wheelkit.graph import Graph, Vertex, add, norm_edge, vkey
 
 Dart = tuple[Vertex, Vertex]
 
@@ -72,13 +74,6 @@ class Embedding:
 
     def face_vertices(self, i: int) -> tuple[Vertex, ...]:
         return tuple(u for u, _ in self.faces[i])
-
-    def faces_incident(self, v: Vertex) -> tuple[int, ...]:
-        out = []
-        for i, f in enumerate(self.faces):
-            if any(u == v for u, _ in f):
-                out.append(i)
-        return tuple(out)
 
     def face_count(self) -> int:
         """Face count with the unbounded face shared across components."""
@@ -244,14 +239,15 @@ def _restrict_rotation(rotation, keep: set[Vertex]):
     return {v: tuple(u for u in ns if u in keep) for v, ns in rotation.items() if v in keep}
 
 
-def _corner_dart(rotation, region: set[Vertex], keep: set[Vertex]) -> Dart | None:
-    """A dart of the rotation restricted to `keep` on the face that holds
-    the connected vertex set `region` (disjoint from keep): at the first
-    kept vertex (in vkey order) with a neighbour in region, the next kept
-    neighbour after that one in rotation order."""
+def _corner_dart(rotation, added: set[Vertex], keep: set[Vertex]) -> Dart | None:
+    """A dart of the rotation restricted to `keep` on the face that held
+    the apex or fence vertices `added` (connected, and disjoint from keep):
+    at the first kept vertex (in vkey order) with a neighbour in added, the
+    next kept neighbour after that one in rotation order.  None when no
+    kept vertex has such a next neighbour."""
     for y in sorted(keep, key=vkey):
         ns = rotation[y]
-        i = next((i for i, x in enumerate(ns) if x in region), None)
+        i = next((i for i, x in enumerate(ns) if x in added), None)
         if i is None:
             continue
         z = next((z for z in ns[i + 1 :] + ns[:i] if z in keep), None)
@@ -274,55 +270,3 @@ def embed_terminal(tg: TerminalGraph) -> Embedding:
     keep = set(tg.graph.vertices)
     witness = _corner_dart(rot_aug, added, keep)
     return Embedding(_restrict_rotation(rot_aug, keep), outer_dart=witness)
-
-
-# -- faces, outer cycles, cofacial closures ---------------------------------
-
-
-def cofacial_closure(emb: Embedding, x: Vertex) -> Graph:
-    """The union of all faces incident with x, as a subgraph."""
-    if x not in emb.rotation:
-        raise InputDomainError(f"unknown vertex {x!r}")
-    vs: set[Vertex] = {x}
-    es = set()
-    for i in emb.faces_incident(x):
-        for u, v in emb.faces[i]:
-            vs.add(u)
-            vs.add(v)
-            es.add(norm_edge(u, v))
-    return Graph(vs, es)
-
-
-def outer_cycle(tg: TerminalGraph, dset) -> CycleArc:
-    """The facial cycle of G[D] bounding the face that holds the disc boundary.
-
-    D must induce a 2-connected subgraph of a disc-planar terminal graph
-    (in the given cyclic order when tg is ordered).  The disc embedding is
-    the one `embed_terminal` uses.  The component of the augmented graph
-    minus D that holds the apex or fence is connected and disjoint from
-    G[D], so it lies in a single face of G[D], and deleting everything
-    else only merges faces away from it: that face is read off the
-    rotation restricted to D at a corner where the component touches D.
-    The cycle is returned in the orientation the face trace produces, with
-    both arc endpoints parked on its first vertex (rebase to taste).
-    """
-    d = set(dset)
-    g = tg.graph
-    for v in d:
-        if not g.has_vertex(v):
-            raise InputDomainError(f"unknown vertex {v!r}")
-    if not is_k_connected(g.induced(d), 2):
-        raise PreconditionError(
-            "D does not induce a 2-connected subgraph; no outer cycle exists"
-        )
-    aug, added = _augmented(tg)
-    rotation = _rotation(aug)
-    if rotation is None:
-        raise PreconditionError("terminal pair is not disc-planar")
-    region = next(c for c in remove(aug, d).components() if not added.isdisjoint(c))
-    witness = _corner_dart(rotation, region, d)
-    if witness is None:
-        raise PreconditionError("no vertex of D touches the boundary region")
-    restricted = Embedding(_restrict_rotation(rotation, d), outer_dart=witness)
-    walk = restricted.face_vertices(restricted.outer_face)
-    return CycleArc(walk, walk[0], walk[0])

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from wheelkit.errors import InputDomainError, ResourceLimitError
 from wheelkit.graph import Graph, Vertex, enumerate_cycles, vkey
-from wheelkit.planarity import cofacial_closure
 
 DEFAULT_WHEEL_LIMIT = 12
 
@@ -80,21 +79,7 @@ def find_s_good_wheel(tg, *, limit: int = DEFAULT_WHEEL_LIMIT) -> Wheel | None:
             for rim in enumerate_cycles(rest, length):
                 spokes = frozenset(v for v in rim if v in spoke_ok)
                 if len(spokes) >= 3:
-                    return Wheel(center, rim, spokes)
+                    w = Wheel(center, rim, spokes)
+                    assert is_wheel(g, w) and is_s_good(g, w, sset)
+                    return w
     return None
-
-
-def wheel_from_cofacial(emb, x: Vertex) -> Wheel | None:
-    """The wheel formed by everything cofacial with x, when that closure
-    is a wheel centered at x (its link is a single cycle)."""
-    closure = cofacial_closure(emb, x)
-    nbrs = [v for v in closure.vertices if closure.has_edge(x, v)]
-    if len(nbrs) < 3:
-        return None
-    link_vs = [v for v in closure.vertices if v != x]
-    link = closure.induced(link_vs)
-    if any(link.degree(v) != 2 for v in link.vertices) or not link.is_connected():
-        return None
-    # a connected 2-regular link is one cycle through every vertex but x
-    rim = next(enumerate_cycles(link, link.n))
-    return Wheel(x, rim, frozenset(nbrs))

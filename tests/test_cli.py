@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+import wheelkit
 from wheelkit import cli
 from wheelkit.cli import main
 from wheelkit.gio import to_edgelist, to_graph6
-from wheelkit.graph import add, complete_graph, cycle_graph
+from wheelkit.graph import add, complete_graph, cycle_graph, union
 from wheelkit.catalog import catalog
 
 
@@ -26,6 +27,15 @@ def test_planar_k4(tmp_path, capsys):
     code, payload = run(capsys, "planar", path)
     assert code == 0 and payload["planar"] is True
     assert len(payload["faces"]) == 4
+    assert payload["face_count"] == 4
+
+
+def test_planar_face_count_shares_the_unbounded_face(tmp_path, capsys):
+    triangles = union(cycle_graph(["a", "b", "c"]), cycle_graph(["x", "y", "z"]))
+    path = write(tmp_path, "two.txt", to_edgelist(triangles))
+    code, payload = run(capsys, "planar", path)
+    assert code == 0 and len(payload["faces"]) == 4
+    assert payload["face_count"] == 3
 
 
 def test_planar_k5_fails(tmp_path, capsys):
@@ -197,3 +207,9 @@ def test_disc_planar_terminal_index_out_of_range_exits_2(tmp_path, capsys):
 
 def test_usage_error_exit_2(tmp_path):
     assert main(["k5", str(tmp_path / "missing.g6")]) == 2
+
+
+def test_package_exports_resolve():
+    assert len(wheelkit.__all__) == len(set(wheelkit.__all__))
+    for name in wheelkit.__all__:
+        getattr(wheelkit, name)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given
 
-from wheelkit.coloring import Coloring, assign_then_extend, extend_greedy, four_color, is_proper
+from wheelkit.coloring import Coloring, assign_then_extend, four_color, is_proper
 from wheelkit.errors import InputDomainError
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph
 from wheelkit.oracles import brute_four_color
@@ -46,22 +46,22 @@ def star(center, leaves):
 def test_greedy_assigns_least_missing_color():
     g = star("v", ["a", "b", "c"])
     base = Coloring({"a": 1, "b": 2, "c": 3})
-    col = extend_greedy(g, base, ["v"])
+    col = assign_then_extend(g, base, {}, ["v"])
     assert col.color("v") == 4
 
 
 def test_greedy_fails_when_all_colors_seen():
     g = star("v", ["a", "b", "c", "d"])
     base = Coloring({"a": 1, "b": 2, "c": 3, "d": 4})
-    assert extend_greedy(g, base, ["v"]) is None
+    assert assign_then_extend(g, base, {}, ["v"]) is None
 
 
 def test_greedy_order_must_cover_uncolored():
     g = star("v", ["a"])
     with pytest.raises(InputDomainError):
-        extend_greedy(g, Coloring({"a": 1}), [])
+        assign_then_extend(g, Coloring({"a": 1}), {}, [])
     with pytest.raises(InputDomainError):
-        extend_greedy(g, Coloring({"a": 1}), ["a", "v"])
+        assign_then_extend(g, Coloring({"a": 1}), {}, ["a", "v"])
 
 
 def test_assign_then_extend_total_base_round_trips():

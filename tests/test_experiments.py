@@ -6,6 +6,7 @@ import pytest
 from wheelkit import experiments
 from wheelkit.errors import InputDomainError
 from wheelkit.experiments import EXPERIMENTS, Config, run_experiment
+from wheelkit.gadgets import gadget_case
 from wheelkit.generate import small_graph_classes
 
 from tests.test_acceptance import GOLDEN, without_elapsed
@@ -128,3 +129,18 @@ def test_keys_not_echoed_do_not_change_the_report(name):
     a.pop("elapsed_seconds")
     b.pop("elapsed_seconds")
     assert a == b
+
+
+def test_lift_all_gadgets_reports_an_unsound_rule(monkeypatch):
+    case = gadget_case("pair_chord")
+    # a second replacement path for the chord v2-v4 that runs through the
+    # kept cut vertex v1
+    leaky = replace(
+        case.rule,
+        name="pair_chord_leaky",
+        edge_lifts=((("v2", "v4"), (("v2", "u", "v", "v4"), ("v2", "u", "v1", "v", "v4"))),),
+    )
+    monkeypatch.setattr(experiments, "gadget_library", lambda: (replace(case, rule=leaky),))
+    report = run_experiment("lift-all-gadgets")
+    assert report.instances > 0
+    assert report.counterexamples == ["pair_chord_leaky: replacement interior 'v1' not deleted"]

@@ -3,12 +3,9 @@ from hypothesis import given, strategies as st
 
 from wheelkit.errors import InputDomainError
 from wheelkit.graph import (
-    CycleArc,
     Graph,
     add,
-    arc,
     complete_graph,
-    cycle_arc,
     cycle_graph,
     enumerate_cycles,
     identify,
@@ -100,31 +97,6 @@ def test_identify_edge_count_formula():
     gi = identify(g, "a", "b", "x")
     common = len(set(g.neighbors("a")) & set(g.neighbors("b")))
     assert gi.m == g.m - common - 1
-
-
-def test_arc_endpoints_equal():
-    c = cycle_arc(c5(), ["v1", "v2", "v3", "v4", "v5"], "v1", "v1")
-    assert arc(c) == ("v1",)
-
-
-def test_arc_forward():
-    c = cycle_arc(c5(), ["v1", "v2", "v3", "v4", "v5"], "v1", "v3")
-    assert arc(c) == ("v1", "v2", "v3")
-
-
-def test_arc_wraps():
-    c = cycle_arc(c5(), ["v1", "v2", "v3", "v4", "v5"], "v3", "v1")
-    assert arc(c) == ("v3", "v4", "v5", "v1")
-
-
-def test_arc_off_cycle_errors():
-    with pytest.raises(InputDomainError):
-        CycleArc(("v1", "v2", "v3"), "v1", "z")
-
-
-def test_cycle_arc_requires_host_adjacency():
-    with pytest.raises(InputDomainError):
-        cycle_arc(c5(), ["v1", "v3", "v5"], "v1", "v3")
 
 
 def test_union_glues_on_shared_ids():

@@ -7,18 +7,15 @@ import pytest
 from wheelkit import planarity
 from wheelkit.errors import InputDomainError, PreconditionError
 from wheelkit.generate import small_graph_classes, terminal_set_classes
-from wheelkit.graph import Graph, add, complete_graph, cycle_graph, is_k_connected, remove
+from wheelkit.graph import Graph, complete_graph, cycle_graph, is_k_connected, remove
 from wheelkit.planarity import (
-    Embedding,
     TerminalGraph,
     _core,
     _fence_augmented,
-    cofacial_closure,
     embed,
     embed_terminal,
     is_disc_planar,
     is_planar,
-    outer_cycle,
 )
 
 
@@ -237,93 +234,29 @@ def test_embed_terminal_outer_face_has_boundary_order():
     assert rot == ts or rot == (ts[0],) + tuple(reversed(ts[1:]))
 
 
-def test_cofacial_closure_c5_is_whole_cycle():
-    c5 = cycle_graph([f"v{i}" for i in range(1, 6)])
-    emb = embed(c5)
-    assert cofacial_closure(emb, "v1") == c5
-
-
-def test_cofacial_closure_k4_is_whole_graph():
-    k4 = complete_graph(list("abcd"))
-    emb = embed(k4)
-    assert cofacial_closure(emb, "a") == k4
-
-
-def test_cofacial_closure_icosahedron_is_five_wheel():
-    g = icosahedron()
-    emb = embed(g)
-    closure = cofacial_closure(emb, "0")
-    assert closure.n == 6 and closure.m == 10
-    assert closure.degree("0") == 5
-
-
-def test_outer_cycle_of_wheel_rim():
-    rim = ["r1", "r2", "r3", "r4"]
-    g = add(cycle_graph(rim), {"c"}, [("c", r) for r in rim])
-    g = add(g, {"t"}, [("t", "r1")])
-    tg = TerminalGraph(g, ("t",), ordered=False)
-    cyc = outer_cycle(tg, rim)
-    assert set(cyc.cycle) == set(rim) and len(cyc.cycle) == 4
-
-
-def test_outer_cycle_rejects_tree():
-    g = Graph(edges=[("a", "b"), ("b", "c"), ("t", "a")])
-    tg = TerminalGraph(g, ("t",), ordered=False)
-    with pytest.raises(PreconditionError):
-        outer_cycle(tg, ["a", "b", "c"])
-
-
-def test_outer_cycle_of_nine_vertex_member_interior():
-    from wheelkit.catalog import catalog
-
-    z = next(m for m in catalog() if m.name == "Z")
-    cyc = outer_cycle(z.tg, ["z", "u", "v", "w"])
-    assert set(cyc.cycle) == {"z", "u", "v", "w"} and len(cyc.cycle) == 4
-    # the interior chord z-v stays off the outer cycle: u and w are the
-    # cycle neighbors of both z and v
-    i = cyc.cycle.index("z")
-    assert {cyc.cycle[(i + 1) % 4], cyc.cycle[(i - 1) % 4]} == {"u", "w"}
-
-
-def test_outer_cycle_respects_terminal_order():
-    c4 = cycle_graph(["a", "b", "c", "d"])
-    with pytest.raises(PreconditionError):
-        outer_cycle(TerminalGraph(c4, ("a", "c", "b", "d"), ordered=True), "abcd")
-
-
-def test_outer_cycle_agrees_with_disc_planarity():
-    """Every planar graph on at most 5 vertices, every ordered terminal set
-    of size 3-5 (4-5 in two cyclic orders) and every D inducing a
-    2-connected subgraph: outer_cycle raises exactly when the terminal
-    graph is not disc-planar, and D's terminals lie on the cycle in the
-    given cyclic order up to rotation and reflection."""
+def test_embed_terminal_agrees_with_disc_planarity():
+    """Every 2-connected planar graph on at most 5 vertices and every
+    ordered terminal set of size 3-5 (4-5 in two cyclic orders):
+    embed_terminal raises exactly when the terminal graph is not
+    disc-planar, and otherwise its outer face, a cycle, meets the
+    terminals in the given cyclic order up to rotation and reflection."""
     for g in small_graph_classes(5):
-        if not is_planar(g):
+        if g.n < 3 or not is_k_connected(g, 2) or not is_planar(g):
             continue
-        ds = [
-            set(d)
-            for r in range(3, g.n + 1)
-            for d in combinations(g.vertices, r)
-            if is_k_connected(g.induced(d), 2)
-        ]
-        for k in range(3, min(5, g.n) + 1):
+        for k in range(3, g.n + 1):
             for ts in combinations(g.vertices, k):
                 for order in [ts] if k == 3 else [ts, (ts[0], ts[2], ts[1]) + ts[3:]]:
                     tg = TerminalGraph(g, order, ordered=True)
-                    disc = is_disc_planar(tg)
-                    for d in ds:
-                        if not disc:
-                            with pytest.raises(PreconditionError):
-                                outer_cycle(tg, d)
-                            continue
-                        cyc = outer_cycle(tg, d).cycle
-                        want = [t for t in order if t in d]
-                        visits = [v for v in cyc if v in want]
-                        assert sorted(visits) == sorted(want)
-                        if want:
-                            i = visits.index(want[0])
-                            rot = visits[i:] + visits[:i]
-                            assert rot in (want, want[:1] + want[:0:-1]), (g.edges, order, d, cyc)
+                    if not is_disc_planar(tg):
+                        with pytest.raises(PreconditionError):
+                            embed_terminal(tg)
+                        continue
+                    emb = embed_terminal(tg)
+                    visits = [v for v in emb.face_vertices(emb.outer_face) if v in order]
+                    assert sorted(visits) == sorted(order)
+                    i = visits.index(order[0])
+                    rot = visits[i:] + visits[:i]
+                    assert rot in (list(order), [order[0]] + list(order[:0:-1])), (g.edges, order)
 
 
 def test_face_tracing_partitions_darts():

@@ -1,6 +1,5 @@
 import pytest
 
-from wheelkit.coloring import Coloring, extend_greedy
 from wheelkit.graph import Graph
 from wheelkit.recipes import recipe_library, verify_all_recipes, verify_recipe
 

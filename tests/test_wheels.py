@@ -3,8 +3,8 @@ import pytest
 from wheelkit.errors import InputDomainError, ResourceLimitError
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph
 from wheelkit.oracles import brute_wheel_search
-from wheelkit.planarity import TerminalGraph, embed
-from wheelkit.wheels import Wheel, find_s_good_wheel, is_s_good, is_wheel, wheel_from_cofacial
+from wheelkit.planarity import TerminalGraph
+from wheelkit.wheels import Wheel, find_s_good_wheel, is_s_good, is_wheel
 
 from tests.test_planarity import icosahedron
 
@@ -123,24 +123,3 @@ def test_wheel_never_centered_at_terminal():
     tg2 = TerminalGraph(g, ("c",), ordered=False)
     w = find_s_good_wheel(tg2)
     assert w is None or w.center not in tg2.terminals
-
-
-def test_wheel_from_cofacial_icosahedron():
-    g = icosahedron()
-    emb = embed(g)
-    w = wheel_from_cofacial(emb, "0")
-    assert w is not None and w.center == "0" and len(w.rim) == 5
-    assert is_wheel(g, w)
-
-
-def test_wheel_from_cofacial_degree_two_none():
-    g = cycle_graph(list("abcd"))
-    emb = embed(g)
-    assert wheel_from_cofacial(emb, "a") is None
-
-
-def test_wheel_from_cofacial_cut_vertex_none():
-    # two triangles sharing vertex m: link of m is not a single cycle
-    g = Graph(edges=[("a", "b"), ("a", "m"), ("b", "m"), ("x", "y"), ("x", "m"), ("y", "m")])
-    emb = embed(g)
-    assert wheel_from_cofacial(emb, "m") is None
