@@ -234,7 +234,18 @@ def test_embed_terminal_outer_face_has_boundary_order():
     assert rot == ts or rot == (ts[0],) + tuple(reversed(ts[1:]))
 
 
-def test_embed_terminal_agrees_with_disc_planarity():
+def test_outer_cycle_respects_terminal_order():
+    c4 = cycle_graph(["a", "b", "c", "d"])
+    with pytest.raises(PreconditionError):
+        embed_terminal(TerminalGraph(c4, ("a", "c", "b", "d"), ordered=True))
+    emb = embed_terminal(TerminalGraph(c4, ("a", "b", "c", "d"), ordered=True))
+    walk = list(emb.face_vertices(emb.outer_face))
+    i = walk.index("a")
+    rot = walk[i:] + walk[:i]
+    assert rot in (["a", "b", "c", "d"], ["a", "d", "c", "b"])
+
+
+def test_outer_cycle_agrees_with_disc_planarity():
     """Every 2-connected planar graph on at most 5 vertices and every
     ordered terminal set of size 3-5 (4-5 in two cyclic orders):
     embed_terminal raises exactly when the terminal graph is not
