@@ -80,10 +80,13 @@ def assign_then_extend(
 ) -> Coloring | None:
     """Apply forced assignments, then greedily color `order`.
 
-    The forced colors must be proper against the base coloring and against
-    each other; the greedy order must cover whatever is still uncolored.
-    The returned coloring is re-checked for propriety.
+    The base coloring must be proper on g; the forced colors must be
+    proper against it and against each other; the greedy order must cover
+    whatever is still uncolored.  The returned coloring is re-checked for
+    propriety.
     """
+    if not is_proper(g, base):
+        raise InputDomainError("base coloring is not proper")
     cmap = base.as_dict()
     for v, c in forced.items():
         if not g.has_vertex(v):

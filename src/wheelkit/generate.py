@@ -92,23 +92,26 @@ def _classes(names, terminals, pairs, keep=None) -> Iterator[dict[tuple, Termina
     up, mapping `rooted_canonical_form` to the first graph found with it.
 
     A candidate failing `keep` is dropped together with every supergraph,
-    so `keep` must be monotone under edge deletion.
+    so `keep` must be monotone under edge deletion.  Its key is remembered
+    for the level, so `keep` sees each class at most once.
     """
     base = TerminalGraph(Graph(names, ()), terminals, ordered=False)
     level = {rooted_canonical_form(base): base}
     while level:
         yield level
         nxt: dict[tuple, TerminalGraph] = {}
+        dead: set[tuple] = set()
         for tg in level.values():
             for a, b in pairs:
                 if tg.graph.has_edge(a, b):
                     continue
                 bigger = TerminalGraph(add(tg.graph, (), [(a, b)]), terminals, ordered=False)
                 key = rooted_canonical_form(bigger)
-                if key in nxt:
+                if key in nxt or key in dead:
                     continue
                 if keep is not None and not keep(bigger):
-                    continue  # monotone: no supergraph recovers
+                    dead.add(key)  # monotone: no supergraph recovers
+                    continue
                 nxt[key] = bigger
         level = nxt
 

@@ -3,9 +3,9 @@ library search paths.
 
 Nothing here calls the fast implementations.  The oracles enumerate raw
 search spaces (all color assignments, all simple-path systems, all
-subgraph pairs, all bijections, all rotation systems) and filter by
-definition, so they stay valid even if every optimization elsewhere is
-wrong.
+subgraph pairs, all bijections, all rotation systems up to mirror image)
+and filter by definition, so they stay valid even if every optimization
+elsewhere is wrong.
 """
 
 from __future__ import annotations
@@ -211,7 +211,9 @@ def brute_disc_planar(g: Graph, terminals) -> bool:
     The faces depend on `g` alone, so `_component_faces` enumerates them
     once per graph and each terminal set is answered by lookup.  The memo
     holds the last 64 graphs, enough for the terminal sets of one graph to
-    be asked one after another.
+    be asked one after another.  Only one rotation system of each mirror
+    pair is traced: reversing every rotation reverses every face walk, so
+    both members give the same face vertex sets.
     """
     ts = tuple(terminals)
     if len(ts) > 3:
@@ -242,39 +244,50 @@ def _component_faces(g: Graph) -> tuple:
             out.append((comp, frozenset([comp])))  # a lone vertex is its one face
             continue
         vs = sub.vertices
-        rot_choices = []
+        # Each choice at a vertex is its successor map: neighbour a -> the
+        # neighbour after a in the rotation.  Reversing every rotation
+        # reverses every face walk, so at the first vertex of degree >= 3
+        # only (first,) + p with vkey(p[0]) < vkey(p[-1]) is kept: exactly
+        # one system of each mirror pair.
+        succ_choices = []
+        mirrored = False
         for v in vs:
-            ns = list(sub.neighbors(v))
+            ns = sub.neighbors(v)
             if len(ns) <= 2:
-                rot_choices.append([tuple(ns)])
+                rots = [ns]
             else:
                 first = ns[0]
-                rot_choices.append([(first,) + p for p in permutations(ns[1:])])
+                perms = permutations(ns[1:])
+                if not mirrored:
+                    perms = [p for p in perms if vkey(p[0]) < vkey(p[-1])]
+                    mirrored = True
+                rots = [(first,) + p for p in perms]
+            succ_choices.append([dict(zip(r, r[1:] + r[:1])) for r in rots])
+        darts = [(u, v) for u in vs for v in sub.neighbors(u)]
         target_faces = 2 - sub.n + sub.m  # Euler, connected
         found = set()
-        for combo in product(*rot_choices):
-            faces = _trace(dict(zip(vs, combo)))
+        for combo in product(*succ_choices):
+            faces = _trace(dict(zip(vs, combo)), darts)
             if len(faces) == target_faces:
-                found.update(frozenset(u for u, _ in face) for face in faces)
+                found.update(faces)
         out.append((comp, frozenset(found) if found else None))
     return tuple(out)
 
 
-def _trace(rotation):
-    idx = {v: {u: i for i, u in enumerate(ns)} for v, ns in rotation.items()}
+def _trace(succ, darts):
+    """The faces of the rotation system given by successor maps (`succ[b][a]`
+    is the neighbour after a around b), each as the set of vertices its
+    walk passes; `darts` lists every dart once."""
     seen = set()
     faces = []
-    for u in rotation:
-        for v in rotation[u]:
-            if (u, v) in seen:
-                continue
-            face = []
-            d = (u, v)
-            while d not in seen:
-                seen.add(d)
-                face.append(d)
-                a, b = d
-                ns = rotation[b]
-                d = (b, ns[(idx[b][a] + 1) % len(ns)])
-            faces.append(tuple(face))
+    for d in darts:
+        if d in seen:
+            continue
+        face = set()
+        while d not in seen:
+            seen.add(d)
+            a, b = d
+            face.add(a)
+            d = (b, succ[b][a])
+        faces.append(frozenset(face))
     return faces

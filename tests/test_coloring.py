@@ -77,6 +77,13 @@ def test_assign_then_extend_rejects_clashing_force():
         assign_then_extend(g, Coloring({"a": 1}), {"b": 1}, [])
 
 
+def test_assign_then_extend_rejects_improper_base():
+    # a failed schedule returns None; a bad boundary coloring is an input error
+    g = Graph(["a", "b", "v"], [("a", "b"), ("b", "v")])
+    with pytest.raises(InputDomainError, match="base coloring"):
+        assign_then_extend(g, Coloring({"a": 1, "b": 1}), {}, ["v"])
+
+
 def test_assign_then_extend_runs_schedule():
     # force the apex of a 4-star to a color its neighbors avoid
     g = star("v", ["a", "b", "c"])

@@ -6,6 +6,7 @@ import pytest
 from wheelkit.catalog import matches_catalog
 from wheelkit.errors import InputDomainError
 from wheelkit.generate import (
+    _classes,
     canonical_form,
     generate_terminal_planar,
     random_planar_graph,
@@ -124,6 +125,23 @@ def test_interior_degree_filters_match_filtering_afterwards(n_max, s_size, base,
     ]
     assert filtered == afterwards
     assert len(filtered) == count
+
+
+def test_keep_sees_each_rooted_class_once():
+    # rooted keys of different levels differ in edge count, so "once in the
+    # whole run" is "at most once per level"
+    ts = ("t1", "t2", "t3")
+    names = ts + ("u1", "u2", "u3")
+    seen = []
+
+    def keep(tg):
+        seen.append(rooted_canonical_form(tg))
+        return is_disc_planar(tg)
+
+    levels = list(_classes(names, ts, list(combinations(names, 2)), keep=keep))
+    kept = {key for level in levels for key in level}
+    assert len(seen) == len(set(seen))
+    assert set(seen) - kept  # some class was rejected, so the dead set was used
 
 
 def test_terminal_set_classes_one_per_rooted_class():

@@ -1,7 +1,8 @@
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
+from wheelkit import oracles
 from wheelkit.errors import InputDomainError
 from wheelkit.generate import small_graph_classes
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, remove, union
@@ -81,6 +82,76 @@ def test_same_names_different_edges_do_not_share_faces():
     assert brute_disc_planar(full, ("x", "y", "z")) is False
     assert brute_disc_planar(less, ("x", "y", "z")) is True
     assert _component_faces.cache_info().misses == 2
+
+
+# -- one rotation system per mirror pair ---------------------------------------
+
+
+def idx_trace(rotation):
+    """Face walks as dart tuples, by looking up each dart's position in the
+    rotation at its head."""
+    idx = {v: {u: i for i, u in enumerate(ns)} for v, ns in rotation.items()}
+    seen = set()
+    faces = []
+    for u in rotation:
+        for v in rotation[u]:
+            if (u, v) in seen:
+                continue
+            face = []
+            d = (u, v)
+            while d not in seen:
+                seen.add(d)
+                face.append(d)
+                a, b = d
+                ns = rotation[b]
+                d = (b, ns[(idx[b][a] + 1) % len(ns)])
+            faces.append(tuple(face))
+    return faces
+
+
+def unpruned_faces(g):
+    """`_component_faces` by every rotation system, both members of each
+    mirror pair, with no Euler-bound shortcut."""
+    out = []
+    for comp in g.components():
+        sub = g.induced(comp)
+        if sub.m == 0:
+            out.append((comp, frozenset([comp])))
+            continue
+        vs = sub.vertices
+        rot_choices = [
+            [(ns[0],) + p for p in permutations(ns[1:])] if len(ns) > 2 else [ns]
+            for ns in map(sub.neighbors, vs)
+        ]
+        found = set()
+        for combo in product(*rot_choices):
+            faces = idx_trace(dict(zip(vs, combo)))
+            if len(faces) == 2 - sub.n + sub.m:
+                found.update(frozenset(u for u, _ in face) for face in faces)
+        out.append((comp, frozenset(found) if found else None))
+    return tuple(out)
+
+
+def test_mirror_pruning_keeps_every_face_set():
+    _component_faces.cache_clear()
+    for g in small_graph_classes(5):
+        assert _component_faces(g) == unpruned_faces(g)
+
+
+def test_k4_traces_one_system_per_mirror_pair(monkeypatch):
+    # four vertices of degree 3, two rotations each: 16 systems, 8 pairs
+    traced = []
+    trace = oracles._trace
+
+    def counting(*args):
+        traced.append(args)
+        return trace(*args)
+
+    _component_faces.cache_clear()
+    monkeypatch.setattr(oracles, "_trace", counting)
+    _component_faces(complete_graph(list("abcd")))
+    _component_faces.cache_clear()
+    assert len(traced) == 8
 
 
 # -- the 4^n coloring oracle -----------------------------------------------------
