@@ -1,3 +1,7 @@
+import json
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
 from wheelkit.errors import LiftingError
@@ -15,6 +19,8 @@ from wheelkit.subdivisions import (
     is_valid_subdivision,
     validate_subdivision,
 )
+
+LIFTS_GOLDEN = Path(__file__).parent / "golden" / "lifts.json"
 
 
 def test_library_structurally_sound():
@@ -57,16 +63,13 @@ def test_foreign_edges_are_the_inserted_web():
     assert len(fe) == 5
 
 
-def _lift_everything(case, host):
-    """Search reductions of `host` restricted to every foreign-edge subset
-    and lift whatever subdivisions turn up; returns how many lifted."""
+def _lifts(case, host):
+    """The lift-all-gadgets loop on one host: search the reduction
+    restricted to every foreign-edge subset and lift whatever subdivision
+    turns up; yields (kept foreign edges, reduced witness, lifted witness)."""
     rule = case.rule
     gp = apply_gadget(host, rule)
     foreign = sorted(foreign_edges(host, rule))
-    lifted = 0
-    seen_usage = set()
-    from itertools import combinations
-
     for r in range(len(foreign) + 1):
         for keep in combinations(foreign, r):
             banned = [e for e in foreign if e not in keep]
@@ -77,19 +80,29 @@ def _lift_everything(case, host):
             validate_subdivision(gp, sub)
             out = lift_subdivision(host, rule, sub)
             assert is_valid_subdivision(host, out)
-            used = frozenset(sub.edge_set()) & frozenset(foreign)
-            seen_usage.add(used)
-            lifted += 1
-    return lifted, seen_usage
+            yield keep, sub, out
 
 
 @pytest.mark.parametrize("case", gadget_library(), ids=lambda c: c.rule.name)
 def test_lift_all_hosts_all_usage_patterns(case):
-    total = 0
-    for host in case.hosts:
-        lifted, _ = _lift_everything(case, host)
-        total += lifted
+    total = sum(1 for host in case.hosts for _ in _lifts(case, host))
     assert total > 0, "corpus for this rule never produced a subdivision"
+
+
+def test_lifted_witnesses_match_the_golden_file():
+    # every witness of the lift-all-gadgets loop, pinned vertex by vertex:
+    # the key is rule, host index and kept foreign edges
+    got = {}
+    for case in gadget_library():
+        for i, host in enumerate(case.hosts):
+            for keep, _, out in _lifts(case, host):
+                key = f"{case.rule.name} host{i} keep=" + ",".join(f"{a}-{b}" for a, b in keep)
+                got[key] = {
+                    "branch": " ".join(out.branch),
+                    "paths": [" ".join(p) for p in out.paths],
+                }
+    assert len(got) == 57
+    assert got == json.loads(LIFTS_GOLDEN.read_text())
 
 
 def test_pair_chord_host_uses_inserted_edge():
