@@ -11,7 +11,7 @@ from wheelkit.errors import (
     ResourceLimitError,
     WheelkitError,
 )
-from wheelkit.gadgets import GadgetRule, apply_gadget, gadget_library, lift_subdivision
+from wheelkit.gadgets import GadgetRule, Lift, apply_gadget, gadget_library, lift_subdivision
 from wheelkit.graph import Graph, add, identify, is_k_connected, remove, union
 from wheelkit.planarity import (
     Embedding,
@@ -47,6 +47,7 @@ __all__ = [
     "GadgetRule",
     "Graph",
     "InputDomainError",
+    "Lift",
     "LiftingError",
     "PathSystem",
     "PreconditionError",

@@ -116,7 +116,7 @@ def cmd_color(args):
 def cmd_separations(args):
     g, _ = _read(args.graph)
     out = []
-    for sep in enumerate_separations(g, args.k, mode=args.mode):
+    for sep in enumerate_separations(g, args.k):
         if args.planar_side:
             side = TerminalGraph(sep.side1, sep.cut, ordered=False)
             if not is_disc_planar(side):
@@ -318,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--planar-side", action="store_true", help="keep only disc-planar side1")
-    p.add_argument("--mode", choices=("canonical", "exhaustive"), default="canonical")
     p.add_argument("--max", type=int, default=0, help="stop after this many")
     p.set_defaults(func=cmd_separations)
 
@@ -349,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="stream small disc-planar terminal graphs")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--s-size", type=int, required=True)
-    p.add_argument("--filter", action="append", choices=sorted(FILTERS))
+    p.add_argument("--filter", action="append", choices=FILTERS)
     p.add_argument("--max", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)

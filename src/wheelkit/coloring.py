@@ -78,19 +78,20 @@ def assign_then_extend(
     forced: Mapping[Vertex, int],
     order: Iterable[Vertex],
 ) -> Coloring | None:
-    """Apply forced assignments, then greedily color `order`.
+    """Apply forced assignments, then greedily color `order`; None when a
+    greedy vertex finds every color taken.
 
-    The base coloring must be proper on g; the forced colors must be
-    proper against it and against each other; the greedy order must cover
-    whatever is still uncolored.  The returned coloring is re-checked for
-    propriety.
+    The base coloring must be proper on g and color only vertices of g;
+    the forced colors must be proper against it and against each other;
+    the greedy order must cover whatever is still uncolored.
     """
     if not is_proper(g, base):
         raise InputDomainError("base coloring is not proper")
     cmap = base.as_dict()
-    for v, c in forced.items():
+    for v in [*cmap, *forced]:
         if not g.has_vertex(v):
             raise InputDomainError(f"unknown vertex {v!r}")
+    for v, c in forced.items():
         if v in cmap:
             raise InputDomainError(f"forced vertex {v!r} is already colored")
         if c not in COLORS:
@@ -114,6 +115,5 @@ def assign_then_extend(
             return None
         staged[v] = free[0]
     out = Coloring(staged)
-    if not is_proper(g, out):
-        return None
+    assert is_proper(g, out)
     return out

@@ -251,17 +251,20 @@ def run_oracle_equivalence(seed, oracle_bound, instances):
         if (ours is not None) != brute:
             counterexamples.append(f"k5: {gio.to_graph6(g)}")
 
-    # separations vs the definition filter
+    # separations vs the definition filter, cut-internal edges on one side
     for _ in range(instances):
         g = _random_graph(rng, rng.randrange(4, min(7, oracle_bound) + 1), rng.uniform(0.3, 0.8))
         k = rng.randrange(1, 4)
         count += 1
         got = {
             (s.side1.vertices, s.side1.edges, s.side2.vertices, s.side2.edges)
-            for s in enumerate_separations(g, k, mode="exhaustive")
+            for s in enumerate_separations(g, k)
         }
         want = set()
         for (v1, e1), (v2, e2) in brute_separations(g, k):
+            inner = {e for e in g.edges if set(e) <= v1 & v2}
+            if not (inner <= e1 or inner <= e2):
+                continue
             s1, s2 = Graph(v1, e1), Graph(v2, e2)
             if (s2.vertices, s2.edges) < (s1.vertices, s1.edges):
                 s1, s2 = s2, s1

@@ -2,20 +2,19 @@
 
 A gadget turns a host graph G into a smaller G' (delete part of the
 planar side, optionally merge two vertices, insert shortcut edges or an
-apex).  Its lifting rules convert any K5-subdivision of G' back into one
-of G by swapping each used foreign edge for a replacement path through
-the deleted vertices.  Three kinds of replacement are needed:
+apex).  Its lifts convert any K5-subdivision of G' back into one of G.
+A lift swaps a set of used inserted edges for any one of its options,
+and an option is a tuple of host paths through the deleted vertices:
 
-- edge lifts: one inserted edge -> alternative paths with the same ends;
-- pair lifts: two inserted edges meeting at a degree-2 vertex of the
-  subdivision -> one bypass path between the far ends;
-- pivot lifts: a whole bundle of used edges -> a fixed set of paths that
-  relocate one or two branch vertices into the deleted region.
+- one inserted edge -> alternative paths with the same ends;
+- two inserted edges -> one bypass path between the far ends;
+- a whole bundle of used edges -> a fixed set of paths that relocate
+  one or two branch vertices into the deleted region.
 
-The engine tries plans in a deterministic order (per-edge choices first,
-then pair-augmented, then pivots) and accepts the first plan whose edge
-surgery reconstructs a valid K5-subdivision of G; validity is decided by
-the independent extractor in `subdivisions`, never assumed.
+The engine tries plans in a deterministic order (see `_plans`) and
+accepts the first plan whose edge surgery reconstructs a valid
+K5-subdivision of G; validity is decided by the independent extractor in
+`subdivisions`, never assumed.
 """
 
 from __future__ import annotations
@@ -33,9 +32,12 @@ Path = tuple[Vertex, ...]
 
 
 @dataclass(frozen=True)
-class PivotLift:
-    trigger: frozenset
-    paths: tuple[Path, ...]
+class Lift:
+    """Swap the used inserted `edges` for any one of `options`, each a
+    tuple of host paths."""
+
+    edges: frozenset[Edge]
+    options: tuple[tuple[Path, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -44,21 +46,15 @@ class GadgetRule:
 
     name: str
     delete_vertices: frozenset
-    delete_edges: frozenset = frozenset()
     merge: tuple = ()  # (u, w, new_name) triples, applied after deletion
     insert_vertices: tuple = ()
     insert_edges: tuple = ()
-    edge_lifts: tuple = ()  # ((edge, (path, ...)), ...)
-    pair_lifts: tuple = ()  # ((frozenset{e1, e2}, (path, ...)), ...)
-    pivot_lifts: tuple = ()
-
-    def edge_lift_map(self) -> dict:
-        return {norm_edge(*e): paths for e, paths in self.edge_lifts}
+    lifts: tuple[Lift, ...] = ()
 
 
 def apply_gadget(g: Graph, rule: GadgetRule) -> Graph:
     """G' = insert(merge(delete(G))); errors propagate from the surgeries."""
-    out = remove(g, rule.delete_vertices, rule.delete_edges)
+    out = remove(g, rule.delete_vertices)
     for u, w, name in rule.merge:
         out = identify(out, u, w, name)
     return add(out, rule.insert_vertices, rule.insert_edges)
@@ -81,17 +77,9 @@ def lift_subdivision(g: Graph, rule: GadgetRule, sub_prime: Subdivision) -> Subd
     gp = apply_gadget(g, rule)
     validate_subdivision(gp, sub_prime)
     tedges = set(sub_prime.edge_set())
-    foreign = foreign_edges(g, rule)
-    used = frozenset(tedges & foreign)
-
-    deg: dict[Vertex, int] = {}
-    for u, v in tedges:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-
-    for removed, paths in _plans(rule, used, deg):
-        new_edges = set(tedges)
-        new_edges -= removed
+    used = frozenset(tedges & foreign_edges(g, rule))
+    for paths in _plans(rule, used):
+        new_edges = tedges - used
         for p in paths:
             new_edges.update(norm_edge(a, b) for a, b in zip(p, p[1:]))
         candidate = subdivision_from_edges(g, new_edges)
@@ -102,53 +90,27 @@ def lift_subdivision(g: Graph, rule: GadgetRule, sub_prime: Subdivision) -> Subd
     )
 
 
-def _plans(rule: GadgetRule, used: frozenset, deg: dict):
-    """Yield (edges_to_remove, replacement_paths) candidates in order."""
-    elifts = rule.edge_lift_map()
-    pair_entries = [
-        (fs, paths)
-        for fs, paths in rule.pair_lifts
-        if fs <= used and _shared_vertex_degree(fs, deg) == 2
-    ]
-    pivots = [None] + [p for p in rule.pivot_lifts if p.trigger <= used]
-    for pivot in pivots:
-        base_removed = set(pivot.trigger) if pivot else set()
-        base_paths = list(pivot.paths) if pivot else []
-        rest = sorted(used - base_removed)
-        # pair subsets, smallest first, pairwise edge-disjoint
-        for pair_choice in _pair_subsets(pair_entries, rest):
-            covered = set()
-            for fs, _ in pair_choice:
-                covered |= fs
-            singles = [e for e in rest if e not in covered]
-            if any(e not in elifts for e in singles):
+def _plans(rule: GadgetRule, used: frozenset):
+    """Yield the path sets that may replace the used inserted edges.
+
+    A plan picks non-overlapping multi-edge lifts inside `used` (fewest
+    first, then in `combinations` order over the rule's lifts) and covers
+    every other used edge by its one-edge lift; it yields each choice of
+    one option per picked lift.
+    """
+    single = {e: lift for lift in rule.lifts if len(lift.edges) == 1 for e in lift.edges}
+    multi = [lift for lift in rule.lifts if len(lift.edges) > 1 and lift.edges <= used]
+    for size in range(len(multi) + 1):
+        for chosen in combinations(multi, size):
+            covered = frozenset().union(*(lift.edges for lift in chosen))
+            if sum(len(lift.edges) for lift in chosen) != len(covered):
+                continue  # two picked lifts share an edge
+            rest = sorted(used - covered)
+            if not all(e in single for e in rest):
                 continue
-            option_lists = [paths for _, paths in pair_choice]
-            option_lists += [elifts[e] for e in singles]
-            for combo in product(*option_lists) if option_lists else [()]:
-                yield (
-                    base_removed | covered | set(singles),
-                    base_paths + list(combo),
-                )
-
-
-def _pair_subsets(pair_entries, rest):
-    applicable = [(fs, paths) for fs, paths in pair_entries if fs <= set(rest)]
-    n = len(applicable)
-    for size in range(n + 1):
-        for combo in combinations(range(n), size):
-            fss = [applicable[i][0] for i in combo]
-            if any(fss[i] & fss[j] for i in range(len(fss)) for j in range(i + 1, len(fss))):
-                continue
-            yield [applicable[i] for i in combo]
-
-
-def _shared_vertex_degree(fs: frozenset, deg: dict) -> int:
-    (e1, e2) = sorted(fs)
-    shared = set(e1) & set(e2)
-    if len(shared) != 1:
-        return -1
-    return deg.get(next(iter(shared)), 0)
+            lifts = chosen + tuple(single[e] for e in rest)
+            for options in product(*(lift.options for lift in lifts)):
+                yield [p for option in options for p in option]
 
 
 def validate_rule(case: "GadgetCase") -> list[str]:
@@ -159,10 +121,7 @@ def validate_rule(case: "GadgetCase") -> list[str]:
     deleted = set(rule.delete_vertices) | {u for u, w, _ in rule.merge} | {
         w for _, w, _ in rule.merge
     }
-    all_paths = [p for _, ps in rule.edge_lifts for p in ps]
-    all_paths += [p for _, ps in rule.pair_lifts for p in ps]
-    all_paths += [p for piv in rule.pivot_lifts for p in piv.paths]
-    for p in all_paths:
+    for p in (p for lift in rule.lifts for option in lift.options for p in option):
         for v in p[1:-1]:
             if v not in deleted:
                 problems.append(f"{rule.name}: replacement interior {v!r} not deleted")
@@ -193,6 +152,16 @@ def _tg(g: Graph, terminals) -> TerminalGraph:
     return TerminalGraph(g, tuple(terminals), ordered=True)
 
 
+def _either(edges, *paths: Path) -> Lift:
+    """Swap the set `edges` for any one of the single `paths`."""
+    return Lift(frozenset(norm_edge(*e) for e in edges), tuple((p,) for p in paths))
+
+
+def _pivot(edges, *paths: Path) -> Lift:
+    """Swap the set `edges` for all of `paths` at once."""
+    return Lift(frozenset(norm_edge(*e) for e in edges), (paths,))
+
+
 def _pair_chord_case() -> GadgetCase:
     # Planar side: two adjacent interior vertices covering the 4-cut in a
     # crossed pattern; the reduction deletes both and shortcuts v2-v4.
@@ -205,7 +174,7 @@ def _pair_chord_case() -> GadgetCase:
         name="pair_chord",
         delete_vertices=frozenset({"u", "v"}),
         insert_edges=(("v2", "v4"),),
-        edge_lifts=(((("v2", "v4")), (("v2", "u", "v", "v4"),)),),
+        lifts=(_either({("v2", "v4")}, ("v2", "u", "v", "v4")),),
     )
     host_a = union(
         side,
@@ -250,16 +219,12 @@ def _triangle_star3_case() -> GadgetCase:
         name="triangle_star3",
         delete_vertices=frozenset({"u", "v", "w"}),
         insert_edges=(("v5", "v1"), ("v5", "v2"), ("v5", "v3")),
-        edge_lifts=(
-            (("v5", "v1"), (("v5", "u", "v1"),)),
-            (("v5", "v2"), (("v5", "w", "v", "v2"), ("v5", "u", "v", "v2"))),
-            (("v5", "v3"), (("v5", "w", "v3"),)),
-        ),
-        pivot_lifts=(
-            PivotLift(
-                trigger=frozenset({norm_edge("v5", "v1"), norm_edge("v5", "v2"), norm_edge("v5", "v3")}),
-                paths=(("w", "v5"), ("w", "u", "v1"), ("w", "v", "v2"), ("w", "v3")),
-            ),
+        lifts=(
+            _either({("v5", "v1")}, ("v5", "u", "v1")),
+            _either({("v5", "v2")}, ("v5", "w", "v", "v2"), ("v5", "u", "v", "v2")),
+            _either({("v5", "v3")}, ("v5", "w", "v3")),
+            _pivot({("v5", "v1"), ("v5", "v2"), ("v5", "v3")},
+                   ("w", "v5"), ("w", "u", "v1"), ("w", "v", "v2"), ("w", "v3")),
         ),
     )
     host_a = union(
@@ -290,9 +255,9 @@ def _triangle_star2_case() -> GadgetCase:
         name="triangle_star2",
         delete_vertices=frozenset({"u", "v", "w"}),
         insert_edges=(("v5", "v2"), ("v5", "v3")),
-        edge_lifts=(
-            (("v5", "v2"), (("v5", "u", "v", "v2"),)),
-            (("v5", "v3"), (("v5", "w", "v3"),)),
+        lifts=(
+            _either({("v5", "v2")}, ("v5", "u", "v", "v2")),
+            _either({("v5", "v3")}, ("v5", "w", "v3")),
         ),
     )
     host = union(
@@ -318,9 +283,9 @@ def _path_fan_case() -> GadgetCase:
         name="path_fan",
         delete_vertices=frozenset({"u", "v", "w"}),
         insert_edges=(("t1", "t3"), ("t1", "t4")),
-        edge_lifts=(
-            (("t1", "t3"), (("t1", "u", "t3"),)),
-            (("t1", "t4"), (("t1", "w", "t4"),)),
+        lifts=(
+            _either({("t1", "t3")}, ("t1", "u", "t3")),
+            _either({("t1", "t4")}, ("t1", "w", "t4")),
         ),
     )
     host = union(
@@ -346,11 +311,11 @@ def _path_merge_case() -> GadgetCase:
         name="path_merge",
         delete_vertices=frozenset({"t1", "v"}),
         merge=(("u", "w", "m"),),
-        edge_lifts=(
-            (("m", "t2"), (("v", "u", "t2"),)),
-            (("m", "t3"), (("v", "t3"),)),
-            (("m", "t4"), (("v", "t4"),)),
-            (("m", "t5"), (("v", "w", "t5"),)),
+        lifts=(
+            _either({("m", "t2")}, ("v", "u", "t2")),
+            _either({("m", "t3")}, ("v", "t3")),
+            _either({("m", "t4")}, ("v", "t4")),
+            _either({("m", "t5")}, ("v", "w", "t5")),
         ),
     )
     host = union(
@@ -381,10 +346,10 @@ def _square_triangle_case() -> GadgetCase:
         name="square_triangle",
         delete_vertices=frozenset(us),
         insert_edges=(("t1", "t2"), ("t2", "t3"), ("t3", "t1")),
-        edge_lifts=(
-            (("t1", "t2"), (("t1", "u1", "t2"),)),
-            (("t2", "t3"), (("t2", "u2", "t3"),)),
-            (("t3", "t1"), (("t3", "u3", "u4", "t1"),)),
+        lifts=(
+            _either({("t1", "t2")}, ("t1", "u1", "t2")),
+            _either({("t2", "t3")}, ("t2", "u2", "t3")),
+            _either({("t3", "t1")}, ("t3", "u3", "u4", "t1")),
         ),
     )
     host = union(
@@ -417,12 +382,12 @@ def _ring_apex4_case() -> GadgetCase:
         delete_vertices=frozenset(ring),
         insert_vertices=("x",),
         insert_edges=(("t1", "t5"), ("x", "t1"), ("x", "t2"), ("x", "t4"), ("x", "t5")),
-        edge_lifts=(
-            (("t1", "t5"), (("t1", "v1", "q", "t5"),)),
-            (("x", "t1"), (("p", "v2", "t1"),)),
-            (("x", "t2"), (("p", "v3", "t2"),)),
-            (("x", "t4"), (("p", "v4", "t4"),)),
-            (("x", "t5"), (("p", "v5", "t5"),)),
+        lifts=(
+            _either({("t1", "t5")}, ("t1", "v1", "q", "t5")),
+            _either({("x", "t1")}, ("p", "v2", "t1")),
+            _either({("x", "t2")}, ("p", "v3", "t2")),
+            _either({("x", "t4")}, ("p", "v4", "t4")),
+            _either({("x", "t5")}, ("p", "v5", "t5")),
         ),
     )
     host = union(
@@ -453,25 +418,16 @@ def _ring_apex5_case() -> GadgetCase:
         + [(t(i), v(i)) for i in range(1, 6)]
         + [(t(i), v(i + 1)) for i in range(1, 6)],
     )
-    lifts = []
-    for i in range(1, 6):
-        lifts.append(
-            (
-                ("x", t(i)),
-                (
-                    (v(i), t(i)),
-                    (v(i + 1), t(i)),
-                    (v(i + 2), v(i + 1), t(i)),
-                    (v(i - 1), v(i), t(i)),
-                ),
-            )
-        )
     rule = GadgetRule(
         name="ring_apex5",
         delete_vertices=frozenset(vs),
         insert_vertices=("x",),
         insert_edges=tuple(("x", t(i)) for i in range(1, 6)),
-        edge_lifts=tuple(lifts),
+        lifts=tuple(
+            _either({("x", t(i))}, (v(i), t(i)), (v(i + 1), t(i)),
+                    (v(i + 2), v(i + 1), t(i)), (v(i - 1), v(i), t(i)))
+            for i in range(1, 6)
+        ),
     )
     host = union(
         side,
@@ -502,9 +458,9 @@ def _gap_fan_case() -> GadgetCase:
         name="gap_fan",
         delete_vertices=frozenset({"a", "v1", "v2"}),
         insert_edges=(("t1", "v3"), ("t1", "v5")),
-        edge_lifts=(
-            (("t1", "v3"), (("t1", "v2", "v3"),)),
-            (("t1", "v5"), (("t1", "v1", "v5"),)),
+        lifts=(
+            _either({("t1", "v3")}, ("t1", "v2", "v3")),
+            _either({("t1", "v5")}, ("t1", "v1", "v5")),
         ),
     )
     host = union(
@@ -533,10 +489,10 @@ def _pent_triangle_case() -> GadgetCase:
         name="pent_triangle",
         delete_vertices=frozenset(vs),
         insert_edges=(("t1", "t3"), ("t3", "t4"), ("t4", "t1")),
-        edge_lifts=(
-            (("t1", "t3"), (("t1", "v2", "v3", "t3"),)),
-            (("t3", "t4"), (("t3", "v4", "t4"),)),
-            (("t4", "t1"), (("t4", "v5", "v1", "t1"),)),
+        lifts=(
+            _either({("t1", "t3")}, ("t1", "v2", "v3", "t3")),
+            _either({("t3", "t4")}, ("t3", "v4", "t4")),
+            _either({("t4", "t1")}, ("t4", "v5", "v1", "t1")),
         ),
     )
     host = union(
@@ -562,50 +518,31 @@ def _web5_case() -> GadgetCase:
          ("w", "s"), ("w", "t"),
          ("q", "x"), ("q", "p")],
     )
-    e = norm_edge
     rule = GadgetRule(
         name="web5",
         delete_vertices=frozenset({"q", "u", "v", "w", "z"}),
         insert_edges=(("r", "p"), ("r", "t"), ("p", "t"), ("p", "x"), ("t", "s")),
-        edge_lifts=(
-            (("p", "t"), (("t", "z", "p"),)),
-            (("t", "s"), (("t", "w", "s"),)),
-            (("p", "x"), (("p", "q", "x"),)),
-            (("r", "t"), (("t", "z", "v", "r"), ("t", "w", "v", "r"))),
-            (("r", "p"), (("r", "u", "q", "p"), ("r", "u", "z", "p"))),
-        ),
-        pair_lifts=(
-            (frozenset({e("r", "p"), e("p", "x")}), (("r", "u", "q", "x"),)),
-            (frozenset({e("r", "t"), e("t", "s")}), (("r", "v", "s"),)),
-        ),
-        pivot_lifts=(
-            PivotLift(
-                trigger=frozenset({e("p", "t"), e("r", "t"), e("r", "p"), e("t", "s"), e("p", "x")}),
-                paths=(("w", "t"), ("w", "s"), ("w", "v", "r"), ("w", "z"),
-                       ("z", "p"), ("z", "q", "x"), ("z", "u", "r")),
-            ),
-            PivotLift(
-                trigger=frozenset({e("p", "t"), e("r", "t"), e("r", "p"), e("t", "s")}),
-                paths=(("w", "t"), ("w", "s"), ("w", "v", "r"), ("w", "z", "p"),
-                       ("p", "q", "u", "r")),
-            ),
-            PivotLift(
-                trigger=frozenset({e("p", "t"), e("r", "t"), e("r", "p"), e("p", "x")}),
-                paths=(("z", "p"), ("z", "t"), ("z", "q", "x"), ("z", "u", "r"),
-                       ("t", "w", "v", "r")),
-            ),
-            PivotLift(
-                trigger=frozenset({e("p", "t"), e("r", "t"), e("r", "p")}),
-                paths=(("t", "z", "p"), ("p", "q", "u", "r"), ("r", "v", "w", "t")),
-            ),
-            PivotLift(
-                trigger=frozenset({e("p", "t"), e("t", "s"), e("r", "t")}),
-                paths=(("w", "t"), ("w", "s"), ("w", "z", "p"), ("w", "v", "r")),
-            ),
-            PivotLift(
-                trigger=frozenset({e("p", "t"), e("r", "p"), e("p", "x")}),
-                paths=(("z", "p"), ("z", "t"), ("z", "q", "x"), ("z", "u", "r")),
-            ),
+        lifts=(
+            _either({("p", "t")}, ("t", "z", "p")),
+            _either({("t", "s")}, ("t", "w", "s")),
+            _either({("p", "x")}, ("p", "q", "x")),
+            _either({("r", "t")}, ("t", "z", "v", "r"), ("t", "w", "v", "r")),
+            _either({("r", "p")}, ("r", "u", "q", "p"), ("r", "u", "z", "p")),
+            _either({("r", "p"), ("p", "x")}, ("r", "u", "q", "x")),
+            _either({("r", "t"), ("t", "s")}, ("r", "v", "s")),
+            _pivot({("p", "t"), ("r", "t"), ("r", "p"), ("t", "s"), ("p", "x")},
+                   ("w", "t"), ("w", "s"), ("w", "v", "r"), ("w", "z"),
+                   ("z", "p"), ("z", "q", "x"), ("z", "u", "r")),
+            _pivot({("p", "t"), ("r", "t"), ("r", "p"), ("t", "s")},
+                   ("w", "t"), ("w", "s"), ("w", "v", "r"), ("w", "z", "p"), ("p", "q", "u", "r")),
+            _pivot({("p", "t"), ("r", "t"), ("r", "p"), ("p", "x")},
+                   ("z", "p"), ("z", "t"), ("z", "q", "x"), ("z", "u", "r"), ("t", "w", "v", "r")),
+            _pivot({("p", "t"), ("r", "t"), ("r", "p")},
+                   ("t", "z", "p"), ("p", "q", "u", "r"), ("r", "v", "w", "t")),
+            _pivot({("p", "t"), ("t", "s"), ("r", "t")},
+                   ("w", "t"), ("w", "s"), ("w", "z", "p"), ("w", "v", "r")),
+            _pivot({("p", "t"), ("r", "p"), ("p", "x")},
+                   ("z", "p"), ("z", "t"), ("z", "q", "x"), ("z", "u", "r")),
         ),
     )
     host_all = union(

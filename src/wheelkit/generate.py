@@ -26,14 +26,10 @@ from wheelkit.wheels import Wheel
 
 DEFAULT_GENERATION_LIMIT = 9
 
-# Stream filters by name, each with the interior degree it demands of
-# every terminal.  "s-independent" demands none: the stream enforces it by
-# never adding an edge between two terminals.
-FILTERS = {
-    "s-independent": 0,
-    "terminal-interior-degree-1": 1,
-    "terminal-interior-degree-2": 2,
-}
+# Stream filters by name.  "s-independent" keeps the terminals pairwise
+# non-adjacent: the stream enforces it by never adding an edge between two
+# terminals.
+FILTERS = ("s-independent",)
 
 
 def canonical_form(g: Graph, terminals: Iterable[Vertex] = ()) -> tuple:
@@ -155,7 +151,6 @@ def generate_terminal_planar(n_max: int, s_size: int, filters=()) -> Iterator[Te
         if f not in FILTERS:
             raise InputDomainError(f"unknown filter {f!r}")
     independent = "s-independent" in filters
-    minimum = max((FILTERS[f] for f in filters), default=0)
     ts = tuple(f"t{i}" for i in range(1, s_size + 1))
     for n in range(s_size, n_max + 1):
         names = ts + tuple(f"u{i}" for i in range(1, n - s_size + 1))
@@ -166,9 +161,7 @@ def generate_terminal_planar(n_max: int, s_size: int, filters=()) -> Iterator[Te
         ]
         for level in _classes(names, ts, pairs, keep=is_disc_planar):
             for key in sorted(level):
-                tg = level[key]
-                if minimum == 0 or all(tg.interior_degree(t) >= minimum for t in ts):
-                    yield tg
+                yield level[key]
 
 
 # -- random planar graphs ------------------------------------------------------

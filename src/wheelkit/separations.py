@@ -2,18 +2,17 @@
 
 A k-separation is a pair of edge-disjoint subgraphs covering the host
 graph whose vertex sets overlap in exactly k vertices, each side owning
-an exclusive vertex or edge.  The canonical enumerator assigns edges
-inside the cut to side2 and emits only separations whose sides both own
-an exclusive vertex; the exhaustive mode emits the full definition
-universe (both cut-edge assignments, plus sides whose only exclusive
-content is a cut-internal edge) for oracle comparisons.
+an exclusive vertex or edge.  The enumerator keeps the edges inside the
+cut together on one side: it emits, up to swapping sides, exactly the
+separations of the definition whose cut-internal edges all lie on one
+side.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator
 
 from wheelkit.catalog import CatalogMember, matches_catalog
@@ -53,21 +52,17 @@ def validate_separation(g: Graph, sep: Separation) -> None:
             raise InputDomainError("a side owns neither a vertex nor an edge")
 
 
-def enumerate_separations(g: Graph, k: int, *, mode: str = "canonical") -> Iterator[Separation]:
-    """All k-separations up to swapping sides.
+def enumerate_separations(g: Graph, k: int) -> Iterator[Separation]:
+    """The k-separations whose cut-internal edges lie on one side, up to
+    swapping sides.
 
-    canonical: for every k-cut, every split of the components of G - cut
-    into two groups; cut-internal edges go to side2.  A group may be
-    empty only when its side still owns a cut-internal edge (the
-    definition admits such sides; a complete graph's (n-1)-separations
-    are of this shape).
-    exhaustive: additionally every cut-edge assignment, for oracle
-    comparisons against the raw definition.
+    For every k-cut, every split of the components of G - cut into two
+    groups; cut-internal edges go to side2.  A group may be empty only
+    when its side still owns a cut-internal edge (the definition admits
+    such sides; a complete graph's (n-1)-separations are of this shape).
     """
     if k < 0:
         raise InputDomainError("separation order must be nonnegative")
-    if mode not in ("canonical", "exhaustive"):
-        raise InputDomainError(f"unknown mode {mode!r}")
     seen = set()
     for cut in combinations(g.vertices, k):
         cset = set(cut)
@@ -79,28 +74,21 @@ def enumerate_separations(g: Graph, k: int, *, mode: str = "canonical") -> Itera
             for group in combinations(range(n), r):
                 a = set().union(*(comps[i] for i in group)) if group else set()
                 b = set().union(*(comps[i] for i in range(n) if i not in group)) if n - r else set()
-                if mode == "canonical":
-                    splits = [tuple(False for _ in inner)]  # all inner edges to side2
-                else:
-                    splits = product((False, True), repeat=len(inner))
-                for split in splits:
-                    sep = _build(g, a, b, cset, inner, split)
-                    if sep is None:
-                        continue
-                    key = _sep_key(sep)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield sep
+                sep = _build(g, a, b, cset, inner)
+                if sep is None:
+                    continue
+                key = _sep_key(sep)
+                if key in seen:
+                    continue
+                seen.add(key)
+                yield sep
 
 
-def _build(g, a, b, cset, inner, split):
+def _build(g, a, b, cset, inner):
     # a and b are unions of components of G - cut, so an edge outside the
     # cut lies on a side exactly when one of its ends does.
     e1 = [e for e in g.edges if e[0] in a or e[1] in a]
-    e2 = [e for e in g.edges if e[0] in b or e[1] in b]
-    for e, to_side1 in zip(inner, split):
-        (e1 if to_side1 else e2).append(e)
+    e2 = [e for e in g.edges if e[0] in b or e[1] in b] + inner
     if (not a and not e1) or (not b and not e2):
         return None
     s1 = Graph(a | cset, e1)

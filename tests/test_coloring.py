@@ -84,6 +84,15 @@ def test_assign_then_extend_rejects_improper_base():
         assign_then_extend(g, Coloring({"a": 1, "b": 1}), {}, ["v"])
 
 
+def test_assign_then_extend_rejects_base_vertex_outside_graph():
+    # a base color on a vertex g lacks is an input error, like a forced one
+    g = complete_graph(list("ab"))
+    with pytest.raises(InputDomainError, match="unknown vertex 'zz'"):
+        assign_then_extend(g, Coloring({"zz": 1}), {}, ["a", "b"])
+    with pytest.raises(InputDomainError, match="unknown vertex 'zz'"):
+        assign_then_extend(g, Coloring({}), {"zz": 1}, ["a", "b"])
+
+
 def test_assign_then_extend_runs_schedule():
     # force the apex of a 4-star to a color its neighbors avoid
     g = star("v", ["a", "b", "c"])

@@ -42,11 +42,6 @@ def test_separations_negative_order():
         list(enumerate_separations(complete_graph(list("abc")), -1))
 
 
-def test_separations_unknown_mode():
-    with pytest.raises(InputDomainError):
-        list(enumerate_separations(complete_graph(list("abc")), 1, mode="fancy"))
-
-
 def _order4_sep(side1_extra_edges=()):
     ts = ("t1", "t2", "t3", "t4")
     side1 = Graph(

@@ -6,7 +6,7 @@ import pytest
 from wheelkit import experiments
 from wheelkit.errors import InputDomainError
 from wheelkit.experiments import EXPERIMENTS, Config, run_experiment
-from wheelkit.gadgets import gadget_case
+from wheelkit.gadgets import Lift, gadget_case
 from wheelkit.generate import small_graph_classes
 
 from tests.test_acceptance import GOLDEN, without_elapsed
@@ -138,7 +138,12 @@ def test_lift_all_gadgets_reports_an_unsound_rule(monkeypatch):
     leaky = replace(
         case.rule,
         name="pair_chord_leaky",
-        edge_lifts=((("v2", "v4"), (("v2", "u", "v", "v4"), ("v2", "u", "v1", "v", "v4"))),),
+        lifts=(
+            Lift(
+                frozenset({("v2", "v4")}),
+                ((("v2", "u", "v", "v4"),), (("v2", "u", "v1", "v", "v4"),)),
+            ),
+        ),
     )
     monkeypatch.setattr(experiments, "gadget_library", lambda: (replace(case, rule=leaky),))
     report = run_experiment("lift-all-gadgets")

@@ -106,27 +106,6 @@ def test_unknown_filter_name_raises():
         list(generate_terminal_planar(5, 5, filters=("no-such-filter",)))
 
 
-def _terminals_see_interior(tg, minimum):
-    interior = set(tg.graph.vertices) - set(tg.terminals)
-    return all(len(interior & set(tg.graph.neighbors(t))) >= minimum for t in tg.terminals)
-
-
-@pytest.mark.parametrize(
-    "n_max, s_size, base, minimum, count",
-    [(8, 5, ("s-independent",), 1, 323), (6, 3, (), 2, 64)],
-)
-def test_interior_degree_filters_match_filtering_afterwards(n_max, s_size, base, minimum, count):
-    name = f"terminal-interior-degree-{minimum}"
-    filtered = list(generate_terminal_planar(n_max, s_size, filters=base + (name,)))
-    afterwards = [
-        tg
-        for tg in generate_terminal_planar(n_max, s_size, filters=base)
-        if _terminals_see_interior(tg, minimum)
-    ]
-    assert filtered == afterwards
-    assert len(filtered) == count
-
-
 def test_keep_sees_each_rooted_class_once():
     # rooted keys of different levels differ in edge count, so "once in the
     # whole run" is "at most once per level"
