@@ -114,10 +114,16 @@ def _plans(rule: GadgetRule, used: frozenset):
 
 
 def validate_rule(case: "GadgetCase") -> list[str]:
-    """Structural sanity of a rule against its side configuration."""
+    """Structural sanity of a rule against its side configuration: every
+    lift edge is created by the surgery, and every replacement path runs
+    through the deleted vertices along edges of the side."""
     problems = []
     rule, side = case.rule, case.side
     g = side.graph
+    reduced, kept = apply_gadget(g, rule), remove(g, rule.delete_vertices)
+    for e in sorted({e for lift in rule.lifts for e in lift.edges}):
+        if not reduced.has_edge(*e) or kept.has_edge(*e):
+            problems.append(f"{rule.name}: lift edge {e!r} is not made by the surgery")
     deleted = set(rule.delete_vertices) | {u for u, w, _ in rule.merge} | {
         w for _, w, _ in rule.merge
     }

@@ -1,16 +1,19 @@
 """Search kernels over bitmask adjacency, in pure Python.
 
-These are the hot loops of the whole package: exact 4-coloring and exact
-vertex-disjoint linkage.  A graph enters them through `index_graph`,
-which numbers its vertices in canonical order and builds one adjacency
-bitmask per vertex.  Vertex counts are capped at 63 so vertex sets fit in
-one word.
+These are the hot loops of the whole package: exact 4-coloring, exact
+vertex-disjoint linkage, and the Menger count of internally disjoint
+paths between two vertices that screens the K5 search before linkage.
+A graph enters them through `index_graph`, which numbers its vertices in
+canonical order and builds one adjacency bitmask per vertex.  Vertex
+counts are capped at 63 so vertex sets fit in one word.
 
-Both kernels are deterministic:
+All kernels are deterministic:
 - coloring picks the uncolored vertex with the fewest admissible colors
   (ties by index) and tries colors in ascending order;
 - linkage runs iterative deepening on the total path length and grows
-  paths by ascending neighbor index.
+  paths by ascending neighbor index;
+- the disjoint-path count answers yes or no, from common neighbors or
+  from breadth-first augmenting paths.
 """
 
 from __future__ import annotations
@@ -185,6 +188,74 @@ def linkage_masks(
             return [p[:] for p in paths]
         total += 1
     return None
+
+
+def disjoint_paths_at_least(n: int, adj: list[int], s: int, t: int, k: int) -> bool:
+    """Whether s and t are joined by k internally vertex-disjoint paths.
+
+    A direct edge s-t counts as one path.  When the common neighbors and
+    the direct edge already number k the answer is yes at once.
+    Otherwise the flow starts from those paths and grows by augmenting
+    paths on the vertex-split graph (every vertex but s and t has
+    capacity one) until it reaches k or no augmenting path is left; by
+    Menger's theorem the flow's value is the largest number of such paths.
+    """
+    direct = adj[s] >> t & 1
+    common = adj[s] & adj[t]
+    found = direct + _popcount(common)
+    if found >= k:
+        return True
+    flow = set()  # arcs (u, w) carrying one unit, the edge s-t never among them
+    for c in _bits(common):
+        flow |= {(s, c), (c, t)}
+    while found < k:
+        if not _augment(adj, s, t, flow):
+            return False
+        found += 1
+    return True
+
+
+def _augment(adj: list[int], s: int, t: int, flow: set[tuple[int, int]]) -> bool:
+    """Add one augmenting s-t path to `flow`; False when there is none.
+
+    Breadth-first search over the residual vertex-split graph, whose
+    states are 2v (v entered) and 2v + 1 (v left).  A vertex on a flow
+    path can be entered only to leave backwards along its in-arc, and
+    left only by a fresh arc or back through its own entry.
+    """
+    pred = {w: u for u, w in flow}
+    start, goal = 2 * s + 1, 2 * t
+    parent = {start: start}
+    queue = [start]
+    for state in queue:
+        v, out = divmod(state, 2)
+        if not out:
+            steps = [2 * pred[v] + 1] if v in pred else [2 * v + 1]
+        else:
+            mask = adj[v] & ~(1 << s)
+            if v == s:
+                mask &= ~(1 << t)
+            steps = [2 * w for w in _bits(mask) if (v, w) not in flow]
+            if v in pred:
+                steps.append(2 * v)
+        for nxt in steps:
+            if nxt in parent:
+                continue
+            parent[nxt] = state
+            if nxt == goal:
+                while nxt != start:
+                    prev = parent[nxt]
+                    u, w = prev // 2, nxt // 2
+                    # between two vertices a step from a left state is a
+                    # fresh arc, one from an entered state cancels an arc
+                    if u != w and prev % 2:
+                        flow.add((u, w))
+                    elif u != w:
+                        flow.discard((w, u))
+                    nxt = prev
+                return True
+            queue.append(nxt)
+    return False
 
 
 def bfs_dist(n: int, adj: list[int], s: int, t: int, block: int) -> int:

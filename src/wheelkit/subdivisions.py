@@ -183,10 +183,13 @@ def find_k5_subdivision(g: Graph, *, limit: int = DEFAULT_SEARCH_LIMIT) -> Subdi
     """Complete exact search for a K5-subdivision.
 
     Branch candidates are the vertices of degree >= 4 (forced by the
-    definition); each 5-subset is tried in canonical order against a
-    10-pair internally disjoint linkage search.  Raises
-    ResourceLimitError above `limit` or kernels.MAX_KERNEL_VERTICES
-    vertices, whatever the graph's degrees.
+    definition); the 5-subsets are taken in canonical order.  A subset
+    with a pair of candidates that no 4 internally disjoint paths join
+    is skipped (a K5-subdivision joins two branch vertices by their own
+    path and one through each other branch vertex; pair answers are
+    kept for the call); every other subset goes to a 10-pair internally
+    disjoint linkage search.  Raises ResourceLimitError above `limit` or
+    kernels.MAX_KERNEL_VERTICES vertices, whatever the graph's degrees.
     """
     if g.n > limit:
         raise ResourceLimitError(f"subdivision search capped at {limit} vertices, got {g.n}")
@@ -195,8 +198,17 @@ def find_k5_subdivision(g: Graph, *, limit: int = DEFAULT_SEARCH_LIMIT) -> Subdi
     if len(cands) < 5 or g.m < 10:
         return None
     names = g.vertices
+    joined: dict[tuple[int, int], bool] = {}
+
+    def four_paths(s: int, t: int) -> bool:
+        if (s, t) not in joined:
+            joined[s, t] = kernels.disjoint_paths_at_least(g.n, adj, s, t, 4)
+        return joined[s, t]
+
     for combo in combinations(cands, 5):
         ipairs = [(idx[combo[i]], idx[combo[j]]) for i, j in K5_PAIRS]
+        if not all(four_paths(s, t) for s, t in ipairs):
+            continue
         found = kernels.linkage_masks(g.n, adj, ipairs, 0)
         if found is None:
             continue

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from wheelkit.errors import LiftingError
 from wheelkit.gadgets import (
+    Lift,
     apply_gadget,
     foreign_edges,
     gadget_case,
@@ -26,6 +28,21 @@ LIFTS_GOLDEN = Path(__file__).parent / "golden" / "lifts.json"
 def test_library_structurally_sound():
     for case in gadget_library():
         assert validate_rule(case) == []
+
+
+def test_validate_rule_rejects_lift_edge_the_surgery_does_not_make():
+    # pair_chord inserts v2-v4; a lift keyed on v2-v3 would never fire
+    case = gadget_case("pair_chord")
+    mutant = replace(
+        case,
+        rule=replace(
+            case.rule,
+            lifts=(Lift(frozenset({("v2", "v3")}), ((("v2", "u", "v", "v4"),),)),),
+        ),
+    )
+    assert validate_rule(mutant) == [
+        "pair_chord: lift edge ('v2', 'v3') is not made by the surgery"
+    ]
 
 
 def test_rule_names_unique():

@@ -1,8 +1,11 @@
+import random
 from itertools import combinations
 
 import pytest
 
+from wheelkit import kernels
 from wheelkit.errors import ConstructionError, InputDomainError, PreconditionError, ResourceLimitError
+from wheelkit.generate import random_planar_graph, small_graph_classes
 from wheelkit.graph import (
     Graph,
     add,
@@ -27,6 +30,7 @@ from wheelkit.subdivisions import (
     wheel_plus_paths_to_k5,
 )
 from wheelkit.wheels import Wheel
+from tests.test_planarity import icosahedron
 
 
 def petersen():
@@ -142,6 +146,96 @@ def test_k5_agrees_with_oracle_on_small_cases():
         grid3().induced(["00", "01", "02", "10", "11", "12", "20", "21"]),
     ):
         assert (find_k5_subdivision(g) is not None) == brute_k5_subdivision(g)
+
+
+# -- the Menger screen ---------------------------------------------------------
+
+
+def separated_by_fewer_than(n, adj, s, t, k):
+    """Some set of fewer than k vertices outside {s, t} separates s from t
+    once the edge s-t, credited as one path, is removed."""
+    direct = adj[s] >> t & 1
+    cut_adj = [a & ~((1 << s) | (1 << t)) if v in (s, t) else a for v, a in enumerate(adj)]
+    others = [v for v in range(n) if v not in (s, t)]
+    return any(
+        kernels.bfs_dist(n, cut_adj, s, t, sum(1 << v for v in cut)) < 0
+        for size in range(k - direct)
+        for cut in combinations(others, size)
+    )
+
+
+def test_disjoint_paths_at_least_matches_vertex_cuts():
+    checked = 0
+    for g in small_graph_classes(6):
+        _, adj = kernels.index_graph(g)
+        for s, t in combinations(range(g.n), 2):
+            for k in range(1, 6):
+                want = not separated_by_fewer_than(g.n, adj, s, t, k)
+                assert kernels.disjoint_paths_at_least(g.n, adj, s, t, k) == want, (g.edges, s, t, k)
+                checked += 1
+    assert checked == 13800
+
+
+def test_disjoint_paths_at_least_reroutes_an_earlier_path():
+    # {3, 5} separates 0 from 1 (2 is isolated).  The first path is
+    # 0-3-5-1; the second, 0-4-5, takes 5 over and sends the first path on
+    # through 3-6-1; a third path 0-8-5 must then find 5 taken for good.
+    g = Graph([str(i) for i in range(9)], [
+        ("0", "3"), ("0", "4"), ("0", "8"), ("1", "5"), ("1", "6"), ("1", "7"),
+        ("3", "5"), ("3", "6"), ("3", "7"), ("4", "5"), ("5", "8"),
+    ])
+    idx, adj = kernels.index_graph(g)
+    s, t = idx["0"], idx["1"]
+    assert kernels.disjoint_paths_at_least(g.n, adj, s, t, 2)
+    assert not kernels.disjoint_paths_at_least(g.n, adj, s, t, 3)
+
+
+def unscreened_k5_subdivision(g):
+    """The K5 search without the Menger screen: every 5-set of vertices
+    of degree >= 4 goes to the linkage kernel, in combinations order."""
+    idx, adj = kernels.index_graph(g)
+    cands = [v for v in g.vertices if g.degree(v) >= 4]
+    for combo in combinations(cands, 5):
+        ipairs = [(idx[combo[i]], idx[combo[j]]) for i, j in K5_PAIRS]
+        found = kernels.linkage_masks(g.n, adj, ipairs, 0)
+        if found is not None:
+            paths = tuple(tuple(g.vertices[x] for x in p) for p in found)
+            return Subdivision(tuple(combo), paths)
+    return None
+
+
+def test_screen_keeps_every_k5_witness():
+    rng = random.Random(11)
+    with_k5 = 0
+    for _ in range(300):
+        names = [str(i) for i in range(rng.randrange(7, 12))]
+        p = rng.uniform(0.35, 0.8)
+        g = Graph(names, [e for e in combinations(names, 2) if rng.random() < p])
+        got = find_k5_subdivision(g)
+        want = unscreened_k5_subdivision(g)
+        assert got == want, g.edges
+        with_k5 += want is not None
+    assert 100 < with_k5 < 300
+
+
+def test_screen_linkage_call_counts(monkeypatch):
+    calls = []
+    linkage = kernels.linkage_masks
+
+    def counted(*args):
+        calls.append(args)
+        return linkage(*args)
+
+    monkeypatch.setattr(kernels, "linkage_masks", counted)
+    # 5-connected: no pair is cut, so all C(12, 5) 5-sets reach the kernel
+    assert find_k5_subdivision(icosahedron()) is None
+    assert len(calls) == 792
+    # a stacked triangulation's separating triangles cut every 5-set
+    calls.clear()
+    g = random_planar_graph(12, random.Random(0), keep_fraction=0.95)
+    assert sum(g.degree(v) >= 4 for v in g.vertices) == 8
+    assert find_k5_subdivision(g) is None
+    assert calls == []
 
 
 def test_validate_subdivision_rejects_shared_interior():
