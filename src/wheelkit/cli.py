@@ -200,7 +200,11 @@ def cmd_catalog(args):
 def cmd_lift(args):
     case = gadget_case(args.rule)
     if args.demo:
-        g = case.hosts[min(args.host, len(case.hosts) - 1)]
+        if not 0 <= args.host < len(case.hosts):
+            raise InputDomainError(
+                f"host index {args.host} out of range for {len(case.hosts)} hosts of {args.rule}"
+            )
+        g = case.hosts[args.host]
     else:
         if not args.graph:
             print("error: need a graph file or --demo", file=sys.stderr)
@@ -282,9 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wheelkit", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True):
-        if graph:
-            p.add_argument("graph", help="graph file (graph6 or edge list), - for stdin")
+    def common(p):
+        p.add_argument("graph", help="graph file (graph6 or edge list), - for stdin")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("planar", help="planarity plus a face report")

@@ -33,10 +33,6 @@ class Coloring:
     def color(self, v: Vertex) -> int | None:
         return self._map.get(v)
 
-    @property
-    def domain(self) -> frozenset[Vertex]:
-        return frozenset(self._map)
-
     def as_dict(self) -> dict[Vertex, int]:
         return dict(self._map)
 

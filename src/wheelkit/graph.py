@@ -11,7 +11,6 @@ identical outputs, and values are safe to share between workers.
 
 from __future__ import annotations
 
-from functools import total_ordering
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -33,7 +32,6 @@ def norm_edge(u: Vertex, v: Vertex) -> Edge:
     return (u, v) if (len(u), u) < (len(v), v) else (v, u)
 
 
-@total_ordering
 class Graph:
     """A finite simple undirected graph with string vertex ids."""
 
@@ -137,9 +135,6 @@ class Graph:
             and self._vertices == other._vertices
             and self._edges == other._edges
         )
-
-    def __lt__(self, other: "Graph") -> bool:
-        return (self._vertices, self._edges) < (other._vertices, other._edges)
 
     def __hash__(self) -> int:
         return self._hash

@@ -1,14 +1,18 @@
 """Coloring recipes: forced/greedy schedules verified over all boundary
 colorings.
 
-Each recipe is a local configuration, a boundary whose coloring comes
-from the reduced graph, optional extra constraints the reduced graph
-imposes on that coloring (its inserted edges), and one or more branches:
-a pattern over the boundary coloring plus a schedule of forced copies and
-a greedy order.  `verify_recipe` enumerates every boundary coloring that
-satisfies the constraints, requires some branch to match, runs the first
-matching schedule, and checks the result is a proper total coloring of
-the configuration.
+A Hajós graph is a minimum counterexample, so the smaller graph G' that a
+reduction leaves behind is 4-colorable, and a 4-coloring of G' colors the
+cut.  Each recipe is a local configuration, its reduced side, and one
+or more branches: a pattern over the boundary coloring plus a schedule
+of forced colors (a function of the boundary coloring) and a greedy
+order.  For a gadget the reduced side is what `apply_gadget` leaves of
+the configuration, so the gadget's inserted edges constrain the boundary
+without being restated here; other recipes take the configuration
+induced on their terminals.  A boundary coloring is a proper 4-coloring
+of the reduced side.  `verify_recipe` enumerates every one, requires
+some branch to match, runs the first matching schedule, and checks the
+result is a proper total coloring of the configuration.
 
 Boundary colorings are enumerated up to symmetry: schedules that never
 mention an absolute color fix the first boundary color to 1 (they are
@@ -26,7 +30,7 @@ from typing import Callable
 
 from wheelkit.coloring import Coloring, assign_then_extend, is_proper
 from wheelkit.errors import InputDomainError
-from wheelkit.gadgets import gadget_case
+from wheelkit.gadgets import apply_gadget, gadget_library
 from wheelkit.graph import Graph, Vertex, add
 
 Sigma = dict[Vertex, int]
@@ -38,7 +42,7 @@ LOW = (1, 2, 3)
 class RecipeBranch:
     name: str
     pattern: Callable[[Sigma], bool]
-    forced: tuple  # ((vertex, ref), ...); ref = ("sigma", v) | ("const", c) | ("absent", (v, ...))
+    forced: Callable[[Sigma], dict[Vertex, int]]
     greedy: tuple
 
 
@@ -46,8 +50,7 @@ class RecipeBranch:
 class ColoringRecipe:
     name: str
     config: Graph
-    boundary: tuple
-    sigma_edges: tuple  # extra constraint pairs on the boundary coloring
+    reduced: Graph  # boundary colorings are its proper colorings
     branches: tuple
     low_boundary: bool = False  # boundary colors from {1,2,3}, else 1..4 with the first fixed
 
@@ -63,46 +66,36 @@ class RecipeReport:
         return self.cases > 0 and not self.failures
 
 
-def _resolve(ref, sigma: Sigma) -> int:
-    kind = ref[0]
-    if kind == "sigma":
-        return sigma[ref[1]]
-    if kind == "const":
-        return ref[1]
-    if kind == "absent":
-        used = {sigma[v] for v in ref[1]}
-        for c in FULL:
-            if c not in used:
-                return c
-        raise InputDomainError("no absent color")
-    raise InputDomainError(f"unknown color reference {ref!r}")
+def _spare(sigma: Sigma, vs) -> int:
+    """The least color no vertex of `vs` takes under sigma."""
+    used = {sigma[v] for v in vs}
+    for c in FULL:
+        if c not in used:
+            return c
+    raise InputDomainError("no absent color")
 
 
 def verify_recipe(recipe: ColoringRecipe) -> RecipeReport:
-    """Exhaustively check the recipe over its boundary-coloring pattern."""
-    g = recipe.config
-    bset = set(recipe.boundary)
-    constraints = [
-        (u, v) for u, v in g.edges if u in bset and v in bset
-    ] + list(recipe.sigma_edges)
-    domains = [LOW if recipe.low_boundary else FULL for _ in recipe.boundary]
+    """Exhaustively check the recipe over every proper coloring of its
+    reduced side."""
+    g, reduced = recipe.config, recipe.reduced
+    domains = [LOW if recipe.low_boundary else FULL for _ in reduced.vertices]
     if domains and not recipe.low_boundary:
         domains[0] = (1,)
     cases = 0
     failures = []
     for combo in product(*domains):
-        sigma = dict(zip(recipe.boundary, combo))
-        if any(sigma[u] == sigma[v] for u, v in constraints):
+        sigma = dict(zip(reduced.vertices, combo))
+        if any(sigma[u] == sigma[v] for u, v in reduced.edges):
             continue
         cases += 1
         branch = next((b for b in recipe.branches if b.pattern(sigma)), None)
         if branch is None:
             failures.append(f"no branch covers {sigma}")
             continue
-        base = Coloring({v: sigma[v] for v in recipe.boundary if g.has_vertex(v)})
+        base = Coloring({v: c for v, c in sigma.items() if g.has_vertex(v)})
         try:
-            forced = {v: _resolve(ref, sigma) for v, ref in branch.forced}
-            out = assign_then_extend(g, base, forced, branch.greedy)
+            out = assign_then_extend(g, base, branch.forced(sigma), branch.greedy)
         except InputDomainError as exc:
             failures.append(f"{branch.name} @ {sigma}: {exc}")
             continue
@@ -112,10 +105,6 @@ def verify_recipe(recipe: ColoringRecipe) -> RecipeReport:
 
 
 # -- the library --------------------------------------------------------------
-
-
-def _side(name: str) -> Graph:
-    return gadget_case(name).side.graph
 
 
 def _ring_recipe(name: str, arc_interiors, chords, branch: RecipeBranch) -> ColoringRecipe:
@@ -137,11 +126,11 @@ def _ring_recipe(name: str, arc_interiors, chords, branch: RecipeBranch) -> Colo
             edges.append((v(i), v(i + 1)))
         edges += [(t(i), v(i)), (t(i), v(i + 1))]
     edges += list(chords)
+    config = Graph((), edges)
     return ColoringRecipe(
         name=name,
-        config=Graph((), edges),
-        boundary=tuple(t(i) for i in range(1, 6)),
-        sigma_edges=(),
+        config=config,
+        reduced=config.induced(t(i) for i in range(1, 6)),
         branches=(branch,),
         low_boundary=True,
     )
@@ -149,138 +138,104 @@ def _ring_recipe(name: str, arc_interiors, chords, branch: RecipeBranch) -> Colo
 
 def recipe_library() -> tuple[ColoringRecipe, ...]:
     always = lambda s: True
+    cases = {case.rule.name: case for case in gadget_library()}
 
-    pair_chord = ColoringRecipe(
-        name="pair_chord",
-        config=_side("pair_chord"),
-        boundary=("v1", "v2", "v3", "v4"),
-        sigma_edges=(("v2", "v4"),),
-        branches=(
+    def gadget_recipe(name: str, branches, config: Graph | None = None) -> ColoringRecipe:
+        """The recipe on a gadget's side graph (or `config`), whose
+        boundary colorings are those of the gadget's reduction."""
+        if config is None:
+            config = cases[name].side.graph
+        return ColoringRecipe(name, config, apply_gadget(config, cases[name].rule), branches)
+
+    pair_chord = gadget_recipe(
+        "pair_chord",
+        (
             RecipeBranch(
                 "repeat",
                 lambda s: s["v2"] in (s["v1"], s["v3"]),
-                forced=(),
+                forced=lambda s: {},
                 greedy=("v", "u"),
             ),
             RecipeBranch(
                 "fresh",
                 lambda s: s["v2"] not in (s["v1"], s["v3"]),
-                forced=(("v", ("sigma", "v2")),),
+                forced=lambda s: {"v": s["v2"]},
                 greedy=("u",),
             ),
         ),
     )
 
-    triangle_star3 = ColoringRecipe(
-        name="triangle_star3",
-        config=_side("triangle_star3"),
-        boundary=tuple(f"v{i}" for i in range(1, 6)),
-        sigma_edges=(("v5", "v1"), ("v5", "v2"), ("v5", "v3")),
-        branches=(
-            RecipeBranch("copy", always, forced=(("v", ("sigma", "v5")),), greedy=("w", "u")),
-        ),
+    copy_v5 = RecipeBranch("copy", always, forced=lambda s: {"v": s["v5"]}, greedy=("w", "u"))
+    triangle_star3 = gadget_recipe("triangle_star3", (copy_v5,))
+    triangle_star2 = gadget_recipe("triangle_star2", (copy_v5,))
+
+    path_fan = gadget_recipe(
+        "path_fan",
+        (RecipeBranch("copy", always, forced=lambda s: {"v": s["t1"]}, greedy=("u", "w")),),
     )
 
-    triangle_star2 = ColoringRecipe(
-        name="triangle_star2",
-        config=_side("triangle_star2"),
-        boundary=tuple(f"v{i}" for i in range(1, 6)),
-        sigma_edges=(("v5", "v2"), ("v5", "v3")),
-        branches=(
-            RecipeBranch("copy", always, forced=(("v", ("sigma", "v5")),), greedy=("w", "u")),
-        ),
-    )
-
-    path_fan = ColoringRecipe(
-        name="path_fan",
-        config=_side("path_fan"),
-        boundary=tuple(f"t{i}" for i in range(1, 6)),
-        sigma_edges=(("t1", "t3"), ("t1", "t4")),
-        branches=(
-            RecipeBranch("copy", always, forced=(("v", ("sigma", "t1")),), greedy=("u", "w")),
-        ),
-    )
-
-    path_merge = ColoringRecipe(
-        name="path_merge",
-        config=add(_side("path_merge"), ("a",), (("a", "t1"),)),
-        boundary=("m", "t2", "t3", "t4", "t5", "a"),
-        sigma_edges=(("m", "t2"), ("m", "t3"), ("m", "t4"), ("m", "t5")),
-        branches=(
+    path_merge = gadget_recipe(
+        "path_merge",
+        (
             RecipeBranch(
                 "merge-copy",
                 always,
-                forced=(("u", ("sigma", "m")), ("w", ("sigma", "m"))),
+                forced=lambda s: {"u": s["m"], "w": s["m"]},
                 greedy=("v", "t1"),
             ),
         ),
+        config=add(cases["path_merge"].side.graph, ("a",), (("a", "t1"),)),
     )
 
+    ts = ("t1", "t2", "t3", "t4")
+    rotate = RecipeBranch(
+        "rotate",
+        lambda s: len({s[t] for t in ts}) == 4,
+        forced=lambda s: {"u1": s["t4"], "u2": s["t1"], "u3": s["t2"], "u4": s["t3"]},
+        greedy=(),
+    )
+    square = Graph(
+        (),
+        [("u1", "u2"), ("u2", "u3"), ("u3", "u4"), ("u4", "u1"),
+         ("u1", "t1"), ("u1", "t2"), ("u2", "t2"), ("u2", "t3"),
+         ("u3", "t3"), ("u3", "t4"), ("u4", "t4"), ("u4", "t1")],
+    )
     square_outline = ColoringRecipe(
         name="square_outline",
-        config=Graph(
-            (),
-            [("u1", "u2"), ("u2", "u3"), ("u3", "u4"), ("u4", "u1"),
-             ("u1", "t1"), ("u1", "t2"), ("u2", "t2"), ("u2", "t3"),
-             ("u3", "t3"), ("u3", "t4"), ("u4", "t4"), ("u4", "t1")],
-        ),
-        boundary=("t1", "t2", "t3", "t4"),
-        sigma_edges=(),
+        config=square,
+        reduced=square.induced(ts),
         branches=(
-            RecipeBranch(
-                "rotate",
-                lambda s: len({s[t] for t in ("t1", "t2", "t3", "t4")}) == 4,
-                forced=(
-                    ("u1", ("sigma", "t4")),
-                    ("u2", ("sigma", "t1")),
-                    ("u3", ("sigma", "t2")),
-                    ("u4", ("sigma", "t3")),
-                ),
-                greedy=(),
-            ),
+            rotate,
             RecipeBranch(
                 "spare-color",
-                lambda s: len({s[t] for t in ("t1", "t2", "t3", "t4")}) <= 3,
-                forced=(
-                    ("u1", ("absent", ("t1", "t2", "t3", "t4"))),
-                    ("u3", ("absent", ("t1", "t2", "t3", "t4"))),
-                ),
+                lambda s: len({s[t] for t in ts}) <= 3,
+                forced=lambda s: dict.fromkeys(("u1", "u3"), _spare(s, ts)),
                 greedy=("u2", "u4"),
             ),
         ),
     )
 
-    square_triangle = ColoringRecipe(
-        name="square_triangle",
-        config=_side("square_triangle"),
-        boundary=("t1", "t2", "t3", "t4"),
-        sigma_edges=(("t1", "t2"), ("t2", "t3"), ("t3", "t1")),
-        branches=(
-            RecipeBranch(
-                "rotate",
-                lambda s: len({s[t] for t in ("t1", "t2", "t3", "t4")}) == 4,
-                forced=(
-                    ("u1", ("sigma", "t4")),
-                    ("u2", ("sigma", "t1")),
-                    ("u3", ("sigma", "t2")),
-                    ("u4", ("sigma", "t3")),
-                ),
-                greedy=(),
-            ),
+    square_triangle = gadget_recipe(
+        "square_triangle",
+        (
+            rotate,
             RecipeBranch(
                 "t4-low",
                 lambda s: s["t4"] in (s["t1"], s["t2"]),
-                forced=(("u2", ("sigma", "t1")), ("u4", ("sigma", "t3"))),
+                forced=lambda s: {"u2": s["t1"], "u4": s["t3"]},
                 greedy=("u1", "u3"),
             ),
             RecipeBranch(
                 "t4-high",
                 lambda s: s["t4"] == s["t3"],
-                forced=(("u2", ("sigma", "t1")), ("u4", ("sigma", "t2"))),
+                forced=lambda s: {"u2": s["t1"], "u4": s["t2"]},
                 greedy=("u1", "u3"),
             ),
         ),
     )
+
+    def fours(*vs):
+        return lambda s: dict.fromkeys(vs, 4)
 
     ring0 = _ring_recipe(
         "ring0",
@@ -289,7 +244,7 @@ def recipe_library() -> tuple[ColoringRecipe, ...]:
         branch=RecipeBranch(
             "lift-ring",
             always,
-            forced=tuple((f"v{i}", ("const", 4)) for i in range(1, 6)),
+            forced=fours("v1", "v2", "v3", "v4", "v5"),
             greedy=("a1", "a2", "a3", "a4", "a5"),
         ),
     )
@@ -301,7 +256,7 @@ def recipe_library() -> tuple[ColoringRecipe, ...]:
         branch=RecipeBranch(
             "free-corner",
             always,
-            forced=tuple((f"v{i}", ("const", 4)) for i in (2, 3, 4, 5)),
+            forced=fours("v2", "v3", "v4", "v5"),
             greedy=("v1", "a2", "a3", "a4", "a5"),
         ),
     )
@@ -313,7 +268,7 @@ def recipe_library() -> tuple[ColoringRecipe, ...]:
         branch=RecipeBranch(
             "free-corner",
             always,
-            forced=tuple((f"v{i}", ("const", 4)) for i in (2, 3, 4, 5)),
+            forced=fours("v2", "v3", "v4", "v5"),
             greedy=("v1", "a2", "a3", "a4"),
         ),
     )
@@ -325,12 +280,7 @@ def recipe_library() -> tuple[ColoringRecipe, ...]:
         branch=RecipeBranch(
             "copy-t4",
             always,
-            forced=(
-                ("a1", ("sigma", "t4")),
-                ("v1", ("const", 4)),
-                ("v2", ("const", 4)),
-                ("v4", ("const", 4)),
-            ),
+            forced=lambda s: {"a1": s["t4"], "v1": 4, "v2": 4, "v4": 4},
             greedy=("v5", "v3", "a2"),
         ),
     )
@@ -342,76 +292,57 @@ def recipe_library() -> tuple[ColoringRecipe, ...]:
         branch=RecipeBranch(
             "spread",
             always,
-            forced=(
-                ("v1", ("const", 4)),
-                ("v2", ("const", 4)),
-                ("v4", ("const", 4)),
-            ),
+            forced=fours("v1", "v2", "v4"),
             greedy=("v5", "v3", "a3", "a1"),
         ),
     )
 
-    gap_fan_side = _side("gap_fan")
-    gap_fan = ColoringRecipe(
-        name="gap_fan",
-        config=gap_fan_side.induced({"a", "v1", "v2", "v3", "v5", "t1", "t2", "t5"}),
-        boundary=("t1", "t2", "t5", "v3", "v5"),
-        sigma_edges=(("t1", "v3"), ("t1", "v5")),
-        branches=(
+    gap_fan = gadget_recipe(
+        "gap_fan",
+        (
             RecipeBranch(
                 "copy-t1",
                 always,
-                forced=(("a", ("sigma", "t1")),),
+                forced=lambda s: {"a": s["t1"]},
                 greedy=("v1", "v2"),
             ),
         ),
+        config=cases["gap_fan"].side.graph.induced(
+            {"a", "v1", "v2", "v3", "v5", "t1", "t2", "t5"}
+        ),
     )
 
-    pent_triangle = ColoringRecipe(
-        name="pent_triangle",
-        config=_side("pent_triangle"),
-        boundary=tuple(f"t{i}" for i in range(1, 6)),
-        sigma_edges=(("t1", "t3"), ("t3", "t4"), ("t4", "t1")),
-        branches=(
+    pent_triangle = gadget_recipe(
+        "pent_triangle",
+        (
             RecipeBranch(
                 "t2-eq-t3",
                 lambda s: s["t2"] == s["t3"],
-                forced=(("v4", ("sigma", "t1")),),
+                forced=lambda s: {"v4": s["t1"]},
                 greedy=("v5", "v1", "v2", "v3"),
             ),
             RecipeBranch(
                 "t4-eq-t5",
                 lambda s: s["t4"] == s["t5"],
-                forced=(("v4", ("sigma", "t1")),),
+                forced=lambda s: {"v4": s["t1"]},
                 greedy=("v3", "v2", "v1", "v5"),
             ),
             RecipeBranch(
                 "split",
                 lambda s: s["t2"] != s["t3"] and s["t4"] != s["t5"],
-                forced=(
-                    ("v4", ("sigma", "t1")),
-                    ("v2", ("sigma", "t3")),
-                    ("v1", ("sigma", "t4")),
-                ),
+                forced=lambda s: {"v4": s["t1"], "v2": s["t3"], "v1": s["t4"]},
                 greedy=("v3", "v5"),
             ),
         ),
     )
 
-    web5 = ColoringRecipe(
-        name="web5",
-        config=_side("web5"),
-        boundary=("x", "p", "r", "s", "t"),
-        sigma_edges=(("r", "p"), ("r", "t"), ("p", "t"), ("p", "x"), ("t", "s")),
-        branches=(
+    web5 = gadget_recipe(
+        "web5",
+        (
             RecipeBranch(
                 "triple-copy",
                 always,
-                forced=(
-                    ("z", ("sigma", "r")),
-                    ("u", ("sigma", "p")),
-                    ("v", ("sigma", "t")),
-                ),
+                forced=lambda s: {"z": s["r"], "u": s["p"], "v": s["t"]},
                 greedy=("q", "w"),
             ),
         ),

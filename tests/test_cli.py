@@ -5,8 +5,8 @@ import pytest
 import wheelkit
 from wheelkit import cli
 from wheelkit.cli import main
-from wheelkit.gio import to_edgelist, to_graph6
-from wheelkit.graph import add, complete_graph, cycle_graph, union
+from wheelkit.gio import from_graph6, parse_edgelist, to_edgelist, to_graph6
+from wheelkit.graph import Graph, add, complete_graph, cycle_graph, union
 from wheelkit.catalog import catalog
 
 
@@ -77,6 +77,45 @@ def test_separations_subcommand(tmp_path, capsys):
     assert code == 0 and payload["count"] > 0
 
 
+def test_separations_planar_side_max_out(tmp_path, capsys):
+    path = write(tmp_path, "c6.txt", to_edgelist(cycle_graph([f"v{i}" for i in range(6)])))
+    code, payload = run(capsys, "separations", path, "-k", "2")
+    assert payload["count"] == 15
+    out = tmp_path / "seps.json"
+    code, payload = run(
+        capsys, "separations", path, "-k", "2", "--planar-side", "--max", "1", "--out", str(out)
+    )
+    assert code == 0 and payload is None
+    report = json.loads(out.read_text())
+    assert report["count"] == 1 and len(report["separations"]) == 1
+
+
+def test_catalog_dump_formats(capsys):
+    members = catalog()
+    code, payload = run(capsys, "catalog", "dump", "--format", "graph6")
+    assert code == 0 and set(payload) == {m.name for m in members}
+    for m in members:
+        g = m.tg.graph
+        idx = {v: str(i) for i, v in enumerate(g.vertices)}
+        relabelled = Graph(idx.values(), [(idx[u], idx[v]) for u, v in g.edges])
+        assert from_graph6(payload[m.name]) == relabelled
+
+    code, payload = run(capsys, "catalog", "dump", "--format", "edgelist")
+    assert code == 0
+    for m in members:
+        g, ts = parse_edgelist(payload[m.name])
+        assert payload[m.name].splitlines()[-1].startswith("S: ")
+        assert len(ts) == len(m.tg.terminals) and g.m == m.tg.graph.m
+
+    code, payload = run(capsys, "catalog", "dump", "--format", "dot")
+    assert code == 0
+    for m in members:
+        for t in m.tg.terminals:
+            assert f'  "{t}" [shape=box];' in payload[m.name]
+        for v in set(m.tg.graph.vertices) - set(m.tg.terminals):
+            assert f'  "{v}" [shape=circle];' in payload[m.name]
+
+
 def test_catalog_list_and_match(tmp_path, capsys):
     code, payload = run(capsys, "catalog", "list")
     assert code == 0 and len(payload) == 6
@@ -111,6 +150,15 @@ def test_lift_demo(capsys):
     code, payload = run(capsys, "lift", "--rule", "pair_chord", "--demo")
     assert code == 0
     assert payload["reduced_has_k5"] is True and len(payload["paths"]) == 10
+
+
+@pytest.mark.parametrize("host", ["-9", "3"])
+def test_lift_demo_host_out_of_range_exits_2(capsys, host):
+    # pair_chord ships hosts 0..2; no index outside them is clamped
+    assert main(["lift", "--rule", "pair_chord", "--demo", "--host", host]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: host index {host} out of range for 3 hosts of pair_chord\n"
 
 
 def test_lift_with_mapped_file(tmp_path, capsys):

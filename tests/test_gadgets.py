@@ -45,6 +45,31 @@ def test_validate_rule_rejects_lift_edge_the_surgery_does_not_make():
     ]
 
 
+def _with_extra_option(name, index, path):
+    """The case `name` with `path` added as one more option of lift `index`."""
+    case = gadget_case(name)
+    lifts = list(case.rule.lifts)
+    lifts[index] = Lift(lifts[index].edges, lifts[index].options + ((path,),))
+    return replace(case, rule=replace(case.rule, lifts=tuple(lifts)))
+
+
+def test_validate_rule_rejects_replacement_edge_missing_from_side():
+    # v is not adjacent to v2 on pair_chord's side
+    mutant = _with_extra_option("pair_chord", 0, ("v2", "v", "v4"))
+    assert validate_rule(mutant) == [
+        "pair_chord: replacement edge ('v2','v') missing from side"
+    ]
+
+
+def test_validate_rule_rejects_replacement_edge_between_kept_vertices():
+    # gap_fan keeps v3 and v5, so the path may not run along their edge
+    mutant = _with_extra_option("gap_fan", 0, ("t1", "v1", "v5", "v3"))
+    assert validate_rule(mutant) == [
+        "gap_fan: replacement interior 'v5' not deleted",
+        "gap_fan: replacement edge ('v5','v3') avoids the deleted set",
+    ]
+
+
 def test_rule_names_unique():
     names = [c.rule.name for c in gadget_library()]
     assert len(names) == len(set(names))
