@@ -12,7 +12,7 @@ from wheelkit.errors import (
     WheelkitError,
 )
 from wheelkit.gadgets import GadgetRule, Lift, apply_gadget, gadget_library, lift_subdivision
-from wheelkit.graph import Graph, add, identify, is_k_connected, remove, union
+from wheelkit.graph import Graph, add, identify, remove, union
 from wheelkit.planarity import (
     Embedding,
     TerminalGraph,
@@ -26,6 +26,7 @@ from wheelkit.separations import (
     Verdict,
     check_trichotomy,
     enumerate_separations,
+    is_k_connected,
 )
 from wheelkit.subdivisions import (
     PathSystem,

@@ -20,6 +20,7 @@ K5-subdivision of G; validity is decided by the independent extractor in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from wheelkit.errors import LiftingError, PreconditionError
@@ -515,7 +516,7 @@ def _web5_case() -> GadgetCase:
     # five-edge web on the cut.  Liftings relocate branch vertices onto
     # the deleted hub z and the path vertex w when the web is used as a
     # triangle or star.
-    terminals = ("x", "p", "r", "s", "t")
+    terminals = ("x", "p", "t", "s", "r")
     side = Graph(
         terminals + ("q", "u", "v", "w", "z"),
         [("z", "p"), ("z", "q"), ("z", "t"), ("z", "u"), ("z", "v"), ("z", "w"),
@@ -600,7 +601,9 @@ _CASES = (
 )
 
 
+@lru_cache(maxsize=1)
 def gadget_library() -> tuple[GadgetCase, ...]:
+    """Every shipped case, built once; the cases are immutable."""
     return tuple(f() for f in _CASES)
 
 

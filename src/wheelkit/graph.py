@@ -124,9 +124,6 @@ class Graph:
             out.append(frozenset(comp))
         return tuple(out)
 
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
     # -- dunder -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -214,30 +211,6 @@ def identify(g: Graph, u: Vertex, w: Vertex, name: Vertex) -> Graph:
 def union(g1: Graph, g2: Graph) -> Graph:
     """Vertex-wise and edge-wise union (shared ids are glued)."""
     return Graph(set(g1.vertices) | set(g2.vertices), set(g1.edges) | set(g2.edges))
-
-
-# -- connectivity ---------------------------------------------------------
-
-
-def is_k_connected(g: Graph, k: int) -> bool:
-    """Vertex connectivity >= k; complete graphs count as (n-1)-connected."""
-    if k <= 0:
-        return True
-    n = g.n
-    if n == 0:
-        return False
-    if g.m == n * (n - 1) // 2:
-        return n - 1 >= k
-    if not g.is_connected():
-        return False
-    if n <= k:
-        return False  # incomplete graph on <= k vertices
-    for size in range(1, k):
-        for cut in combinations(g.vertices, size):
-            rest = g.induced([v for v in g.vertices if v not in cut])
-            if rest.n and not rest.is_connected():
-                return False
-    return True
 
 
 # -- small constructors (shared by tests, the catalog, and generators) -----

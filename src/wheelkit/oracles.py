@@ -136,6 +136,29 @@ def _side_key(side):
     return (sorted(vs, key=vkey), sorted(es))
 
 
+def brute_k_connected(g: Graph, k: int) -> bool:
+    """Vertex connectivity >= k by definition: no set of fewer than k
+    vertices disconnects g, one induced graph per removed set; complete
+    graphs count as (n-1)-connected."""
+    if k <= 0:
+        return True
+    n = g.n
+    if n == 0:
+        return False
+    if g.m == n * (n - 1) // 2:
+        return n - 1 >= k
+    if len(g.components()) > 1:
+        return False
+    if n <= k:
+        return False  # incomplete graph on <= k vertices
+    for size in range(1, k):
+        for cut in combinations(g.vertices, size):
+            rest = g.induced([v for v in g.vertices if v not in cut])
+            if len(rest.components()) > 1:
+                return False
+    return True
+
+
 def brute_wheel_search(g: Graph, s) -> Wheel | None:
     """All centers x all cycles, filtered afterwards; no pruning."""
     sset = set(s)

@@ -1,4 +1,4 @@
-"""k-separations and the planar-side trichotomy.
+"""k-separations, k-connectivity and the planar-side trichotomy.
 
 A k-separation is a pair of edge-disjoint subgraphs covering the host
 graph whose vertex sets overlap in exactly k vertices, each side owning
@@ -18,6 +18,7 @@ from typing import Iterator
 from wheelkit.catalog import CatalogMember, matches_catalog
 from wheelkit.errors import InputDomainError, PreconditionError
 from wheelkit.graph import Graph, Vertex, vkey
+from wheelkit.kernels import disjoint_paths_at_least, index_graph
 from wheelkit.planarity import TerminalGraph, is_disc_planar
 from wheelkit.wheels import Wheel, find_s_good_wheel
 
@@ -106,6 +107,24 @@ def _sep_key(sep: Separation):
     return (sep.side1.vertices, sep.side1.edges, sep.side2.vertices, sep.side2.edges)
 
 
+def is_k_connected(g: Graph, k: int) -> bool:
+    """Vertex connectivity >= k; complete graphs count as (n-1)-connected.
+
+    By Whitney's theorem, g is k-connected exactly when it has more than
+    k vertices and every two of them are joined by k internally disjoint
+    paths, which the Menger kernel counts pair by pair (Even and Tarjan,
+    SIAM J. Comput. 1975).  The kernel's vertex cap applies.
+    """
+    if k <= 0:
+        return True
+    if g.n <= k:
+        return False
+    _, adj = index_graph(g)
+    return all(
+        disjoint_paths_at_least(g.n, adj, s, t, k) for s, t in combinations(range(g.n), 2)
+    )
+
+
 # -- the trichotomy check ------------------------------------------------------
 
 
@@ -123,13 +142,31 @@ class TrichotomyResult:
     member: CatalogMember | None = None
 
 
-def check_trichotomy(g: Graph, sep: Separation) -> TrichotomyResult:
-    """Which clause of the planar-side alternative does side1 satisfy?
+def side_verdict(tg: TerminalGraph) -> TrichotomyResult:
+    """Which clause of the planar-side alternative does the side satisfy?
 
-    The clauses overlap, so the verdict reports the first that holds in
-    the order SMALL (order 4, five vertices), GOOD_WHEEL, CATALOG.  NONE
-    means none holds; that can happen on arbitrary graphs but never on
-    the shipped corpora.
+    The clauses overlap, so the verdict is the first that holds in the
+    order SMALL (4 terminals, five vertices), GOOD_WHEEL, CATALOG (5
+    terminals), or NONE.  The host's conditions are `check_trichotomy`'s.
+    """
+    k = len(tg.terminals)
+    if k == 4 and tg.graph.n == 5:
+        return TrichotomyResult(Verdict.SMALL)
+    wheel = find_s_good_wheel(tg)
+    if wheel is not None:
+        return TrichotomyResult(Verdict.GOOD_WHEEL, wheel=wheel)
+    member = matches_catalog(tg) if k == 5 else None
+    if member is not None:
+        return TrichotomyResult(Verdict.CATALOG, member=member)
+    return TrichotomyResult(Verdict.NONE)
+
+
+def check_trichotomy(g: Graph, sep: Separation) -> TrichotomyResult:
+    """The `side_verdict` of side1 over the cut, in its host.
+
+    A CATALOG match of the eight-vertex member Y counts only when Y's fan
+    terminal has host degree at least 5; otherwise the verdict is NONE.
+    NONE can happen on arbitrary graphs but never on the shipped corpora.
     """
     validate_separation(g, sep)
     if sep.order not in (4, 5):
@@ -140,20 +177,9 @@ def check_trichotomy(g: Graph, sep: Separation) -> TrichotomyResult:
     tg = TerminalGraph(side1, cut, ordered=False)
     if not is_disc_planar(tg):
         raise PreconditionError("side1 is not disc-planar over the cut")
-
-    if sep.order == 4 and side1.n == 5:
-        return TrichotomyResult(Verdict.SMALL)
-    wheel = find_s_good_wheel(tg)
-    if wheel is not None:
-        return TrichotomyResult(Verdict.GOOD_WHEEL, wheel=wheel)
-    if sep.order == 5:
-        member = matches_catalog(tg)
-        if member is not None:
-            if member.special_vertex is None:
-                return TrichotomyResult(Verdict.CATALOG, member=member)
-            # The eight-vertex member constrains its fan terminal: it must
-            # have host degree at least 5.
-            fan = [t for t in cut if tg.interior_degree(t) == 3]
-            if fan and all(g.degree(t) >= 5 for t in fan):
-                return TrichotomyResult(Verdict.CATALOG, member=member)
-    return TrichotomyResult(Verdict.NONE)
+    res = side_verdict(tg)
+    if res.member is not None and res.member.special_vertex is not None:
+        fan = [t for t in cut if tg.interior_degree(t) == 3]
+        if not (fan and all(g.degree(t) >= 5 for t in fan)):
+            return TrichotomyResult(Verdict.NONE)
+    return res

@@ -217,6 +217,7 @@ def test_verify_generation_bound_below_terminal_count_exits_2(tmp_path, capsys):
     [
         ("generation_bound", 4),
         ("oracle_bound", 4),
+        ("oracle_bound", 11),
         ("search_bound", 4),
         ("search_bound", 17),
         ("instances", 0),

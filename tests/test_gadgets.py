@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from wheelkit.errors import LiftingError
+from wheelkit.errors import LiftingError, PreconditionError
 from wheelkit.gadgets import (
     Lift,
     apply_gadget,
@@ -16,11 +16,13 @@ from wheelkit.gadgets import (
     validate_rule,
 )
 from wheelkit.graph import Graph, remove, union
+from wheelkit.planarity import is_disc_planar
 from wheelkit.subdivisions import (
     find_k5_subdivision,
     is_valid_subdivision,
     validate_subdivision,
 )
+from wheelkit.wheels import find_s_good_wheel
 
 LIFTS_GOLDEN = Path(__file__).parent / "golden" / "lifts.json"
 
@@ -28,6 +30,19 @@ LIFTS_GOLDEN = Path(__file__).parent / "golden" / "lifts.json"
 def test_library_structurally_sound():
     for case in gadget_library():
         assert validate_rule(case) == []
+
+
+@pytest.mark.parametrize("case", gadget_library(), ids=lambda c: c.rule.name)
+def test_side_is_disc_planar_in_its_order_and_has_no_good_wheel(case):
+    assert is_disc_planar(case.side)
+    assert find_s_good_wheel(case.side) is None
+
+
+def test_gadget_case_shares_the_library_build():
+    for case in gadget_library():
+        assert gadget_case(case.rule.name) is case
+    with pytest.raises(PreconditionError):
+        gadget_case("no_such_rule")
 
 
 def test_validate_rule_rejects_lift_edge_the_surgery_does_not_make():

@@ -1,4 +1,6 @@
+import ast
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,24 @@ from wheelkit.errors import InputDomainError
 from wheelkit.generate import small_graph_classes
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, remove, union
 from wheelkit.oracles import _component_faces, brute_disc_planar, brute_four_color
+
+
+def test_oracles_import_no_search_module():
+    """The oracles stay independent of the search paths they check: they
+    may use only the errors, graph and wheels modules of the package."""
+    used = set()
+    for node in ast.walk(ast.parse(Path(oracles.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to the package
+                base = f"wheelkit.{base}".rstrip(".")
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        used |= {n.split(".")[1] for n in names if n.startswith("wheelkit.")}
+    assert used <= {"errors", "graph", "wheels"}, used
 
 
 def k23():

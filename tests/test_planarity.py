@@ -7,7 +7,7 @@ import pytest
 from wheelkit import planarity
 from wheelkit.errors import InputDomainError, PreconditionError
 from wheelkit.generate import small_graph_classes, terminal_set_classes
-from wheelkit.graph import Graph, complete_graph, cycle_graph, is_k_connected, remove
+from wheelkit.graph import Graph, complete_graph, cycle_graph, remove
 from wheelkit.planarity import (
     TerminalGraph,
     _core,
@@ -17,6 +17,7 @@ from wheelkit.planarity import (
     is_disc_planar,
     is_planar,
 )
+from wheelkit.separations import is_k_connected
 
 
 def k33():

@@ -1,14 +1,21 @@
+from itertools import combinations
+
 import pytest
 
 from wheelkit.catalog import catalog
 from wheelkit.errors import PreconditionError
-from wheelkit.graph import Graph, add, complete_graph, cycle_graph, is_k_connected, path_graph, union
-from wheelkit.oracles import brute_separations
+from wheelkit.generate import generate_terminal_planar, small_graph_classes
+from wheelkit.gio import from_graph6
+from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, union
+from wheelkit.oracles import brute_k_connected, brute_separations
+from wheelkit.planarity import TerminalGraph
 from wheelkit.separations import (
     Separation,
     Verdict,
     check_trichotomy,
     enumerate_separations,
+    is_k_connected,
+    side_verdict,
     validate_separation,
 )
 
@@ -98,6 +105,43 @@ def test_catalog_member_y_not_4_connected_standalone():
     assert not is_k_connected(y.tg.graph, 4)
 
 
+def test_k_connectivity_agrees_with_the_oracle_on_small_graphs():
+    for g in small_graph_classes(6):
+        for k in range(7):
+            assert is_k_connected(g, k) == brute_k_connected(g, k), (g.edges, k)
+    for g in (Graph(), Graph(["a"])):
+        assert not is_k_connected(g, 1) and not brute_k_connected(g, 1)
+
+
+def stand_in(tg):
+    """The side plus the best-connected other side: a clique on the
+    terminals and four hubs joined to each other and to every terminal."""
+    hubs = ("h1", "h2", "h3", "h4")
+    return add(
+        tg.graph,
+        hubs,
+        [*combinations(tg.terminals, 2), *combinations(hubs, 2),
+         *((h, t) for h in hubs for t in tg.terminals)],
+    )
+
+
+@pytest.mark.parametrize("k, sides", [(4, 425), (5, 60)])
+def test_k_connectivity_agrees_with_the_oracle_on_stand_ins(k, sides):
+    """Every side of the s-independent stream to 7 vertices that has an
+    interior vertex, with its stand-in: five of them are 4-connected at
+    either terminal count."""
+    seen = connected = 0
+    for tg in generate_terminal_planar(7, k, filters=("s-independent",)):
+        if tg.graph.n == k:
+            continue
+        g = stand_in(tg)
+        got = is_k_connected(g, 4)
+        assert got == brute_k_connected(g, 4), tg.graph.edges
+        seen += 1
+        connected += got
+    assert (seen, connected) == (sides, 5)
+
+
 # -- trichotomy ----------------------------------------------------------------
 
 
@@ -159,6 +203,18 @@ def test_y_degree_condition_guards_catalog_verdict():
     # degree 5 host: verdict holds
     g2, sep2 = glue_host(y.tg)
     assert check_trichotomy(g2, sep2).verdict is Verdict.CATALOG
+
+
+def test_side_verdict_of_catalog_members_and_census_survivors():
+    for m in catalog():
+        res = side_verdict(m.tg)
+        assert res.verdict is Verdict.CATALOG and res.member is m
+    # four-terminal sides that no clause covers; the first four vertices
+    # are the terminals
+    for code in ("F?qiw", "F?yYw", "H?qcYsu"):
+        g = from_graph6(code)
+        tg = TerminalGraph(g, g.vertices[:4], ordered=False)
+        assert side_verdict(tg).verdict is Verdict.NONE, code
 
 
 def test_trichotomy_rejects_wrong_order():
