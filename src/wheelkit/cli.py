@@ -24,7 +24,7 @@ from wheelkit.gadgets import apply_gadget, gadget_case, gadget_library, lift_sub
 from wheelkit.generate import FILTERS, generate_terminal_planar
 from wheelkit.graph import Graph
 from wheelkit.planarity import TerminalGraph, embed, is_disc_planar
-from wheelkit.separations import Separation, check_trichotomy, enumerate_separations
+from wheelkit.separations import check_trichotomy, enumerate_separations, split
 from wheelkit.subdivisions import find_k5_subdivision
 from wheelkit.wheels import find_s_good_wheel
 
@@ -117,15 +117,19 @@ def cmd_separations(args):
     g, _ = _read(args.graph)
     out = []
     for sep in enumerate_separations(g, args.k):
+        side1, side2 = sep.side1, sep.side2
         if args.planar_side:
-            side = TerminalGraph(sep.side1, sep.cut, ordered=False)
-            if not is_disc_planar(side):
+            planar = (s for s in (side1, side2) if is_disc_planar(TerminalGraph(s, sep.cut, ordered=False)))
+            first = next(planar, None)
+            if first is None:
                 continue
+            if first is side2:
+                side1, side2 = side2, side1
         out.append(
             {
                 "cut": list(sep.cut),
-                "side1": {"vertices": list(sep.side1.vertices), "edges": [list(e) for e in sep.side1.edges]},
-                "side2": {"vertices": list(sep.side2.vertices), "edges": [list(e) for e in sep.side2.edges]},
+                "side1": {"vertices": list(side1.vertices), "edges": [list(e) for e in side1.edges]},
+                "side2": {"vertices": list(side2.vertices), "edges": [list(e) for e in side2.edges]},
             }
         )
         if args.max and len(out) >= args.max:
@@ -136,23 +140,7 @@ def cmd_separations(args):
 
 def cmd_trichotomy(args):
     g, _ = _read(args.graph)
-    cut = tuple(args.cut.split(","))
-    exclusive = set(args.side.split(","))
-    cutset = set(cut)
-    side1_vs = exclusive | cutset
-    for e in g.edges:
-        u, v = e
-        if (u in exclusive) != (v in exclusive) and not (u in side1_vs and v in side1_vs):
-            print(f"error: edge {e} crosses the claimed separation", file=sys.stderr)
-            return 2
-    induced = g.induced(side1_vs)
-    side1_edges = [e for e in induced.edges if not set(e) <= cutset]
-    side1 = Graph(side1_vs, side1_edges)
-    side2 = Graph(
-        set(g.vertices) - exclusive,
-        [e for e in g.edges if e not in set(side1_edges)],
-    )
-    res = check_trichotomy(g, Separation(side1, side2))
+    res = check_trichotomy(g, split(g, args.cut.split(","), args.side.split(",")))
     payload = {"verdict": res.verdict.value}
     if res.wheel:
         payload["wheel"] = {"center": res.wheel.center, "rim": list(res.wheel.rim)}
@@ -320,7 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separations", help="enumerate k-separations")
     common(p)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--planar-side", action="store_true", help="keep only disc-planar side1")
+    p.add_argument(
+        "--planar-side",
+        action="store_true",
+        help="keep only separations with a side disc-planar over the cut, printed as side1",
+    )
     p.add_argument("--max", type=int, default=0, help="stop after this many")
     p.set_defaults(func=cmd_separations)
 

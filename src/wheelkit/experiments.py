@@ -161,7 +161,7 @@ def run_lift_all_gadgets():
             for r in range(len(foreign) + 1):
                 for keep in combinations(foreign, r):
                     banned = [e for e in foreign if e not in keep]
-                    trimmed = remove(gp, edges=[e for e in banned if gp.has_edge(*e)])
+                    trimmed = remove(gp, edges=banned)
                     sub = find_k5_subdivision(trimmed)
                     if sub is None:
                         continue
@@ -259,18 +259,15 @@ def run_oracle_equivalence(seed, oracle_bound, instances):
         k = rng.randrange(1, 4)
         count += 1
         got = {
-            (s.side1.vertices, s.side1.edges, s.side2.vertices, s.side2.edges)
-            for s in enumerate_separations(g, k)
+            frozenset((frozenset(s.vertices), s.edge_set()) for s in (sep.side1, sep.side2))
+            for sep in enumerate_separations(g, k)
         }
         want = set()
-        for (v1, e1), (v2, e2) in brute_separations(g, k):
+        for pair in brute_separations(g, k):
+            (v1, e1), (v2, e2) = pair
             inner = {e for e in g.edges if set(e) <= v1 & v2}
-            if not (inner <= e1 or inner <= e2):
-                continue
-            s1, s2 = Graph(v1, e1), Graph(v2, e2)
-            if (s2.vertices, s2.edges) < (s1.vertices, s1.edges):
-                s1, s2 = s2, s1
-            want.add((s1.vertices, s1.edges, s2.vertices, s2.edges))
+            if inner <= e1 or inner <= e2:
+                want.add(pair)
         if got != want:
             counterexamples.append(f"separations: {gio.to_graph6(g)} k={k}")
 

@@ -64,7 +64,7 @@ def four_color_masks(n: int, adj: list[int]) -> list[int] | None:
         best_k = 5
         for v in range(n):
             if colors[v] == -1:
-                k = _popcount(avail[v])
+                k = avail[v].bit_count()
                 if k < best_k:
                     best_k = k
                     best = v
@@ -136,7 +136,7 @@ def linkage_masks(
     for i in range(k - 1, -1, -1):
         suffix_lb[i] = suffix_lb[i + 1] + lbs[i]
 
-    free = n - _popcount((ep_mask | forbidden) & ((1 << n) - 1))
+    free = n - ((ep_mask | forbidden) & ((1 << n) - 1)).bit_count()
     ub = free + k
     paths: list[list[int]] = [[] for _ in range(k)]
     nbrs = [_bits(adj[v]) for v in range(n)]
@@ -162,7 +162,7 @@ def linkage_masks(
                 if w == t:
                     if length + 1 > limit:
                         continue
-                    paths[i] = _path_from(s, t, interior_order)
+                    paths[i] = [s] + interior_order + [t]
                     if route(i + 1, used | interior, budget - (length + 1)):
                         return True
                     continue
@@ -202,7 +202,7 @@ def disjoint_paths_at_least(n: int, adj: list[int], s: int, t: int, k: int) -> b
     """
     direct = adj[s] >> t & 1
     common = adj[s] & adj[t]
-    found = direct + _popcount(common)
+    found = direct + common.bit_count()
     if found >= k:
         return True
     flow = set()  # arcs (u, w) carrying one unit, the edge s-t never among them
@@ -287,10 +287,6 @@ def bfs_dist(n: int, adj: list[int], s: int, t: int, block: int) -> int:
 # -- helpers ---------------------------------------------------------------
 
 
-def _popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def _bits(mask: int) -> list[int]:
     out = []
     while mask:
@@ -298,7 +294,3 @@ def _bits(mask: int) -> list[int]:
         out.append(b.bit_length() - 1)
         mask ^= b
     return out
-
-
-def _path_from(s: int, t: int, interior_order: list[int]) -> list[int]:
-    return [s] + interior_order + [t]

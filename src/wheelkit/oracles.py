@@ -99,7 +99,8 @@ def brute_separations(g: Graph, k: int) -> set:
 
     Every (A, B, C) with |C| = k, A and B unlinked by edges, plus every
     assignment of C-internal edges, filtered by side nonemptiness.  Each
-    separation is a canonical pair of (vertices, edges) side descriptions.
+    separation is the unordered pair (a frozenset) of its two
+    (vertices, edges) side descriptions.
     """
     vs = g.vertices
     out = set()
@@ -127,13 +128,8 @@ def brute_separations(g: Graph, k: int) -> set:
                     continue
                 s1 = (frozenset(a | cset), frozenset(ea))
                 s2 = (frozenset(b | cset), frozenset(eb))
-                out.add((s1, s2) if _side_key(s1) <= _side_key(s2) else (s2, s1))
+                out.add(frozenset({s1, s2}))
     return out
-
-
-def _side_key(side):
-    vs, es = side
-    return (sorted(vs, key=vkey), sorted(es))
 
 
 def brute_k_connected(g: Graph, k: int) -> bool:

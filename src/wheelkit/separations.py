@@ -55,56 +55,52 @@ def validate_separation(g: Graph, sep: Separation) -> None:
 
 def enumerate_separations(g: Graph, k: int) -> Iterator[Separation]:
     """The k-separations whose cut-internal edges lie on one side, up to
-    swapping sides.
+    swapping sides; side1 is the side that sorts first by (vertices, edges).
 
-    For every k-cut, every split of the components of G - cut into two
-    groups; cut-internal edges go to side2.  A group may be empty only
-    when its side still owns a cut-internal edge (the definition admits
-    such sides; a complete graph's (n-1)-separations are of this shape).
+    For every k-cut, every nonempty group of the components of G - cut is
+    `split` off, and the cut-internal edges stay with the rest.  The rest
+    may hold no component only when it owns a cut-internal edge (a
+    complete graph's (n-1)-separations are of this shape).  With no
+    cut-internal edge a group and its complement give the same
+    separation, so only the smaller group is split off, or at equal sizes
+    the one holding component 0.
     """
     if k < 0:
         raise InputDomainError("separation order must be nonnegative")
-    seen = set()
     for cut in combinations(g.vertices, k):
         cset = set(cut)
         rest = g.induced([v for v in g.vertices if v not in cset])
         comps = sorted(rest.components(), key=lambda c: sorted(c, key=vkey))
-        inner = [e for e in g.edges if e[0] in cset and e[1] in cset]
+        inner = any(e[0] in cset and e[1] in cset for e in g.edges)
         n = len(comps)
-        for r in range(0, n + 1):
+        for r in range(1, n + 1 if inner else n // 2 + 1):
             for group in combinations(range(n), r):
-                a = set().union(*(comps[i] for i in group)) if group else set()
-                b = set().union(*(comps[i] for i in range(n) if i not in group)) if n - r else set()
-                sep = _build(g, a, b, cset, inner)
-                if sep is None:
+                if not inner and 2 * r == n and group[0] != 0:
                     continue
-                key = _sep_key(sep)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield sep
+                sep = split(g, cut, set().union(*(comps[i] for i in group)))
+                sides = sorted((sep.side1, sep.side2), key=lambda s: (s.vertices, s.edges))
+                yield Separation(*sides)
 
 
-def _build(g, a, b, cset, inner):
-    # a and b are unions of components of G - cut, so an edge outside the
-    # cut lies on a side exactly when one of its ends does.
-    e1 = [e for e in g.edges if e[0] in a or e[1] in a]
-    e2 = [e for e in g.edges if e[0] in b or e[1] in b] + inner
-    if (not a and not e1) or (not b and not e2):
-        return None
-    s1 = Graph(a | cset, e1)
-    s2 = Graph(b | cset, e2)
-    if _side_sort_key(s2) < _side_sort_key(s1):
-        s1, s2 = s2, s1
-    return Separation(s1, s2)
-
-
-def _side_sort_key(side: Graph):
-    return (side.vertices, side.edges)
-
-
-def _sep_key(sep: Separation):
-    return (sep.side1.vertices, sep.side1.edges, sep.side2.vertices, sep.side2.edges)
+def split(g: Graph, cut, exclusive) -> Separation:
+    """The separation of g whose side1 is `exclusive` plus the cut, with
+    every edge that meets `exclusive`; side2 is the rest of g, with the
+    cut-internal edges.  An unknown vertex id, or an edge from `exclusive`
+    to a vertex outside `exclusive` and the cut, is an input error."""
+    a = set(exclusive)
+    vs1 = a | set(cut)
+    unknown = vs1 - set(g.vertices)
+    if unknown:
+        raise InputDomainError(f"unknown vertex ids: {sorted(unknown, key=vkey)}")
+    e1, e2 = [], []
+    for e in g.edges:
+        if e[0] in a or e[1] in a:
+            if not (e[0] in vs1 and e[1] in vs1):
+                raise InputDomainError(f"edge {e} crosses the claimed separation")
+            e1.append(e)
+        else:
+            e2.append(e)
+    return Separation(Graph(vs1, e1), Graph(set(g.vertices) - a, e2))
 
 
 def is_k_connected(g: Graph, k: int) -> bool:

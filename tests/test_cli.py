@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from wheelkit.cli import main
 from wheelkit.gio import from_graph6, parse_edgelist, to_edgelist, to_graph6
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, union
 from wheelkit.catalog import catalog
+from wheelkit.planarity import TerminalGraph, is_disc_planar
 
 
 def run(capsys, *argv):
@@ -90,6 +92,26 @@ def test_separations_planar_side_max_out(tmp_path, capsys):
     assert report["count"] == 1 and len(report["separations"]) == 1
 
 
+def test_separations_planar_side_keeps_a_planar_second_side(tmp_path, capsys):
+    # vertex 3 joined to 4-7, plus K7 on {0, 1, 2, 4, 5, 6, 7}: the star
+    # side of a 4-cut is disc-planar but sorts second by vertex name
+    path = write(tmp_path, "star_k7.g6", "Gw~~~{\n")
+    code, payload = run(capsys, "separations", path, "-k", "4", "--planar-side")
+    assert code == 0 and payload["count"] == 32
+    star = {
+        "cut": ["4", "5", "6", "7"],
+        "side1": {"vertices": ["3", "4", "5", "6", "7"], "edges": [["3", v] for v in "4567"]},
+        "side2": {
+            "vertices": ["0", "1", "2", "4", "5", "6", "7"],
+            "edges": [list(e) for e in combinations("0124567", 2)],
+        },
+    }
+    assert star in payload["separations"]
+    for sep in payload["separations"]:
+        side1 = Graph(sep["side1"]["vertices"], sep["side1"]["edges"])
+        assert is_disc_planar(TerminalGraph(side1, sep["cut"], ordered=False))
+
+
 def test_catalog_dump_formats(capsys):
     members = catalog()
     code, payload = run(capsys, "catalog", "dump", "--format", "graph6")
@@ -144,6 +166,23 @@ def test_trichotomy_subcommand(tmp_path, capsys):
         idx["u"],
     )
     assert code == 0 and payload["verdict"] == "catalog"
+
+
+@pytest.mark.parametrize(
+    "side, message",
+    [("h1", "crosses the claimed separation"), ("99", "unknown vertex ids")],
+)
+def test_trichotomy_bad_side_exits_2(tmp_path, capsys, side, message):
+    w1 = next(m for m in catalog() if m.name == "W1")
+    ts = w1.tg.terminals
+    g = union(w1.tg.graph, Graph(edges=[(t, h) for t in ts for h in ("h1", "h2")] + [("h1", "h2")]))
+    idx = {v: str(i) for i, v in enumerate(g.vertices)}
+    path = write(tmp_path, "glued.txt", to_edgelist(g))
+    # h1's edge to h2 leaves h1 plus the cut; 99 names no vertex
+    code = main(["trichotomy", path, "--cut", ",".join(idx[t] for t in ts), "--side", idx.get(side, side)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and message in captured.err
 
 
 def test_lift_demo(capsys):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,7 @@ from wheelkit.catalog import catalog
 from wheelkit.errors import PreconditionError
 from wheelkit.generate import generate_terminal_planar, small_graph_classes
 from wheelkit.gio import from_graph6
-from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, union
+from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, union, vkey
 from wheelkit.oracles import brute_k_connected, brute_separations
 from wheelkit.planarity import TerminalGraph
 from wheelkit.separations import (
@@ -60,34 +61,76 @@ def test_every_emitted_separation_revalidates():
             validate_separation(g, sep)
 
 
+HAND_GRAPHS = [
+    path_graph(["a", "b", "c", "d"]),
+    cycle_graph([f"v{i}" for i in range(5)]),
+    complete_graph(list("abcd")),
+    add(cycle_graph(["a", "b", "c", "d"]), {"e"}, [("e", "a"), ("e", "b")]),
+    # the star K1,3: its 1-cut leaves three components
+    Graph(edges=[("c", "x"), ("c", "y"), ("c", "z")]),
+    # two triangles sharing the edge bc: its 2-cut {b, c} holds an edge
+    Graph(edges=[("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d")]),
+]
+
+
 def test_separations_match_definition_oracle_with_cut_edges_on_one_side():
-    graphs = [
-        path_graph(["a", "b", "c", "d"]),
-        cycle_graph([f"v{i}" for i in range(5)]),
-        complete_graph(list("abcd")),
-        add(cycle_graph(["a", "b", "c", "d"]), {"e"}, [("e", "a"), ("e", "b")]),
-        # the star K1,3: its 1-cut leaves three components
-        Graph(edges=[("c", "x"), ("c", "y"), ("c", "z")]),
-        # two triangles sharing the edge bc: its 2-cut {b, c} holds an edge
-        Graph(edges=[("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d")]),
-    ]
-    for g in graphs:
+    for g in HAND_GRAPHS:
         for k in (1, 2, 3):
             got = {
-                (s.side1.vertices, s.side1.edges, s.side2.vertices, s.side2.edges)
-                for s in enumerate_separations(g, k)
+                frozenset((frozenset(s.vertices), s.edge_set()) for s in (sep.side1, sep.side2))
+                for sep in enumerate_separations(g, k)
             }
             want = set()
-            for (v1, e1), (v2, e2) in brute_separations(g, k):
+            for pair in brute_separations(g, k):
+                (v1, e1), (v2, e2) = pair
                 inner = {e for e in g.edges if set(e) <= v1 & v2}
-                if not (inner <= e1 or inner <= e2):
+                if inner <= e1 or inner <= e2:
+                    want.add(pair)
+            assert got == want, f"k={k} mismatch"
+
+
+def seen_set_separations(g, k):
+    """The enumerator as it stood before duplicates were avoided by
+    construction: every group of components from the empty one up, both
+    sides built, rejects and repeats dropped by a seen-set."""
+    seen = set()
+    for cut in combinations(g.vertices, k):
+        cset = set(cut)
+        rest = g.induced([v for v in g.vertices if v not in cset])
+        comps = sorted(rest.components(), key=lambda c: sorted(c, key=vkey))
+        inner = [e for e in g.edges if e[0] in cset and e[1] in cset]
+        n = len(comps)
+        for r in range(n + 1):
+            for group in combinations(range(n), r):
+                a = set().union(*(comps[i] for i in group))
+                b = set().union(*(comps[i] for i in range(n) if i not in group))
+                e1 = [e for e in g.edges if e[0] in a or e[1] in a]
+                e2 = [e for e in g.edges if e[0] in b or e[1] in b] + inner
+                if (not a and not e1) or (not b and not e2):
                     continue
-                s1 = Graph(v1, e1)
-                s2 = Graph(v2, e2)
+                s1, s2 = Graph(a | cset, e1), Graph(b | cset, e2)
                 if (s2.vertices, s2.edges) < (s1.vertices, s1.edges):
                     s1, s2 = s2, s1
-                want.add((s1.vertices, s1.edges, s2.vertices, s2.edges))
-            assert got == want, f"k={k} mismatch"
+                key = (s1.vertices, s1.edges, s2.vertices, s2.edges)
+                if key not in seen:
+                    seen.add(key)
+                    yield Separation(s1, s2)
+
+
+def test_enumeration_order_matches_the_seen_set_reference():
+    rng = random.Random(17)
+    graphs = list(HAND_GRAPHS)
+    for _ in range(60):
+        names = [str(i) for i in range(rng.randrange(4, 8))]
+        p = rng.uniform(0.2, 0.8)
+        graphs.append(Graph(names, [e for e in combinations(names, 2) if rng.random() < p]))
+    emitted = 0
+    for g in graphs:
+        for k in range(5):
+            got = list(enumerate_separations(g, k))
+            assert got == list(seen_set_separations(g, k)), (g.edges, k)
+            emitted += len(got)
+    assert emitted == 6411
 
 
 def test_connectivity_standards():
@@ -145,7 +188,7 @@ def test_k_connectivity_agrees_with_the_oracle_on_stand_ins(k, sides):
 # -- trichotomy ----------------------------------------------------------------
 
 
-def glue_host(member_tg, extra_cut_degree=0):
+def glue_host(member_tg):
     """Glue a terminal graph onto a rich host across its terminals."""
     ts = member_tg.terminals
     hub_edges = [(t, "hub1") for t in ts] + [(t, "hub2") for t in ts]
