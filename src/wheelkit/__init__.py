@@ -2,7 +2,7 @@
 separations, and exhaustive small-graph verification."""
 
 from wheelkit.catalog import CatalogMember, catalog, matches_catalog, rooted_isomorphic
-from wheelkit.coloring import Coloring, assign_then_extend, four_color, is_proper
+from wheelkit.coloring import assign_then_extend, four_color, is_proper
 from wheelkit.errors import (
     ConstructionError,
     InputDomainError,
@@ -42,7 +42,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CatalogMember",
-    "Coloring",
     "ConstructionError",
     "Embedding",
     "GadgetRule",

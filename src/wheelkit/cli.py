@@ -25,8 +25,8 @@ from wheelkit.generate import FILTERS, generate_terminal_planar
 from wheelkit.graph import Graph
 from wheelkit.planarity import TerminalGraph, embed, is_disc_planar
 from wheelkit.separations import check_trichotomy, enumerate_separations, split
-from wheelkit.subdivisions import find_k5_subdivision
-from wheelkit.wheels import find_s_good_wheel
+from wheelkit.subdivisions import DEFAULT_SEARCH_LIMIT, find_k5_subdivision
+from wheelkit.wheels import DEFAULT_WHEEL_LIMIT, find_s_good_wheel
 
 
 def _read(path: str):
@@ -109,7 +109,7 @@ def cmd_color(args):
     if col is None:
         _emit({"colorable": False, "assignment": None}, args.out)
         return 1
-    _emit({"colorable": True, "assignment": col.as_dict()}, args.out)
+    _emit({"colorable": True, "assignment": col}, args.out)
     return 0
 
 
@@ -185,6 +185,26 @@ def cmd_catalog(args):
     return 0 if m else 1
 
 
+def _renamed(g: Graph, spec: str) -> Graph:
+    """g with its vertices renamed by a `rule=input,...` map: each input is
+    a vertex of g named once, and no two vertices end up with one name."""
+    rename = {}
+    for item in spec.split(","):
+        rule_name, eq, input_name = (x.strip() for x in item.partition("="))
+        if not (eq and rule_name and input_name):
+            raise InputDomainError(f"--map entry {item!r} is not rule=input")
+        if not g.has_vertex(input_name):
+            raise InputDomainError(f"--map input {input_name!r} is not a vertex of the graph")
+        if input_name in rename:
+            raise InputDomainError(f"--map input {input_name!r} appears twice")
+        rename[input_name] = rule_name
+    names = [rename.get(v, v) for v in g.vertices]
+    if len(set(names)) < len(names):
+        twice = next(x for x in names if names.count(x) > 1)
+        raise InputDomainError(f"--map gives two vertices the name {twice!r}")
+    return Graph(names, [(rename.get(u, u), rename.get(v, v)) for u, v in g.edges])
+
+
 def cmd_lift(args):
     case = gadget_case(args.rule)
     if args.demo:
@@ -199,14 +219,7 @@ def cmd_lift(args):
             return 2
         g, _ = _read(args.graph)
         if args.map:
-            rename = {}
-            for item in args.map.split(","):
-                rule_name, _, input_name = item.partition("=")
-                rename[input_name.strip()] = rule_name.strip()
-            g = Graph(
-                [rename.get(v, v) for v in g.vertices],
-                [(rename.get(u, u), rename.get(v, v)) for u, v in g.edges],
-            )
+            g = _renamed(g, args.map)
     gp = apply_gadget(g, case.rule)
     sub = find_k5_subdivision(gp, limit=args.limit)
     if sub is None:
@@ -293,12 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("good-wheel", help="search for a terminal-good wheel")
     common(p)
     p.add_argument("--terminals")
-    p.add_argument("--limit", type=int, default=12)
+    p.add_argument("--limit", type=int, default=DEFAULT_WHEEL_LIMIT)
     p.set_defaults(func=cmd_good_wheel)
 
     p = sub.add_parser("k5", help="exact K5-subdivision search")
     common(p)
-    p.add_argument("--limit", type=int, default=12)
+    p.add_argument("--limit", type=int, default=DEFAULT_SEARCH_LIMIT)
     p.set_defaults(func=cmd_k5)
 
     p = sub.add_parser("color", help="exact 4-coloring")
@@ -337,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", help="rule-to-input vertex map, e.g. u=0,v=1,v1=2")
     p.add_argument("--demo", action="store_true", help="run on the shipped corpus host")
     p.add_argument("--host", type=int, default=0, help="corpus host index for --demo")
-    p.add_argument("--limit", type=int, default=12)
+    p.add_argument("--limit", type=int, default=DEFAULT_SEARCH_LIMIT)
     p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("gen", help="stream small disc-planar terminal graphs")

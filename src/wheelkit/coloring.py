@@ -18,44 +18,18 @@ COLORS = (1, 2, 3, 4)
 DEFAULT_COLOR_LIMIT = 32
 
 
-class Coloring:
-    """A partial assignment of vertices to colors 1..4."""
-
-    __slots__ = ("_map",)
-
-    def __init__(self, assignment: Mapping[Vertex, int] = ()):
-        m = dict(assignment)
-        for v, c in m.items():
-            if c not in COLORS:
-                raise InputDomainError(f"color {c!r} for {v!r} outside 1..4")
-        self._map = m
-
-    def color(self, v: Vertex) -> int | None:
-        return self._map.get(v)
-
-    def as_dict(self) -> dict[Vertex, int]:
-        return dict(self._map)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Coloring) and self._map == other._map
-
-    def __repr__(self) -> str:
-        return f"Coloring({self._map!r})"
-
-
-def is_proper(g: Graph, coloring: Coloring, *, total: bool = False) -> bool:
+def is_proper(g: Graph, coloring: Mapping[Vertex, int], *, total: bool = False) -> bool:
     """Independent propriety check: no edge with both ends colored equal."""
-    cmap = coloring.as_dict()
-    if total and set(cmap) != set(g.vertices):
+    if total and set(coloring) != set(g.vertices):
         return False
     for u, v in g.edges:
-        cu, cv = cmap.get(u), cmap.get(v)
+        cu, cv = coloring.get(u), coloring.get(v)
         if cu is not None and cu == cv:
             return False
     return True
 
 
-def four_color(g: Graph, *, limit: int = DEFAULT_COLOR_LIMIT) -> Coloring | None:
+def four_color(g: Graph, *, limit: int = DEFAULT_COLOR_LIMIT) -> dict[Vertex, int] | None:
     """A total proper 4-coloring, or None; exact backtracking search."""
     if g.n > limit:
         raise ResourceLimitError(f"coloring search capped at {limit} vertices, got {g.n}")
@@ -63,37 +37,36 @@ def four_color(g: Graph, *, limit: int = DEFAULT_COLOR_LIMIT) -> Coloring | None
     res = kernels.four_color_masks(g.n, adj)
     if res is None:
         return None
-    out = Coloring({v: res[idx[v]] + 1 for v in g.vertices})
+    out = {v: res[idx[v]] + 1 for v in g.vertices}
     assert is_proper(g, out, total=True)
     return out
 
 
 def assign_then_extend(
     g: Graph,
-    base: Coloring,
+    base: Mapping[Vertex, int],
     forced: Mapping[Vertex, int],
     order: Iterable[Vertex],
-) -> Coloring | None:
+) -> dict[Vertex, int] | None:
     """Apply forced assignments, then greedily color `order`; None when a
     greedy vertex finds every color taken.
 
-    The base coloring must be proper on g and color only vertices of g;
-    the forced colors must be proper against it and against each other;
-    the greedy order must cover whatever is still uncolored.
+    The base coloring must be proper on g and color only vertices of g
+    with colors in 1..4; the forced colors must be in 1..4 and proper
+    against it and against each other; the greedy order must cover
+    whatever is still uncolored.
     """
-    if not is_proper(g, base):
-        raise InputDomainError("base coloring is not proper")
-    cmap = base.as_dict()
-    for v in [*cmap, *forced]:
+    for v, c in [*base.items(), *forced.items()]:
         if not g.has_vertex(v):
             raise InputDomainError(f"unknown vertex {v!r}")
-    for v, c in forced.items():
-        if v in cmap:
-            raise InputDomainError(f"forced vertex {v!r} is already colored")
         if c not in COLORS:
-            raise InputDomainError(f"forced color {c!r} outside 1..4")
-    staged = dict(cmap)
+            raise InputDomainError(f"color {c!r} for {v!r} outside 1..4")
+    if not is_proper(g, base):
+        raise InputDomainError("base coloring is not proper")
+    staged = dict(base)
     for v, c in forced.items():
+        if v in staged:
+            raise InputDomainError(f"forced vertex {v!r} is already colored")
         for u in g.neighbors(v):
             if staged.get(u) == c:
                 raise InputDomainError(
@@ -110,6 +83,5 @@ def assign_then_extend(
         if not free:
             return None
         staged[v] = free[0]
-    out = Coloring(staged)
-    assert is_proper(g, out)
-    return out
+    assert is_proper(g, staged)
+    return staged

@@ -53,7 +53,6 @@ from wheelkit.separations import (
 from wheelkit.subdivisions import (
     find_disjoint_paths,
     find_k5_subdivision,
-    is_valid_subdivision,
     validate_subdivision,
     wheel_plus_paths_to_k5,
 )
@@ -167,9 +166,7 @@ def run_lift_all_gadgets():
                         continue
                     instances += 1
                     try:
-                        out = lift_subdivision(host, rule, sub)
-                        if not is_valid_subdivision(host, out):
-                            raise InputDomainError("lift output failed validation")
+                        validate_subdivision(host, lift_subdivision(host, rule, sub))
                     except WheelkitError as exc:
                         counterexamples.append(f"{rule.name}: {exc}")
     return instances, counterexamples

@@ -63,12 +63,8 @@ class Embedding:
     def __init__(self, rotation: dict[Vertex, tuple[Vertex, ...]], outer_dart: Dart | None = None):
         self.rotation = rotation
         self.faces: tuple[tuple[Dart, ...], ...] = _trace_faces(rotation)
-        self._face_of_dart: dict[Dart, int] = {}
-        for i, f in enumerate(self.faces):
-            for d in f:
-                self._face_of_dart[d] = i
         if outer_dart is not None:
-            self.outer_face = self._face_of_dart[outer_dart]
+            self.outer_face = next(i for i, f in enumerate(self.faces) if outer_dart in f)
         else:
             self.outer_face = 0 if self.faces else -1
 

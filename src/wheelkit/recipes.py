@@ -28,13 +28,12 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from wheelkit.coloring import Coloring, assign_then_extend, is_proper
+from wheelkit.coloring import COLORS, assign_then_extend, is_proper
 from wheelkit.errors import InputDomainError
 from wheelkit.gadgets import apply_gadget, gadget_library
 from wheelkit.graph import Graph, Vertex, add
 
 Sigma = dict[Vertex, int]
-FULL = (1, 2, 3, 4)
 LOW = (1, 2, 3)
 
 
@@ -69,7 +68,7 @@ class RecipeReport:
 def _spare(sigma: Sigma, vs) -> int:
     """The least color no vertex of `vs` takes under sigma."""
     used = {sigma[v] for v in vs}
-    for c in FULL:
+    for c in COLORS:
         if c not in used:
             return c
     raise InputDomainError("no absent color")
@@ -79,7 +78,7 @@ def verify_recipe(recipe: ColoringRecipe) -> RecipeReport:
     """Exhaustively check the recipe over every proper coloring of its
     reduced side."""
     g, reduced = recipe.config, recipe.reduced
-    domains = [LOW if recipe.low_boundary else FULL for _ in reduced.vertices]
+    domains = [LOW if recipe.low_boundary else COLORS for _ in reduced.vertices]
     if domains and not recipe.low_boundary:
         domains[0] = (1,)
     cases = 0
@@ -93,7 +92,7 @@ def verify_recipe(recipe: ColoringRecipe) -> RecipeReport:
         if branch is None:
             failures.append(f"no branch covers {sigma}")
             continue
-        base = Coloring({v: c for v, c in sigma.items() if g.has_vertex(v)})
+        base = {v: c for v, c in sigma.items() if g.has_vertex(v)}
         try:
             out = assign_then_extend(g, base, branch.forced(sigma), branch.greedy)
         except InputDomainError as exc:

@@ -108,14 +108,6 @@ def validate_subdivision(g: Graph, sub: Subdivision) -> None:
     validate_path_system(g, PathSystem(pairs, sub.paths))
 
 
-def is_valid_subdivision(g: Graph, sub: Subdivision) -> bool:
-    try:
-        validate_subdivision(g, sub)
-    except ConstructionError:
-        return False
-    return True
-
-
 # -- search ------------------------------------------------------------------
 
 
@@ -129,9 +121,9 @@ def find_disjoint_paths(
     """Complete search for a vertex-disjoint linkage of the given pairs.
 
     Interiors additionally avoid `forbidden`.  The search is exhaustive
-    and exact; None means no linkage exists.  Pairs are routed in order of
-    increasing distance (ties by canonical vertex order) but the returned
-    system lists paths in the input pair order.
+    and exact; None means no linkage exists.  Pairs are routed in the
+    given order, and the returned system lists one path per pair in that
+    order.
     """
     pairs = [tuple(p) for p in pairs]
     fset = set(forbidden)
@@ -155,28 +147,13 @@ def find_disjoint_paths(
     for x in fset:
         fmask |= 1 << idx[x]
 
-    order = sorted(
-        range(len(pairs)),
-        key=lambda i: (
-            _pair_distance(g, adj, ipairs[i]),
-            vkey(pairs[i][0]),
-            vkey(pairs[i][1]),
-        ),
-    )
-    found = kernels.linkage_masks(g.n, adj, [ipairs[i] for i in order], fmask)
+    found = kernels.linkage_masks(g.n, adj, ipairs, fmask)
     if found is None:
         return None
-    back = {oi: pos for pos, oi in enumerate(order)}
     names = g.vertices
-    result = tuple(tuple(names[x] for x in found[back[i]]) for i in range(len(pairs)))
-    ps = PathSystem(tuple(pairs), result)
+    ps = PathSystem(tuple(pairs), tuple(tuple(names[x] for x in p) for p in found))
     validate_path_system(g, ps, frozenset(fset))
     return ps
-
-
-def _pair_distance(g: Graph, adj, pair) -> int:
-    d = kernels.bfs_dist(g.n, adj, pair[0], pair[1], 0)
-    return d if d >= 0 else g.n + 1
 
 
 def find_k5_subdivision(g: Graph, *, limit: int = DEFAULT_SEARCH_LIMIT) -> Subdivision | None:
@@ -271,7 +248,11 @@ def subdivision_from_edges(g: Graph, edges) -> Subdivision | None:
     if len(used) != 2 * len(es):
         return None  # leftover edges (a stray cycle of degree-2 vertices)
     sub = Subdivision(tuple(branch), tuple(paths[p] for p in K5_PAIRS))
-    return sub if is_valid_subdivision(g, sub) else None
+    try:
+        validate_subdivision(g, sub)
+    except ConstructionError:
+        return None
+    return sub
 
 
 # -- the wheel construction ---------------------------------------------------

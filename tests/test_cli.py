@@ -212,6 +212,27 @@ def test_lift_with_mapped_file(tmp_path, capsys):
     assert code == 0 and payload["reduced_has_k5"] is True
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("junk", "entry 'junk' is not rule=input"),
+        ("zz=99", "input '99' is not a vertex"),
+        ("v4=3", "two vertices the name 'v4'"),
+        ("w=4", "input '4' appears twice"),
+    ],
+)
+def test_lift_map_rejects_bad_entries(tmp_path, capsys, extra, message):
+    # the pair_chord host's vertices are written as 0..9, u..v4 as 4..9
+    from wheelkit.gadgets import gadget_case
+
+    path = write(tmp_path, "host.txt", to_edgelist(gadget_case("pair_chord").hosts[0]))
+    mapping = "u=4,v=5,v1=6,v2=7,v3=8,v4=9," + extra
+    code = main(["lift", "--rule", "pair_chord", "--map", mapping, path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and message in captured.err
+
+
 def test_gen_subcommand(capsys):
     code, payload = run(capsys, "gen", "--n-max", "5", "--s-size", "4", "--max", "5")
     assert code == 0 and payload["count"] == 5

@@ -23,7 +23,6 @@ from wheelkit.subdivisions import (
     Subdivision,
     find_disjoint_paths,
     find_k5_subdivision,
-    is_valid_subdivision,
     subdivision_from_edges,
     validate_path_system,
     validate_subdivision,
@@ -322,7 +321,6 @@ def test_validate_subdivision_rejects(case):
     g, sub = BAD_SUBDIVISIONS[case]
     with pytest.raises(ConstructionError):
         validate_subdivision(g, sub)
-    assert not is_valid_subdivision(g, sub)
 
 
 def k5_edges():
@@ -386,7 +384,7 @@ def w4_plus_cross():
 def test_wheel_plus_paths_builds_valid_k5():
     g, wheel, ps = w4_plus_cross()
     sub = wheel_plus_paths_to_k5(g, wheel, ("w1", "w2", "w3", "w4"), ps)
-    assert is_valid_subdivision(g, sub)
+    validate_subdivision(g, sub)
     # independent confirmation: exact search on the 7-vertex host
     assert find_k5_subdivision(g) is not None
 
@@ -432,7 +430,7 @@ def test_wheel_plus_paths_rejects_crossing_path_through_wheel(w1_to_w3):
 def test_wheel_plus_paths_builds_valid_k5_on_five_rim():
     g, wheel, ps = five_rim_wheel_with_cross(("w1", "x", "w3"))
     sub = wheel_plus_paths_to_k5(g, wheel, ("w1", "w2", "w3", "w4"), ps)
-    assert is_valid_subdivision(g, sub)
+    validate_subdivision(g, sub)
 
 
 def test_wheel_plus_paths_rejects_three_spokes():
