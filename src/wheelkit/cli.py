@@ -238,6 +238,8 @@ def cmd_lift(args):
 
 
 def cmd_gen(args):
+    if args.max < 0:
+        raise InputDomainError(f"--max must be at least 0, got {args.max}")
     count = 0
     lines = []
     for tg in generate_terminal_planar(args.n_max, args.s_size, filters=tuple(args.filter or ())):

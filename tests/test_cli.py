@@ -238,6 +238,13 @@ def test_gen_subcommand(capsys):
     assert code == 0 and payload["count"] == 5
 
 
+def test_gen_negative_max_exits_2(capsys):
+    assert main(["gen", "--n-max", "5", "--s-size", "4", "--max", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max must be at least 0, got -3\n"
+
+
 def test_verify_subcommand(capsys):
     code, payload = run(capsys, "verify", "catalog-no-good-wheel")
     assert code == 0 and payload[0]["pass"] is True

@@ -1,9 +1,10 @@
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations, permutations, product
 
 import pytest
 
-from wheelkit.catalog import matches_catalog
+from wheelkit.catalog import catalog, matches_catalog
 from wheelkit.errors import InputDomainError
 from wheelkit.generate import (
     _classes,
@@ -15,7 +16,7 @@ from wheelkit.generate import (
     small_graph_classes,
     terminal_set_classes,
 )
-from wheelkit.graph import Graph
+from wheelkit.graph import Graph, add
 from wheelkit.oracles import brute_rooted_isomorphic
 from wheelkit.planarity import TerminalGraph, is_disc_planar, is_planar
 from wheelkit.subdivisions import find_disjoint_paths, wheel_plus_paths_to_k5
@@ -162,3 +163,115 @@ def test_random_wheel_hosts_build_k5():
         ok += 1
         assert sub is not None
     assert ok >= 8  # planted linkages should nearly always be recoverable
+
+
+def test_canonical_form_rejects_unknown_terminal():
+    g = Graph(["a", "b", "c"], [("a", "b")])
+    with pytest.raises(InputDomainError, match="'z'"):
+        canonical_form(g, ["z"])
+
+
+def test_small_graph_class_counts():
+    by_n = Counter(g.n for g in small_graph_classes(6))
+    assert [by_n[n] for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    assert sum(by_n.values()) == 208
+
+
+def test_four_terminal_stream_counts_to_seven_vertices():
+    by_n = Counter(tg.graph.n for tg in generate_terminal_planar(7, 4, ("s-independent",)))
+    assert [by_n[n] for n in range(4, 8)] == [1, 5, 38, 382]
+
+
+# -- the Graph-based canonical form and level loop, kept as references --------
+
+
+def reference_canonical_form(g, terminals=()):
+    """Colour refinement on vertex names, then the least bitstring over
+    every order inside the cells."""
+    tset = set(terminals)
+    colour = {v: (v not in tset, g.degree(v)) for v in g.vertices}
+    cells = 0
+    while True:
+        rank = {c: i for i, c in enumerate(sorted(set(colour.values())))}
+        colour = {v: rank[c] for v, c in colour.items()}
+        if len(rank) == cells:
+            break
+        cells = len(rank)
+        colour = {
+            v: (c, tuple(sorted(colour[u] for u in g.neighbors(v))))
+            for v, c in colour.items()
+        }
+    parts = [[] for _ in range(cells)]
+    for v in g.vertices:
+        parts[colour[v]].append(v)
+    n = g.n
+    best = None
+    for order in product(*map(permutations, parts)):
+        pos = {v: i for i, v in enumerate(chain.from_iterable(order))}
+        bits = 0
+        for u, v in g.edges:
+            i, j = pos[u], pos[v]
+            if i > j:
+                i, j = j, i
+            bits |= 1 << (i * n + j)
+        if best is None or bits < best:
+            best = bits
+    return (len(tset), n, best)
+
+
+def reference_classes(names, terminals, pairs, keep=None):
+    """Every candidate becomes a TerminalGraph and is keyed by name."""
+    base = TerminalGraph(Graph(names, ()), terminals, ordered=False)
+    level = {reference_canonical_form(base.graph, terminals): base}
+    while level:
+        yield level
+        nxt = {}
+        dead = set()
+        for tg in level.values():
+            for a, b in pairs:
+                if tg.graph.has_edge(a, b):
+                    continue
+                bigger = TerminalGraph(add(tg.graph, (), [(a, b)]), terminals, ordered=False)
+                key = reference_canonical_form(bigger.graph, terminals)
+                if key in nxt or key in dead:
+                    continue
+                if keep is not None and not keep(bigger):
+                    dead.add(key)
+                    continue
+                nxt[key] = bigger
+        level = nxt
+
+
+def test_canonical_form_matches_reference_on_small_graphs():
+    checked = 0
+    for g in small_graph_classes(5):
+        for size in range(g.n + 1):
+            for ts in combinations(g.vertices, size):
+                assert canonical_form(g, ts) == reference_canonical_form(g, ts)
+                checked += 1
+    for g in small_graph_classes(6):
+        for size in (4, 5):
+            for ts in combinations(g.vertices, size):
+                assert canonical_form(g, ts) == reference_canonical_form(g, ts)
+                checked += 1
+    for m in catalog():
+        g, ts = m.tg.graph, m.tg.terminals
+        assert canonical_form(g, ts) == reference_canonical_form(g, ts)
+        checked += 1
+    assert checked == 4797 + 6
+
+
+@pytest.mark.parametrize("s_size", [4, 5])
+def test_level_loop_matches_reference(s_size):
+    ts = tuple(f"t{i}" for i in range(1, s_size + 1))
+    for n in range(s_size, 8):
+        names = ts + tuple(f"u{i}" for i in range(1, n - s_size + 1))
+        pairs = [(a, b) for a, b in combinations(names, 2) if not (a in ts and b in ts)]
+
+        def levels(loop):
+            return [
+                [(key, tg.graph.vertices, tg.graph.edges) for key, tg in level.items()]
+                for level in loop(names, ts, pairs, keep=is_disc_planar)
+            ]
+
+        assert levels(_classes) == levels(reference_classes)
