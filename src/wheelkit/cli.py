@@ -114,6 +114,8 @@ def cmd_color(args):
 
 
 def cmd_separations(args):
+    if args.max < 0:
+        raise InputDomainError(f"--max must be at least 0, got {args.max}")
     g, _ = _read(args.graph)
     out = []
     for sep in enumerate_separations(g, args.k):

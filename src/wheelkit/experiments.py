@@ -75,8 +75,9 @@ class Config:
         so all three bounds must reach 5.  planar-no-k5's exhaustive K5
         search grows about tenfold per two vertices, so search_bound stops
         at 16, where the default instances still take seconds.  The oracles
-        of oracle-equivalence grow faster (its default instances took 10 s
-        at oracle_bound 10 and 24 s at 11 on 2 cores): it stops at 10.
+        of oracle-equivalence grow faster (its default instances took about
+        5 s at oracle_bound 10 and 12 to 16 s at 11 on 2 cores): it stops
+        at 10.
         """
         minimums = {"oracle_bound": 5, "search_bound": 5, "generation_bound": 5, "instances": 1}
         for key, low in minimums.items():

@@ -305,12 +305,13 @@ def random_planar_graph(n: int, rng: random.Random, *, keep_fraction: float = 0.
     if n < 3:
         raise InputDomainError("need at least 3 vertices")
     names = [str(i) for i in range(n)]
-    g = Graph(names[:3], [(names[0], names[1]), (names[1], names[2]), (names[0], names[2])])
+    edges = [(names[0], names[1]), (names[1], names[2]), (names[0], names[2])]
     faces = [(names[0], names[1], names[2])]
     for v in names[3:]:
         a, b, c = faces.pop(rng.randrange(len(faces)))
-        g = add(g, {v}, [(v, a), (v, b), (v, c)])
+        edges += [(v, a), (v, b), (v, c)]
         faces += [(a, b, v), (b, c, v), (a, c, v)]
+    g = Graph(names, edges)
     edges = list(g.edges)
     rng.shuffle(edges)
     drop = edges[int(len(edges) * keep_fraction) :]

@@ -47,20 +47,34 @@ class Graph:
             es.add(norm_edge(u, v))
             vs.add(u)
             vs.add(v)
-        self._vertices: tuple[Vertex, ...] = tuple(sorted(vs, key=vkey))
-        self._edges: tuple[Edge, ...] = tuple(
-            sorted(es, key=lambda e: (len(e[0]), e[0], len(e[1]), e[1]))
+        self._fill(
+            tuple(sorted(vs, key=vkey)),
+            tuple(sorted(es, key=lambda e: (len(e[0]), e[0], len(e[1]), e[1]))),
         )
+
+    @classmethod
+    def _from_canonical(cls, vertices: Iterable[Vertex], edges: Iterable[Edge]) -> "Graph":
+        """The graph on `vertices`, already in vkey order, and `edges`,
+        already normalised and in edge order, with their ends among the
+        vertices.  Nothing is checked or sorted: subgraphs filtered out
+        of a graph's own vertex and edge tuples are already canonical."""
+        g = cls.__new__(cls)
+        g._fill(tuple(vertices), tuple(edges))
+        return g
+
+    def _fill(self, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]) -> None:
+        self._vertices = vertices
+        self._edges = edges
         # Edges come in vkey order, so each vertex first meets its smaller
         # neighbours (as the second end, by the first end's key) and then
         # its larger ones (as the first end, by the second end's key):
         # every neighbour list is built already sorted.
-        adj: dict[Vertex, list[Vertex]] = {v: [] for v in self._vertices}
-        for u, v in self._edges:
+        adj: dict[Vertex, list[Vertex]] = {v: [] for v in vertices}
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
         self._adj: dict[Vertex, tuple[Vertex, ...]] = {v: tuple(ns) for v, ns in adj.items()}
-        self._hash = hash((self._vertices, self._edges))
+        self._hash = hash((vertices, edges))
 
     # -- basic queries ----------------------------------------------------
 
@@ -101,10 +115,13 @@ class Graph:
 
     def induced(self, vs: Iterable[Vertex]) -> "Graph":
         keep = set(vs)
-        unknown = keep - set(self._vertices)
+        unknown = keep - self._adj.keys()
         if unknown:
             raise InputDomainError(f"unknown vertex ids: {sorted(unknown, key=vkey)}")
-        return Graph(keep, (e for e in self._edges if e[0] in keep and e[1] in keep))
+        return Graph._from_canonical(
+            (v for v in self._vertices if v in keep),
+            (e for e in self._edges if e[0] in keep and e[1] in keep),
+        )
 
     def components(self) -> tuple[frozenset[Vertex], ...]:
         seen: set[Vertex] = set()
@@ -162,8 +179,10 @@ def remove(g: Graph, vertices: Iterable[Vertex] = (), edges: Iterable = ()) -> G
         if not (g.has_vertex(u) and g.has_vertex(v)):
             raise InputDomainError(f"edge {e!r} has an unknown endpoint")
         drop.add(norm_edge(u, v))
-    keep = [v for v in g.vertices if v not in s]
-    return Graph(keep, (e for e in g.edges if e[0] not in s and e[1] not in s and e not in drop))
+    return Graph._from_canonical(
+        (v for v in g.vertices if v not in s),
+        (e for e in g.edges if e[0] not in s and e[1] not in s and e not in drop),
+    )
 
 
 def add(g: Graph, vertices: Iterable[Vertex] = (), edges: Iterable = ()) -> Graph:

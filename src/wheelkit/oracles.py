@@ -2,10 +2,15 @@
 library search paths.
 
 Nothing here calls the fast implementations.  The oracles enumerate raw
-search spaces (all color assignments, all simple-path systems, all
-subgraph pairs, all bijections, all rotation systems up to mirror image)
-and filter by definition, so they stay valid even if every optimization
-elsewhere is wrong.
+search spaces (all color assignments up to a permutation of the colors,
+all simple-path systems, all subgraph pairs up to swapping sides, all
+bijections, all rotation systems up to mirror image) and filter by
+definition, so they stay valid even if every optimization elsewhere is
+wrong.  Each oracle's docstring says why its symmetry changes no
+answer: permuting the colors keeps an assignment proper, so the
+lexicographically first proper assignment gives the first vertex color
+1; swapping the two sides of a separation gives the same unordered
+pair; reversing every rotation reverses every face walk.
 """
 
 from __future__ import annotations
@@ -21,17 +26,26 @@ COLORS = (1, 2, 3, 4)
 
 
 def brute_four_color(g: Graph) -> dict[Vertex, int] | None:
-    """Try all 4^n assignments in lexicographic order; the first proper
+    """Try the 4^n assignments in lexicographic order; the first proper
     one is returned.
 
-    The edges are indexed to vertex positions once.  Every assignment is
-    still tried in turn, with no pruning; it is rejected at its first
+    Only the assignments that give the first vertex color 1 are tried.
+    Permuting the colors keeps an assignment proper, so if any proper
+    assignment exists, one starts with color 1, and every assignment that
+    starts with 1 comes before every other: the first proper assignment
+    is among those tried.  The empty graph gets the empty assignment.
+
+    The edges are indexed to vertex positions once.  The assignments
+    are tried in turn, with no pruning; each is rejected at its first
     edge whose ends share a color.
     """
     vs = g.vertices
+    if not vs:
+        return {}
     pos = {v: i for i, v in enumerate(vs)}
     pairs = [(pos[u], pos[v]) for u, v in g.edges]
-    for combo in product(COLORS, repeat=len(vs)):
+    for tail in product(COLORS, repeat=len(vs) - 1):
+        combo = (1, *tail)
         for i, j in pairs:
             if combo[i] == combo[j]:
                 break
@@ -101,6 +115,12 @@ def brute_separations(g: Graph, k: int) -> set:
     assignment of C-internal edges, filtered by side nonemptiness.  Each
     separation is the unordered pair (a frozenset) of its two
     (vertices, edges) side descriptions.
+
+    Swapping A with B and every C-internal edge's side gives the same
+    unordered pair, and the filter treats both sides alike, so only one
+    assignment of each swapped pair is walked: the one that puts the
+    first vertex outside C in A, or, when C holds every vertex, the one
+    that puts the first C-internal edge on A's side.
     """
     vs = g.vertices
     out = set()
@@ -108,7 +128,7 @@ def brute_separations(g: Graph, k: int) -> set:
         cset = set(cut)
         rest = [v for v in vs if v not in cset]
         inner = [e for e in g.edges if e[0] in cset and e[1] in cset]
-        for assign in product((0, 1), repeat=len(rest)):
+        for assign in _first_on_a(len(rest)) if rest else [()]:
             a = {v for v, side in zip(rest, assign) if side == 0}
             b = set(rest) - a
             if any((u in a and v in b) or (u in b and v in a) for u, v in g.edges):
@@ -119,17 +139,20 @@ def brute_separations(g: Graph, k: int) -> set:
             eb_base = frozenset(
                 e for e in g.edges if set(e) <= b | cset and not set(e) <= cset
             )
-            for split in product((0, 1), repeat=len(inner)):
-                ea = set(ea_base)
-                eb = set(eb_base)
-                for e, side in zip(inner, split):
-                    (ea if side == 0 else eb).add(e)
+            va, vb = frozenset(a | cset), frozenset(b | cset)
+            for split in product((0, 1), repeat=len(inner)) if rest else _first_on_a(len(inner)):
+                ea = ea_base.union(e for e, side in zip(inner, split) if side == 0)
+                eb = eb_base.union(e for e, side in zip(inner, split) if side == 1)
                 if not (a or ea) or not (b or eb):
                     continue
-                s1 = (frozenset(a | cset), frozenset(ea))
-                s2 = (frozenset(b | cset), frozenset(eb))
-                out.add(frozenset({s1, s2}))
+                out.add(frozenset({(va, ea), (vb, eb)}))
     return out
+
+
+def _first_on_a(m: int):
+    """The 0/1 tuples of length m that start with 0, one of each
+    complementary pair; none when m is 0."""
+    return ((0, *tail) for tail in product((0, 1), repeat=m - 1)) if m else ()
 
 
 def brute_k_connected(g: Graph, k: int) -> bool:

@@ -69,8 +69,7 @@ def enumerate_separations(g: Graph, k: int) -> Iterator[Separation]:
         raise InputDomainError("separation order must be nonnegative")
     for cut in combinations(g.vertices, k):
         cset = set(cut)
-        rest = g.induced([v for v in g.vertices if v not in cset])
-        comps = sorted(rest.components(), key=lambda c: sorted(c, key=vkey))
+        comps = _components_avoiding(g, cset)
         inner = any(e[0] in cset and e[1] in cset for e in g.edges)
         n = len(comps)
         for r in range(1, n + 1 if inner else n // 2 + 1):
@@ -80,6 +79,30 @@ def enumerate_separations(g: Graph, k: int) -> Iterator[Separation]:
                 sep = split(g, cut, set().union(*(comps[i] for i in group)))
                 sides = sorted((sep.side1, sep.side2), key=lambda s: (s.vertices, s.edges))
                 yield Separation(*sides)
+
+
+def _components_avoiding(g: Graph, cut: set) -> list[set]:
+    """The vertex sets of the components of g - cut, by a flood fill over
+    g's adjacency that never enters the cut, in the string order of their
+    vkey-least vertices.  Each fill starts from its component's vkey-least
+    vertex, and components are disjoint, so this is the order of their
+    vkey-sorted vertex lists."""
+    seen = set(cut)
+    found = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = {start}
+        stack = [start]
+        while stack:
+            for y in g.neighbors(stack.pop()):
+                if y not in seen:
+                    seen.add(y)
+                    comp.add(y)
+                    stack.append(y)
+        found.append((start, comp))
+    return [comp for _, comp in sorted(found, key=lambda f: f[0])]
 
 
 def split(g: Graph, cut, exclusive) -> Separation:
@@ -100,7 +123,10 @@ def split(g: Graph, cut, exclusive) -> Separation:
             e1.append(e)
         else:
             e2.append(e)
-    return Separation(Graph(vs1, e1), Graph(set(g.vertices) - a, e2))
+    return Separation(
+        Graph._from_canonical((v for v in g.vertices if v in vs1), e1),
+        Graph._from_canonical((v for v in g.vertices if v not in a), e2),
+    )
 
 
 def is_k_connected(g: Graph, k: int) -> bool:

@@ -92,6 +92,14 @@ def test_separations_planar_side_max_out(tmp_path, capsys):
     assert report["count"] == 1 and len(report["separations"]) == 1
 
 
+def test_separations_negative_max_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "c6.txt", to_edgelist(cycle_graph([f"v{i}" for i in range(6)])))
+    assert main(["separations", path, "-k", "2", "--max", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max must be at least 0, got -3\n"
+
+
 def test_separations_planar_side_keeps_a_planar_second_side(tmp_path, capsys):
     # vertex 3 joined to 4-7, plus K7 on {0, 1, 2, 4, 5, 6, 7}: the star
     # side of a 4-cut is disc-planar but sorts second by vertex name

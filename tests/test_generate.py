@@ -16,7 +16,7 @@ from wheelkit.generate import (
     small_graph_classes,
     terminal_set_classes,
 )
-from wheelkit.graph import Graph, add
+from wheelkit.graph import Graph, add, remove
 from wheelkit.oracles import brute_rooted_isomorphic
 from wheelkit.planarity import TerminalGraph, is_disc_planar, is_planar
 from wheelkit.subdivisions import find_disjoint_paths, wheel_plus_paths_to_k5
@@ -142,6 +142,31 @@ def test_random_planar_graphs_are_planar_and_reproducible():
         g2 = random_planar_graph(10, random.Random(seed))
         assert g1 == g2
         assert is_planar(g1)
+
+
+def one_add_per_vertex(n, rng, keep_fraction=0.8):
+    """`random_planar_graph` as first written: the triangulation grows by
+    one `add` per vertex."""
+    names = [str(i) for i in range(n)]
+    g = Graph(names[:3], [(names[0], names[1]), (names[1], names[2]), (names[0], names[2])])
+    faces = [(names[0], names[1], names[2])]
+    for v in names[3:]:
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        g = add(g, {v}, [(v, a), (v, b), (v, c)])
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    return remove(g, (), edges[int(len(edges) * keep_fraction) :])
+
+
+@pytest.mark.parametrize("keep_fraction", [0.0, 0.5, 0.8, 0.95, 1.0])
+def test_random_planar_graph_matches_one_add_per_vertex(keep_fraction):
+    for n in range(3, 17):
+        for seed in range(4):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = random_planar_graph(n, rng, keep_fraction=keep_fraction)
+            assert got == one_add_per_vertex(n, ref, keep_fraction)
+            assert rng.getstate() == ref.getstate()
 
 
 def test_random_wheel_hosts_build_k5():

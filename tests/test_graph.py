@@ -15,6 +15,7 @@ from wheelkit.graph import (
     union,
     vkey,
 )
+from wheelkit.separations import split
 
 
 def k4():
@@ -168,3 +169,30 @@ def test_neighbors_and_edges_in_vkey_order(g):
     for v in g.vertices:
         assert list(g.neighbors(v)) == sorted(g.neighbors(v), key=vkey)
         assert set(g.neighbors(v)) == {x for e in g.edges if v in e for x in e if x != v}
+
+
+def same_graph(got, want):
+    assert got.vertices == want.vertices and got.edges == want.edges
+    for v in want.vertices:
+        assert got.neighbors(v) == want.neighbors(v)
+    assert hash(got) == hash(want) and got == want
+
+
+@given(graphs(ids=mixed_ids), st.data())
+def test_subgraphs_equal_a_fresh_build_from_the_same_data(g, data):
+    """`induced`, `remove` and `split` skip the sorting of `Graph(...)`;
+    what they build must be the graph `Graph(...)` builds."""
+    keep = data.draw(st.sets(st.sampled_from(g.vertices)))
+    kept = [e for e in g.edges if set(e) <= keep]
+    same_graph(g.induced(keep), Graph(keep, kept))
+
+    gone = set(g.vertices) - keep
+    drop = data.draw(st.sets(st.sampled_from(kept)) if kept else st.just(set()))
+    same_graph(remove(g, gone, drop), Graph(keep, [e for e in kept if e not in drop]))
+
+    cut = data.draw(st.sets(st.sampled_from(g.vertices)))
+    exclusive = set(next(iter(remove(g, cut).components()), ()))
+    sep = split(g, cut, exclusive)
+    e1 = [e for e in g.edges if set(e) & exclusive]
+    same_graph(sep.side1, Graph(exclusive | cut, e1))
+    same_graph(sep.side2, Graph(set(g.vertices) - exclusive, [e for e in g.edges if e not in e1]))

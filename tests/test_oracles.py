@@ -1,4 +1,5 @@
 import ast
+import random
 from itertools import combinations, permutations, product
 from pathlib import Path
 
@@ -8,7 +9,12 @@ from wheelkit import oracles
 from wheelkit.errors import InputDomainError
 from wheelkit.generate import small_graph_classes
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, remove, union
-from wheelkit.oracles import _component_faces, brute_disc_planar, brute_four_color
+from wheelkit.oracles import (
+    _component_faces,
+    brute_disc_planar,
+    brute_four_color,
+    brute_separations,
+)
 
 
 def test_oracles_import_no_search_module():
@@ -186,16 +192,71 @@ def dict_per_assignment(g):
     return None
 
 
+def random_graphs(seed, count, n_low, n_high, p_low, p_high):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        names = [str(i) for i in range(rng.randrange(n_low, n_high + 1))]
+        p = rng.uniform(p_low, p_high)
+        out.append(Graph(names, [e for e in combinations(names, 2) if rng.random() < p]))
+    return out
+
+
 def test_four_color_oracle_returns_first_proper_assignment():
-    for g in small_graph_classes(5):
+    graphs = [Graph()] + small_graph_classes(5) + random_graphs(3, 40, 6, 8, 0.5, 0.95)
+    uncolorable = 0
+    for g in graphs:
         got = brute_four_color(g)
         want = dict_per_assignment(g)
         assert got == want
         if want is not None:
             assert list(got.items()) == list(want.items())
+        uncolorable += want is None
+    assert brute_four_color(Graph()) == {}
+    assert uncolorable >= 5
 
 
 def test_four_color_oracle_on_c5_and_k5():
     c5 = cycle_graph([f"v{i}" for i in range(5)])
     assert brute_four_color(c5) == {"v0": 1, "v1": 2, "v2": 1, "v3": 2, "v4": 3}
     assert brute_four_color(complete_graph(list("abcde"))) is None
+
+
+# -- the definition universe of separations ------------------------------------
+
+
+def full_universe_separations(g, k):
+    """`brute_separations` walking both members of every side-swapped pair
+    of assignments."""
+    vs = g.vertices
+    out = set()
+    for cut in combinations(vs, k):
+        cset = set(cut)
+        rest = [v for v in vs if v not in cset]
+        inner = [e for e in g.edges if e[0] in cset and e[1] in cset]
+        for assign in product((0, 1), repeat=len(rest)):
+            a = {v for v, side in zip(rest, assign) if side == 0}
+            b = set(rest) - a
+            if any((u in a and v in b) or (u in b and v in a) for u, v in g.edges):
+                continue
+            ea_base = frozenset(e for e in g.edges if set(e) <= a | cset and not set(e) <= cset)
+            eb_base = frozenset(e for e in g.edges if set(e) <= b | cset and not set(e) <= cset)
+            for split in product((0, 1), repeat=len(inner)):
+                ea = set(ea_base)
+                eb = set(eb_base)
+                for e, side in zip(inner, split):
+                    (ea if side == 0 else eb).add(e)
+                if not (a or ea) or not (b or eb):
+                    continue
+                s1 = (frozenset(a | cset), frozenset(ea))
+                s2 = (frozenset(b | cset), frozenset(eb))
+                out.add(frozenset({s1, s2}))
+    return out
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_separation_oracle_matches_the_full_universe(k):
+    # the edge densities oracle-equivalence draws its separation graphs with
+    graphs = small_graph_classes(6) + random_graphs(11, 200, 4, 7, 0.3, 0.8)
+    for g in graphs:
+        assert brute_separations(g, k) == full_universe_separations(g, k), (g.edges, k)

@@ -133,6 +133,19 @@ def test_enumeration_order_matches_the_seen_set_reference():
     assert emitted == 6411
 
 
+def test_component_order_follows_string_order_of_least_vertices():
+    """Components are taken in the string order of their vkey-least
+    vertices, where "10" comes before "9" though vkey puts "9" first."""
+    rng = random.Random(23)
+    ids = ["9", "10", "2", "11", "a", "b1", "t2", "t10"]
+    for _ in range(40):
+        names = rng.sample(ids, rng.randrange(3, 8))
+        p = rng.uniform(0.1, 0.6)
+        g = Graph(names, [e for e in combinations(names, 2) if rng.random() < p])
+        for k in range(4):
+            assert list(enumerate_separations(g, k)) == list(seen_set_separations(g, k))
+
+
 def test_connectivity_standards():
     assert is_k_connected(complete_graph(list("abcde")), 4)
     assert is_k_connected(cycle_graph(list("abcde")), 2)
