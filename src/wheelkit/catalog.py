@@ -102,7 +102,10 @@ def verify_catalog() -> list[str]:
 
 
 def rooted_isomorphic(a: TerminalGraph, b: TerminalGraph) -> bool:
-    """Graph isomorphism mapping terminals(a) onto terminals(b) setwise."""
+    """Graph isomorphism mapping terminals(a) onto terminals(b) setwise.
+
+    Raises ResourceLimitError where `generate.canonical_form` does: on
+    some graphs with more than 9 vertices, such as the dodecahedron."""
     ga, gb = a.graph, b.graph
     if ga.n != gb.n or ga.m != gb.m or len(a.terminals) != len(b.terminals):
         return False

@@ -4,11 +4,11 @@ planar graphs, and wheel-plus-crossing hosts.
 `canonical_form` is the package's one isomorphism test: the enumerators
 and the catalog's rooted isomorphism all compare its keys.  It works on
 per-vertex adjacency bitmasks: a graph is indexed once by
-`kernels.index_graph`, and `_canon_masks` refines colours and takes the
-least adjacency bitstring over the vertex orders inside the cells.  Two
-vertices of one cell are twins when N(v) - w = N(w) - v, and swapping
-them is an automorphism that keeps the bitstring, so the order search
-visits one order per arrangement of twins.
+`kernels.index_graph`, and `_canon_masks` refines colours and searches
+the vertex orders inside the cells for the least adjacency bitstring.
+It cuts an order whose rows placed so far exceed the best bitstring's,
+places one member per twin class, and raises `ResourceLimitError` past
+`MAX_SEARCH_NODES`, which no graph with at most 9 vertices reaches.
 
 `_classes` is the one level loop: it enumerates edge sets level by level
 (by edge count), deduplicating each level by the rooted canonical form
@@ -30,7 +30,7 @@ sets.
 from __future__ import annotations
 
 import random
-from itertools import chain, combinations, permutations, product
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from wheelkit.errors import InputDomainError, ResourceLimitError
@@ -40,6 +40,8 @@ from wheelkit.planarity import TerminalGraph, is_disc_planar
 from wheelkit.wheels import Wheel
 
 DEFAULT_GENERATION_LIMIT = 9
+
+MAX_SEARCH_NODES = 1_000_000
 
 # Stream filters by name.  "s-independent" keeps the terminals pairwise
 # non-adjacent: the stream enforces it by never adding an edge between two
@@ -56,20 +58,30 @@ def canonical_form(g: Graph, terminals: Iterable[Vertex] = ()) -> tuple:
     `_canon_masks`.  Colour refinement first: each vertex starts as (not
     a terminal, degree), and each round recolours it by its colour and
     the sorted colours of its neighbours, relabelled by rank, until the
-    number of cells stops growing.  The key is (terminal count, n, bits),
-    with bits the smallest upper-triangle adjacency bitstring (bit
+    number of cells stops growing or equals the number of twin classes.
+    Two vertices are twins when they have the same terminal status and
+    N(v) - w = N(w) - v; swapping them is an automorphism, so they share
+    a cell and the bitstring below.  The key is (terminal count, n,
+    bits), with bits the smallest upper-triangle adjacency bitstring (bit
     i * n + j for an edge between positions i < j) over the vertex orders
     that take the cells in colour order and permute only inside them.
-    Terminals come first, so the key fixes the terminal set.  The graphs
-    here are small enough to need no individualisation search.
+    Terminals come first, so the key fixes the terminal set.
 
-    Two vertices of one cell are twins when N(v) - w = N(w) - v.
-    Swapping them is an automorphism that keeps every cell, so it leaves
-    the bitstring unchanged: the search visits one order per arrangement
-    of twins, and a partition into single vertices gives its one
-    bitstring directly.  Neither shortcut changes the key.
+    The search fills positions from the last one down, trying one member
+    per twin class at each.  Placing a vertex at position i completes
+    row i, and rows i and up are the most significant bits, so a branch
+    whose rows i and up exceed the best bitstring's is cut; ties are
+    kept.  Neither cut changes the key.  Each vertex tried is one node,
+    and past `MAX_SEARCH_NODES` the search raises ResourceLimitError.
+    One uncut cell of 9 vertices tries floor(e * 9!) - 1 = 986,409
+    nodes, so every graph with at most 9 vertices keys under any
+    labelling.  Above that, hitting the budget can depend on the
+    labelling: C10, C12, the Petersen graph and the icosahedron key in
+    well under a second, and the dodecahedron, Q4 and C16 raise.  A
+    returned key is never wrong.
 
-    Raises InputDomainError for a terminal that is not a vertex of g.
+    Raises InputDomainError for a terminal that is not a vertex of g or
+    is repeated.
     """
     idx, adj = index_graph(g)
     return _canon_masks(g.n, adj, _terminal_mask(idx, terminals))
@@ -81,6 +93,8 @@ def _terminal_mask(idx: dict[Vertex, int], terminals: Iterable[Vertex]) -> int:
     for t in terminals:
         if t not in idx:
             raise InputDomainError(f"terminal {t!r} not in graph")
+        if tmask >> idx[t] & 1:
+            raise InputDomainError(f"terminal {t!r} repeated")
         tmask |= 1 << idx[t]
     return tmask
 
@@ -89,6 +103,9 @@ def _canon_masks(n: int, adj: list[int], tmask: int) -> tuple:
     """`canonical_form` of the graph on vertices 0..n-1 with adjacency
     bitmasks `adj` and terminal bitmask `tmask`."""
     nbrs = [[u for u in range(n) if a >> u & 1] for a in adj]
+    # twins share a cell, so a cell per twin class refines no further
+    twin = _twin_classes(n, adj, tmask)
+    finest = len(set(twin))
     colour = [(not tmask >> v & 1, len(nbrs[v])) for v in range(n)]
     cells = 0
     while True:
@@ -97,70 +114,49 @@ def _canon_masks(n: int, adj: list[int], tmask: int) -> tuple:
         if len(rank) == cells:
             break
         cells = len(rank)
+        if cells == finest:
+            break
         colour = [(c, tuple(sorted([colour[u] for u in nbrs[v]]))) for v, c in enumerate(colour)]
-    parts: list[list[int]] = [[] for _ in range(cells)]
+    # position i draws from the twin classes of the i-th cell, as stacks
+    members = [[v] for v in range(n)]
+    classes: list[list[list[int]]] = [[] for _ in range(cells)]
     for v in range(n):
-        parts[colour[v]].append(v)
-    key = (tmask.bit_count(), n)
-    if cells == n:
-        return key + (_bitstring(n, nbrs, [p[0] for p in parts]),)
-    twin = _twin_classes(n, adj, tmask)
-    best = None
-    for order in product(*[_arrangements(p, twin) for p in parts]):
-        bits = _bitstring(n, nbrs, list(chain.from_iterable(order)))
-        if best is None or bits < best:
+        if twin[v] == v:
+            classes[colour[v]].append(members[v])
+        else:
+            members[twin[v]].append(v)
+    stacks = [classes[c] for c in sorted(colour)]
+    pos = [-1] * n
+    best = 1 << n * n  # above every bitstring
+    nodes = 0
+
+    def place(i: int, bits: int) -> None:
+        """Fill positions i down to 0; `bits` holds rows i + 1 and up."""
+        nonlocal best, nodes
+        if i < 0:
             best = bits
-    return key + (best,)
-
-
-def _bitstring(n: int, nbrs: list[list[int]], order: list[int]) -> int:
-    """The upper-triangle adjacency bitstring with vertex order[i] at
-    position i."""
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    bits = 0
-    for i, v in enumerate(order):
-        for u in nbrs[v]:
-            j = pos[u]
-            if j > i:
-                bits |= 1 << (i * n + j)
-    return bits
-
-
-def _arrangements(cell: list[int], twin: list[int]) -> list:
-    """The orders of one cell up to swapping twins: each twin class keeps
-    its members in index order, and only the classes' interleaving
-    varies.  Twins with the same terminal status always share a cell,
-    since refinement respects automorphisms."""
-    if len(cell) == 1:
-        return [cell]
-    by_class: dict[int, list[int]] = {}
-    for v in cell:
-        by_class.setdefault(twin[v], []).append(v)
-    classes = list(by_class.values())
-    if len(classes) == 1:
-        return [cell]
-    if len(classes) == len(cell):
-        return list(permutations(cell))
-    out = []
-    taken = [0] * len(classes)
-    order: list[int] = []
-
-    def walk():
-        if len(order) == len(cell):
-            out.append(tuple(order))
             return
-        for c, members in enumerate(classes):
-            if taken[c] < len(members):
-                order.append(members[taken[c]])
-                taken[c] += 1
-                walk()
-                taken[c] -= 1
-                order.pop()
+        shift = i * n
+        for stack in stacks[i]:
+            if not stack:
+                continue
+            nodes += 1
+            if nodes > MAX_SEARCH_NODES:
+                raise ResourceLimitError(f"canonical form search passed {MAX_SEARCH_NODES} nodes")
+            v = stack.pop()
+            row = bits
+            for u in nbrs[v]:
+                j = pos[u]
+                if j > i:
+                    row |= 1 << (shift + j)
+            if row >> shift <= best >> shift:
+                pos[v] = i
+                place(i - 1, row)
+                pos[v] = -1
+            stack.append(v)
 
-    walk()
-    return out
+    place(n - 1, 0)
+    return (tmask.bit_count(), n, best)
 
 
 def _twin_classes(n: int, adj: list[int], tmask: int) -> list[int]:

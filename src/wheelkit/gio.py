@@ -21,15 +21,9 @@ def to_graph6(g: Graph) -> str:
         raise InputDomainError(f"graph6 writer supports n <= {_G6_MAX}, got {n}")
     idx = {v: i for i, v in enumerate(g.vertices)}
     bits = [0] * (n * (n - 1) // 2)
-    pos = {}
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            pos[(i, j)] = k
-            k += 1
     for u, v in g.edges:
         i, j = sorted((idx[u], idx[v]))
-        bits[pos[(i, j)]] = 1
+        bits[j * (j - 1) // 2 + i] = 1
     out = [chr(n + 63)]
     for start in range(0, len(bits), 6):
         group = bits[start : start + 6]

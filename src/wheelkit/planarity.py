@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from wheelkit.errors import InputDomainError, PreconditionError
-from wheelkit.graph import Graph, Vertex, add, norm_edge, vkey
+from wheelkit.graph import Graph, Vertex, add, vkey
 
 Dart = tuple[Vertex, Vertex]
 
@@ -193,12 +193,10 @@ def _fence_augmented(g: Graph, terminals) -> tuple[Graph, list[Vertex]]:
     k = len(terminals)
     names = _fresh_names(g, k + 1, "fence")
     fs, hub = names[:k], names[k]
-    edges = set()
+    edges = []
     for i, f in enumerate(fs):
-        edges.add(norm_edge(f, terminals[i]))
-        edges.add(norm_edge(f, terminals[(i + 1) % k]))
-        edges.add(norm_edge(f, hub))
-    return add(g, fs + [hub], sorted(edges)), names
+        edges += [(f, terminals[i]), (f, terminals[(i + 1) % k]), (f, hub)]
+    return add(g, fs + [hub], edges), names
 
 
 def _augmented(tg: TerminalGraph) -> tuple[Graph, set[Vertex]]:

@@ -1,13 +1,18 @@
 import random
+import time
 from collections import Counter
 from itertools import chain, combinations, permutations, product
 
+import networkx as nx
 import pytest
 
+from wheelkit import generate
 from wheelkit.catalog import catalog, matches_catalog
-from wheelkit.errors import InputDomainError
+from wheelkit.errors import InputDomainError, ResourceLimitError
 from wheelkit.generate import (
+    _canon_masks,
     _classes,
+    _twin_classes,
     canonical_form,
     generate_terminal_planar,
     random_planar_graph,
@@ -17,6 +22,7 @@ from wheelkit.generate import (
     terminal_set_classes,
 )
 from wheelkit.graph import Graph, add, remove
+from wheelkit.kernels import index_graph
 from wheelkit.oracles import brute_rooted_isomorphic
 from wheelkit.planarity import TerminalGraph, is_disc_planar, is_planar
 from wheelkit.subdivisions import find_disjoint_paths, wheel_plus_paths_to_k5
@@ -196,6 +202,12 @@ def test_canonical_form_rejects_unknown_terminal():
         canonical_form(g, ["z"])
 
 
+def test_canonical_form_rejects_repeated_terminal():
+    g = Graph(["a", "b", "c"], [("a", "b")])
+    with pytest.raises(InputDomainError, match="'a' repeated"):
+        canonical_form(g, ["a", "b", "a"])
+
+
 def test_small_graph_class_counts():
     by_n = Counter(g.n for g in small_graph_classes(6))
     assert [by_n[n] for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
@@ -300,3 +312,149 @@ def test_level_loop_matches_reference(s_size):
             ]
 
         assert levels(_classes) == levels(reference_classes)
+
+
+def reference_canon_masks(n, adj, tmask):
+    """The mask canonical form before its order search was pruned: the
+    least `reference_bitstring` over the product of every cell's
+    `reference_arrangements`."""
+    nbrs = [[u for u in range(n) if a >> u & 1] for a in adj]
+    colour = [(not tmask >> v & 1, len(nbrs[v])) for v in range(n)]
+    cells = 0
+    while True:
+        rank = {c: i for i, c in enumerate(sorted(set(colour)))}
+        colour = [rank[c] for c in colour]
+        if len(rank) == cells:
+            break
+        cells = len(rank)
+        colour = [(c, tuple(sorted([colour[u] for u in nbrs[v]]))) for v, c in enumerate(colour)]
+    parts = [[] for _ in range(cells)]
+    for v in range(n):
+        parts[colour[v]].append(v)
+    key = (tmask.bit_count(), n)
+    if cells == n:
+        return key + (reference_bitstring(n, nbrs, [p[0] for p in parts]),)
+    twin = _twin_classes(n, adj, tmask)
+    best = None
+    for order in product(*[reference_arrangements(p, twin) for p in parts]):
+        bits = reference_bitstring(n, nbrs, list(chain.from_iterable(order)))
+        if best is None or bits < best:
+            best = bits
+    return key + (best,)
+
+
+def reference_bitstring(n, nbrs, order):
+    """The upper-triangle adjacency bitstring with vertex order[i] at
+    position i."""
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    bits = 0
+    for i, v in enumerate(order):
+        for u in nbrs[v]:
+            j = pos[u]
+            if j > i:
+                bits |= 1 << (i * n + j)
+    return bits
+
+
+def reference_arrangements(cell, twin):
+    """The orders of one cell up to swapping twins: each twin class keeps
+    its members in index order, and only the classes' interleaving
+    varies."""
+    if len(cell) == 1:
+        return [cell]
+    by_class = {}
+    for v in cell:
+        by_class.setdefault(twin[v], []).append(v)
+    classes = list(by_class.values())
+    if len(classes) == 1:
+        return [cell]
+    if len(classes) == len(cell):
+        return list(permutations(cell))
+    out = []
+    taken = [0] * len(classes)
+    order = []
+
+    def walk():
+        if len(order) == len(cell):
+            out.append(tuple(order))
+            return
+        for c, members in enumerate(classes):
+            if taken[c] < len(members):
+                order.append(members[taken[c]])
+                taken[c] += 1
+                walk()
+                taken[c] -= 1
+                order.pop()
+
+    walk()
+    return out
+
+
+def test_pruned_search_matches_reference_on_every_small_terminal_set():
+    checked = 0
+    for g in small_graph_classes(6):
+        _, adj = index_graph(g)
+        for tmask in range(1 << g.n):
+            assert _canon_masks(g.n, adj, tmask) == reference_canon_masks(g.n, adj, tmask)
+            checked += 1
+    assert checked == 11290
+
+
+def test_pruned_search_matches_reference_on_seeded_masks():
+    rng = random.Random(21)
+    for _ in range(1000):
+        n = rng.randint(7, 9)
+        p = rng.random()
+        adj = [0] * n
+        for i, j in combinations(range(n), 2):
+            if rng.random() < p:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        tmask = sum(1 << t for t in rng.sample(range(n), rng.randint(0, 5)))
+        assert _canon_masks(n, adj, tmask) == reference_canon_masks(n, adj, tmask)
+
+
+def relabelled(nxg, seed):
+    """nxg as a Graph whose vertex names are a seeded shuffle of x0, x1, ..."""
+    names = [f"x{i}" for i in range(nxg.number_of_nodes())]
+    random.Random(seed).shuffle(names)
+    f = dict(zip(nxg.nodes, names))
+    return Graph(names, [(f[u], f[v]) for u, v in nxg.edges])
+
+
+SYMMETRIC_GRAPHS = {
+    "C10": nx.cycle_graph(10),
+    "C12": nx.cycle_graph(12),
+    "Petersen": nx.petersen_graph(),
+    "icosahedron": nx.icosahedral_graph(),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_GRAPHS)
+def test_symmetric_graphs_key_fast_under_relabelling(name):
+    keys = set()
+    for seed in range(3):
+        g = relabelled(SYMMETRIC_GRAPHS[name], seed)
+        t0 = time.perf_counter()
+        keys.add(canonical_form(g))
+        assert time.perf_counter() - t0 < 1.0
+    assert len(keys) == 1
+
+
+@pytest.mark.parametrize(
+    "nxg",
+    [nx.dodecahedral_graph(), nx.hypercube_graph(4)],
+    ids=["dodecahedron", "Q4"],
+)
+def test_search_past_the_node_budget_raises(nxg):
+    with pytest.raises(ResourceLimitError, match="1000000 nodes"):
+        canonical_form(relabelled(nxg, 0))
+
+
+def test_c10_raises_past_a_lowered_node_budget(monkeypatch):
+    c10 = relabelled(SYMMETRIC_GRAPHS["C10"], 0)
+    monkeypatch.setattr(generate, "MAX_SEARCH_NODES", 50)
+    with pytest.raises(ResourceLimitError, match="passed 50 nodes"):
+        canonical_form(c10)

@@ -1,4 +1,5 @@
 import ast
+import gc
 import random
 from itertools import combinations, permutations, product
 from pathlib import Path
@@ -258,5 +259,13 @@ def full_universe_separations(g, k):
 def test_separation_oracle_matches_the_full_universe(k):
     # the edge densities oracle-equivalence draws its separation graphs with
     graphs = small_graph_classes(6) + random_graphs(11, 200, 4, 7, 0.3, 0.8)
-    for g in graphs:
-        assert brute_separations(g, k) == full_universe_separations(g, k), (g.edges, k)
+    # both sides build large sets of frozensets and no reference cycles,
+    # which the cyclic collector would walk again and again
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for g in graphs:
+            assert brute_separations(g, k) == full_universe_separations(g, k), (g.edges, k)
+    finally:
+        if was_enabled:
+            gc.enable()
