@@ -76,8 +76,7 @@ class Config:
         search grows about tenfold per two vertices, so search_bound stops
         at 16, where the default instances still take seconds.  The oracles
         of oracle-equivalence grow faster (its default instances took about
-        5 s at oracle_bound 10 and 12 to 16 s at 11 on 2 cores): it stops
-        at 10.
+        3 s at oracle_bound 10 and 8 s at 11 on 2 cores): it stops at 10.
         """
         minimums = {"oracle_bound": 5, "search_bound": 5, "generation_bound": 5, "instances": 1}
         for key, low in minimums.items():
@@ -261,9 +260,13 @@ def run_oracle_equivalence(seed, oracle_bound, instances):
             for sep in enumerate_separations(g, k)
         }
         want = set()
+        inner_of = {}  # cut -> its cut-internal edges
         for pair in brute_separations(g, k):
             (v1, e1), (v2, e2) = pair
-            inner = {e for e in g.edges if set(e) <= v1 & v2}
+            cut = v1 & v2
+            inner = inner_of.get(cut)
+            if inner is None:
+                inner = inner_of[cut] = {e for e in g.edges if set(e) <= cut}
             if inner <= e1 or inner <= e2:
                 want.add(pair)
         if got != want:

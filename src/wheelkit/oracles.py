@@ -11,12 +11,26 @@ answer: permuting the colors keeps an assignment proper, so the
 lexicographically first proper assignment gives the first vertex color
 1; swapping the two sides of a separation gives the same unordered
 pair; reversing every rotation reverses every face walk.
+
+How the three largest spaces are represented changes their cost, not
+their answers or witnesses:
+
+- colourings come from `itertools.product` with the first colour fixed
+  at 1, in lexicographic order;
+- separations index the vertices and edges as bitmasks, and their sides
+  and cut-internal edge splits are submasks;
+- path systems list each pair's simple paths the first time the search
+  reaches that pair.
+
+None of them prunes: each judges only complete candidates (a colouring,
+a side pair with its edge split, a path system), and each walks every
+candidate the filter could accept until it settles the answer.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
 
 from wheelkit.errors import InputDomainError
 from wheelkit.graph import Graph, Vertex, vkey
@@ -35,17 +49,18 @@ def brute_four_color(g: Graph) -> dict[Vertex, int] | None:
     starts with 1 comes before every other: the first proper assignment
     is among those tried.  The empty graph gets the empty assignment.
 
-    The edges are indexed to vertex positions once.  The assignments
-    are tried in turn, with no pruning; each is rejected at its first
-    edge whose ends share a color.
+    The edges are indexed to vertex positions once.  `product` with the
+    single choice (1,) in front yields the assignments in that order
+    without building one tuple per tail.  They are tried in turn, with no
+    pruning, since a partial assignment is never judged; each is rejected
+    at its first edge whose ends share a color.
     """
     vs = g.vertices
     if not vs:
         return {}
     pos = {v: i for i, v in enumerate(vs)}
     pairs = [(pos[u], pos[v]) for u, v in g.edges]
-    for tail in product(COLORS, repeat=len(vs) - 1):
-        combo = (1, *tail)
+    for combo in product((1,), *[COLORS] * (len(vs) - 1)):
         for i, j in pairs:
             if combo[i] == combo[j]:
                 break
@@ -77,17 +92,33 @@ def all_simple_paths(g: Graph, s: Vertex, t: Vertex, banned: frozenset) -> list[
 
 
 def brute_disjoint_paths(g: Graph, pairs, forbidden=()) -> tuple[tuple[Vertex, ...], ...] | None:
-    """Enumerate per-pair path lists, then search all combinations."""
+    """The first system of internally disjoint paths, one per pair in
+    order, whose interiors avoid `forbidden` and every pair's ends.
+
+    Pair i's paths come from `all_simple_paths`, in its order, and the
+    search tries them depth first: path 0 of pair 0, then every fitting
+    path of pair 1, and so on.  A pair's list is built the first time the
+    search reaches that pair, with each path's interior as a frozenset.
+    If an early pair cannot be linked, the later lists are never built;
+    that skips no system that could be returned, so nothing is pruned.
+    An end that is not a vertex of `g` raises `InputDomainError`, whether
+    or not its pair is reached.
+    """
     pairs = [tuple(p) for p in pairs]
     endpoints = {x for p in pairs for x in p}
+    unknown = [x for x in endpoints if not g.has_vertex(x)]
+    if unknown:
+        raise InputDomainError(f"unknown vertex ids: {sorted(unknown, key=vkey)}")
     banned = frozenset(forbidden) | frozenset(endpoints)
-    choices = [all_simple_paths(g, s, t, banned - {s, t}) for s, t in pairs]
+    choices: list = [None] * len(pairs)
 
-    def pick(i: int, used_interiors: set[Vertex]) -> list | None:
+    def pick(i: int, used_interiors: frozenset) -> list | None:
         if i == len(pairs):
             return []
-        for p in choices[i]:
-            interior = set(p[1:-1])
+        if choices[i] is None:
+            s, t = pairs[i]
+            choices[i] = [(p, frozenset(p[1:-1])) for p in all_simple_paths(g, s, t, banned - {s, t})]
+        for p, interior in choices[i]:
             if interior & used_interiors:
                 continue
             rest = pick(i + 1, used_interiors | interior)
@@ -95,7 +126,7 @@ def brute_disjoint_paths(g: Graph, pairs, forbidden=()) -> tuple[tuple[Vertex, .
                 return [p] + rest
         return None
 
-    got = pick(0, set())
+    got = pick(0, frozenset())
     return tuple(got) if got is not None else None
 
 
@@ -121,38 +152,91 @@ def brute_separations(g: Graph, k: int) -> set:
     assignment of each swapped pair is walked: the one that puts the
     first vertex outside C in A, or, when C holds every vertex, the one
     that puts the first C-internal edge on A's side.
+
+    Vertex i of `g.vertices` is bit i of a vertex mask and edge j of
+    `g.edges` is bit j of an edge mask.  The sides A are the submasks of
+    the non-cut vertices that hold the lowest one, and the C-internal
+    edges that go to A's side are the submasks of the inner-edge mask.
+    Every such submask is walked; an A with an edge to B is dropped by
+    the filter, not skipped.  Each side's vertex and edge sets are built
+    from their masks once per call, so equal sides share one frozenset.
     """
-    vs = g.vertices
+    vs, es = g.vertices, g.edges
+    bits = [1 << i for i in range(len(vs))]
+    pos = dict(zip(vs, bits))
+    emasks = [(1 << j, pos[u] | pos[v]) for j, (u, v) in enumerate(es)]
+    every = sum(bits)
+    vsets, esets = _Members(vs), _Members(es)
     out = set()
-    for cut in combinations(vs, k):
-        cset = set(cut)
-        rest = [v for v in vs if v not in cset]
-        inner = [e for e in g.edges if e[0] in cset and e[1] in cset]
-        for assign in _first_on_a(len(rest)) if rest else [()]:
-            a = {v for v, side in zip(rest, assign) if side == 0}
-            b = set(rest) - a
-            if any((u in a and v in b) or (u in b and v in a) for u, v in g.edges):
-                continue
-            ea_base = frozenset(
-                e for e in g.edges if set(e) <= a | cset and not set(e) <= cset
-            )
-            eb_base = frozenset(
-                e for e in g.edges if set(e) <= b | cset and not set(e) <= cset
-            )
-            va, vb = frozenset(a | cset), frozenset(b | cset)
-            for split in product((0, 1), repeat=len(inner)) if rest else _first_on_a(len(inner)):
-                ea = ea_base.union(e for e, side in zip(inner, split) if side == 0)
-                eb = eb_base.union(e for e, side in zip(inner, split) if side == 1)
-                if not (a or ea) or not (b or eb):
-                    continue
-                out.add(frozenset({(va, ea), (vb, eb)}))
+    for cut in combinations(bits, k):
+        cmask = sum(cut)
+        rest = every ^ cmask
+        inner = 0
+        outer = []
+        for ebit, em in emasks:
+            if em & rest:
+                outer.append((ebit, em))
+            else:
+                inner |= ebit
+        if rest:
+            low, first_edge = rest & -rest, 0
+        elif inner:
+            low, first_edge = 0, inner & -inner
+        else:
+            continue
+        free = rest ^ low
+        splits = inner ^ first_edge
+        sub = free
+        while True:
+            a = sub | low
+            b = rest ^ a
+            ea = eb = 0
+            for ebit, em in outer:
+                if not em & b:
+                    ea |= ebit
+                elif not em & a:
+                    eb |= ebit
+                else:
+                    break  # an edge joins A and B
+            else:
+                va, vb = vsets[a | cmask], vsets[b | cmask]
+                ea |= first_edge
+                eb |= splits
+                s = splits
+                while True:
+                    # A is never empty: it holds the lowest non-cut vertex
+                    # or, when there is none, the first C-internal edge.
+                    fb = eb ^ s
+                    if b or fb:
+                        out.add(frozenset(((va, esets[ea | s]), (vb, esets[fb]))))
+                    if not s:
+                        break
+                    s = (s - 1) & splits
+            if not sub:
+                break
+            sub = (sub - 1) & free
     return out
 
 
-def _first_on_a(m: int):
-    """The 0/1 tuples of length m that start with 0, one of each
-    complementary pair; none when m is 0."""
-    return ((0, *tail) for tail in product((0, 1), repeat=m - 1)) if m else ()
+# The bits of each byte value as 8 booleans, lowest bit first.
+_BYTE_BITS = tuple(tuple(bool(b >> i & 1) for i in range(8)) for b in range(256))
+
+
+class _Members(dict):
+    """mask -> the frozenset of the items at its set bits (bit i for
+    `items[i]`), built on first lookup."""
+
+    def __init__(self, items: tuple):
+        super().__init__()
+        self._items = items
+        self._shifts = range(0, len(items), 8)
+
+    def __missing__(self, mask: int) -> frozenset:
+        picks = ()
+        for shift in self._shifts:
+            picks += _BYTE_BITS[mask >> shift & 255]
+        got = self[mask] = frozenset(compress(self._items, picks))
+        return got
 
 
 def brute_k_connected(g: Graph, k: int) -> bool:

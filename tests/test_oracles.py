@@ -12,8 +12,11 @@ from wheelkit.generate import small_graph_classes
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, remove, union
 from wheelkit.oracles import (
     _component_faces,
+    all_simple_paths,
     brute_disc_planar,
+    brute_disjoint_paths,
     brute_four_color,
+    brute_k5_subdivision,
     brute_separations,
 )
 
@@ -223,6 +226,76 @@ def test_four_color_oracle_on_c5_and_k5():
     assert brute_four_color(complete_graph(list("abcde"))) is None
 
 
+# -- path systems --------------------------------------------------------------
+
+
+def eager_disjoint_paths(g, pairs, forbidden=()):
+    """`brute_disjoint_paths` listing every pair's paths before the search."""
+    pairs = [tuple(p) for p in pairs]
+    endpoints = {x for p in pairs for x in p}
+    banned = frozenset(forbidden) | frozenset(endpoints)
+    choices = [all_simple_paths(g, s, t, banned - {s, t}) for s, t in pairs]
+
+    def pick(i, used_interiors):
+        if i == len(pairs):
+            return []
+        for p in choices[i]:
+            interior = set(p[1:-1])
+            if interior & used_interiors:
+                continue
+            rest = pick(i + 1, used_interiors | interior)
+            if rest is not None:
+                return [p] + rest
+        return None
+
+    got = pick(0, set())
+    return tuple(got) if got is not None else None
+
+
+def test_lazy_path_lists_return_the_eager_witnesses():
+    """The same path tuples, for disjoint pairs and for all pairs of a
+    terminal set (as the K5 oracle asks), with and without forbidden
+    vertices."""
+    rng = random.Random(41)
+    linked = unlinked = 0
+    for g in random_graphs(41, 320, 4, 8, 0.3, 0.8):
+        vs = list(g.vertices)
+        rng.shuffle(vs)
+        if rng.random() < 0.5:
+            size = rng.randrange(2, min(6, len(vs)) + 1, 2)
+            pairs = list(zip(vs[0:size:2], vs[1:size:2]))
+        else:
+            size = rng.randrange(3, 5)
+            pairs = list(combinations(vs[:size], 2))
+        spare = vs[size:]
+        for forbidden in ((), rng.sample(spare, rng.randrange(1, len(spare) + 1)) if spare else ()):
+            got = brute_disjoint_paths(g, pairs, forbidden)
+            assert got == eager_disjoint_paths(g, pairs, forbidden), (g.edges, pairs, forbidden)
+            linked += got is not None
+            unlinked += got is None
+    assert linked >= 100 and unlinked >= 100
+
+
+def test_path_oracle_rejects_an_unknown_end_of_an_unreached_pair():
+    g = union(path_graph(["a", "b"]), path_graph(["c", "d"]))
+    assert brute_disjoint_paths(g, [("a", "c")]) is None
+    with pytest.raises(InputDomainError, match="'z'"):
+        brute_disjoint_paths(g, [("a", "c"), ("b", "z")])
+
+
+def test_k5_oracle_verdicts_match_eager_path_lists():
+    graphs = small_graph_classes(6) + random_graphs(43, 150, 5, 8, 0.4, 0.9)
+    found = 0
+    for g in graphs:
+        want = any(
+            eager_disjoint_paths(g, combinations(combo, 2)) is not None
+            for combo in combinations(g.vertices, 5)
+        )
+        assert brute_k5_subdivision(g) == want, g.edges
+        found += want
+    assert 10 <= found < len(graphs) - 10
+
+
 # -- the definition universe of separations ------------------------------------
 
 
@@ -269,3 +342,15 @@ def test_separation_oracle_matches_the_full_universe(k):
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_separation_masks_follow_vertex_order_not_id_strings():
+    """Ids whose string order differs from vkey order ("10" before "9")."""
+    rng = random.Random(29)
+    ids = ["9", "10", "2", "11", "a", "b1", "t2", "t10"]
+    for _ in range(12):
+        names = rng.sample(ids, rng.randrange(5, 9))
+        p = rng.uniform(0.2, 0.5)
+        g = Graph(names, [e for e in combinations(names, 2) if rng.random() < p])
+        for k in range(5):
+            assert brute_separations(g, k) == full_universe_separations(g, k), (g.edges, k)
