@@ -20,11 +20,16 @@ their answers or witnesses:
 - separations index the vertices and edges as bitmasks, and their sides
   and cut-internal edge splits are submasks;
 - path systems list each pair's simple paths the first time the search
-  reaches that pair.
+  reaches that pair;
+- rotation systems index each component's vertices once and encode the
+  dart (a, b) as the int a*n + b; a system is one successor list from
+  dart to dart, rewritten in place vertex by vertex, and its faces are
+  traced as vertex bitmasks, turned into vertex sets once per component.
 
 None of them prunes: each judges only complete candidates (a colouring,
-a side pair with its edge split, a path system), and each walks every
-candidate the filter could accept until it settles the answer.
+a side pair with its edge split, a path system, a rotation system), and
+each walks every candidate the filter could accept until it settles the
+answer.
 """
 
 from __future__ import annotations
@@ -369,51 +374,93 @@ def _component_faces(g: Graph) -> tuple:
         if sub.m == 0:
             out.append((comp, frozenset([comp])))  # a lone vertex is its one face
             continue
-        vs = sub.vertices
-        # Each choice at a vertex is its successor map: neighbour a -> the
-        # neighbour after a in the rotation.  Reversing every rotation
-        # reverses every face walk, so at the first vertex of degree >= 3
-        # only (first,) + p with vkey(p[0]) < vkey(p[-1]) is kept: exactly
+        # Vertex i of sub.vertices (in vkey order) is index i, and the dart
+        # (a, b) is the int a*n + b.  A rotation at b is stored as the row
+        # that maps each incoming dart (a, b), at index a, to the outgoing
+        # dart (b, c), where c follows a around b.  Reversing every
+        # rotation reverses every face walk, so at the first vertex of
+        # degree >= 3 only (first,) + p with p[0] < p[-1] is kept: exactly
         # one system of each mirror pair.
-        succ_choices = []
+        vs = sub.vertices
+        n = len(vs)
+        pos = {v: i for i, v in enumerate(vs)}
+        rows = []
+        darts = set()
         mirrored = False
-        for v in vs:
-            ns = sub.neighbors(v)
+        for b, v in enumerate(vs):
+            ns = [pos[u] for u in sub.neighbors(v)]
+            darts.update(a * n + b for a in ns)
             if len(ns) <= 2:
                 rots = [ns]
             else:
-                first = ns[0]
                 perms = permutations(ns[1:])
                 if not mirrored:
-                    perms = [p for p in perms if vkey(p[0]) < vkey(p[-1])]
+                    perms = [p for p in perms if p[0] < p[-1]]
                     mirrored = True
-                rots = [(first,) + p for p in perms]
-            succ_choices.append([dict(zip(r, r[1:] + r[:1])) for r in rots])
-        darts = [(u, v) for u in vs for v in sub.neighbors(u)]
+                rots = [[ns[0], *p] for p in perms]
+            rows.append([_successor_row(r, b, n) for r in rots])
+        tail_bit = [1 << (d // n) for d in range(n * n)]
         target_faces = 2 - sub.n + sub.m  # Euler, connected
         found = set()
-        for combo in product(*succ_choices):
-            faces = _trace(dict(zip(vs, combo)), darts)
+        for nxt in _systems(rows, n):
+            faces = _trace(nxt, darts, tail_bit)
             if len(faces) == target_faces:
                 found.update(faces)
-        out.append((comp, frozenset(found) if found else None))
+        members = _Members(vs)
+        out.append((comp, frozenset(members[f] for f in found) if found else None))
     return tuple(out)
 
 
-def _trace(succ, darts):
-    """The faces of the rotation system given by successor maps (`succ[b][a]`
-    is the neighbour after a around b), each as the set of vertices its
-    walk passes; `darts` lists every dart once."""
-    seen = set()
+def _successor_row(rotation: list[int], b: int, n: int) -> list[int]:
+    """Index a of the row holds the dart (b, c), where c follows a in the
+    rotation at b; indices of non-neighbours hold 0 and are never read."""
+    row = [0] * n
+    for a, c in zip(rotation, rotation[1:] + rotation[:1]):
+        row[a] = b * n + c
+    return row
+
+
+def _systems(rows: list[list[list[int]]], n: int):
+    """Every choice of one row per vertex, in `product` order (the last
+    vertex turns fastest), each as the successor list of its rotation
+    system: nxt[a*n + b] is the dart after (a, b) on its face.
+
+    The same list is yielded every time, rewritten in place: choosing row
+    r at vertex b sets nxt[b::n] = r, the darts into b, so a step rewrites
+    only the vertices whose choice changed.
+    """
+    nxt = [0] * (n * n)
+    for b, choices in enumerate(rows):
+        nxt[b::n] = choices[0]
+    turning = [b for b, choices in enumerate(rows) if len(choices) > 1]
+    at = [0] * n
+    while True:
+        yield nxt
+        for b in reversed(turning):
+            at[b] += 1
+            if at[b] < len(rows[b]):
+                nxt[b::n] = rows[b][at[b]]
+                break
+            at[b] = 0
+            nxt[b::n] = rows[b][0]
+        else:
+            return
+
+
+def _trace(nxt: list[int], darts: set[int], tail_bit: list[int]) -> list[int]:
+    """The faces of the rotation system whose successor list is `nxt` (see
+    `_systems`), each as the bitmask of the vertices its walk passes:
+    `tail_bit[d]` is the bit of dart d's tail, and `darts` holds every
+    dart.  A face is walked from whichever of its darts is left first."""
+    left = set(darts)
     faces = []
-    for d in darts:
-        if d in seen:
-            continue
-        face = set()
-        while d not in seen:
-            seen.add(d)
-            a, b = d
-            face.add(a)
-            d = (b, succ[b][a])
-        faces.append(frozenset(face))
+    while left:
+        d = left.pop()
+        face = tail_bit[d]
+        d = nxt[d]
+        while d in left:
+            left.remove(d)
+            face |= tail_bit[d]
+            d = nxt[d]
+        faces.append(face)
     return faces

@@ -8,17 +8,21 @@ content.  `embed` embeds a planar graph; `embed_terminal` gives the disc
 embedding of a disc-planar terminal pair, read off the same apex or
 fence augmentation that `is_disc_planar` tests.
 
-Disc-planarity of a terminal pair (G, S):
+Disc-planarity of a terminal pair (G, S) is planarity of G plus the
+augmentation that `_augmented` describes once for both users:
 - unordered, or ordered with at most three terminals (which have one
-  cyclic order up to reflection): G plus one fresh apex adjacent to all
-  of S must be planar;
-- ordered with four or more terminals: a fence is added instead (fresh
-  vertices f_i joined to the consecutive terminals t_i and t_{i+1}, plus
-  a hub adjacent to all f_i), which pins the cyclic boundary order up to
-  rotation and reflection (see `_fence_augmented`).  The apex is
-  cross-checked against a brute-force rotation-system oracle in the test
-  suite, and the fence against the apex at three terminals and, over
-  every cyclic order, at four and five.
+  cyclic order up to reflection): one fresh apex adjacent to all of S;
+- ordered with four or more terminals: a fence (fresh vertices f_i
+  joined to the consecutive terminals t_i and t_{i+1}, plus a hub
+  adjacent to all f_i), which pins the cyclic boundary order up to
+  rotation and reflection.
+`is_disc_planar` lays the augmentation onto a set-adjacency copy of G and
+decides it there, as `is_planar` does for a plain graph: neither verdict
+builds a `Graph`.  `embed_terminal` builds the augmented `Graph`, so that
+networkx sees its vertices and edges in canonical order.  The apex is
+cross-checked against a brute-force rotation-system oracle in the test
+suite, and the fence against the apex at three terminals and, over every
+cyclic order, at four and five.
 """
 
 from __future__ import annotations
@@ -72,9 +76,25 @@ class Embedding:
         return tuple(u for u, _ in self.faces[i])
 
     def face_count(self) -> int:
-        """Face count with the unbounded face shared across components."""
-        darts = [(u, v) for u, ns in self.rotation.items() for v in ns]
-        return len(self.faces) - len(Graph(edges=darts).components()) + 1
+        """Face count with the unbounded face shared across components.
+
+        Components are counted by a flood fill over the rotation; a vertex
+        with no neighbour has no face and is not counted.
+        """
+        seen: set[Vertex] = set()
+        components = 0
+        for start, ns in self.rotation.items():
+            if not ns or start in seen:
+                continue
+            components += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                for y in self.rotation[stack.pop()]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+        return len(self.faces) - components + 1
 
 
 def _trace_faces(rotation: dict[Vertex, tuple[Vertex, ...]]) -> tuple[tuple[Dart, ...], ...]:
@@ -115,12 +135,11 @@ def _to_networkx(g: Graph) -> nx.Graph:
     return h
 
 
-def _core(g: Graph) -> dict[Vertex, set[Vertex]]:
-    """The adjacency of g after deleting vertices of degree at most 1 and
-    smoothing vertices of degree 2 until none is left.  Smoothing v with
-    neighbours a and b drops v and adds the edge a-b, unless it is already
-    there.  Every step keeps planarity in both directions."""
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+def _core(adj: dict[Vertex, set[Vertex]]) -> None:
+    """Reduce the adjacency `adj` in place: delete vertices of degree at
+    most 1 and smooth vertices of degree 2 until none is left.  Smoothing
+    v with neighbours a and b drops v and adds the edge a-b, unless it is
+    already there.  Every step keeps planarity in both directions."""
     stack = [v for v, ns in adj.items() if len(ns) <= 2]
     while stack:
         v = stack.pop()
@@ -135,18 +154,17 @@ def _core(g: Graph) -> dict[Vertex, set[Vertex]]:
             adj[a].add(b)
             adj[b].add(a)
         stack.extend(u for u in ns if len(adj[u]) <= 2)
-    return adj
 
 
-def is_planar(g: Graph) -> bool:
-    """Standard planarity test on the core of g (see `_core`).
+def _planar(adj: dict[Vertex, set[Vertex]]) -> bool:
+    """Is the graph with adjacency `adj` planar?  Consumes `adj`.
 
-    With n' vertices and m' edges, the core is planar when m' <= 8 (a
-    subdivided K5 or K3,3 needs 9 edges) or n' <= 5 and m' <= 3n' - 6, and
-    non-planar when n' >= 3 and m' > 3n' - 6; otherwise networkx's
-    left-right test decides it.
+    With n' vertices and m' edges left by `_core`, the core is planar when
+    m' <= 8 (a subdivided K5 or K3,3 needs 9 edges) or n' <= 5 and
+    m' <= 3n' - 6, and non-planar when n' >= 3 and m' > 3n' - 6; otherwise
+    networkx's left-right test decides it.
     """
-    adj = _core(g)
+    _core(adj)
     n = len(adj)
     m = sum(len(ns) for ns in adj.values()) // 2
     if m <= 8 or (n <= 5 and m <= 3 * n - 6):
@@ -155,6 +173,12 @@ def is_planar(g: Graph) -> bool:
         return False
     ok, _ = nx.check_planarity(nx.Graph(adj), counterexample=False)
     return bool(ok)
+
+
+def is_planar(g: Graph) -> bool:
+    """Standard planarity test: the core screen of `_planar`, else
+    networkx, on a set-adjacency copy of g."""
+    return _planar({v: set(g.neighbors(v)) for v in g.vertices})
 
 
 def _rotation(g: Graph) -> dict[Vertex, tuple[Vertex, ...]] | None:
@@ -167,49 +191,44 @@ def _rotation(g: Graph) -> dict[Vertex, tuple[Vertex, ...]] | None:
 
 
 def _fresh_names(g: Graph, count: int, stem: str) -> list[Vertex]:
-    taken = set(g.vertices)
     out = []
     i = 0
     while len(out) < count:
         name = f"__{stem}{i}"
-        if name not in taken:
+        if not g.has_vertex(name):
             out.append(name)
         i += 1
     return out
 
 
-def _fence_augmented(g: Graph, terminals) -> tuple[Graph, list[Vertex]]:
-    """g plus the fence of the terminal order t_1..t_k: fresh f_i joined to
-    t_i and t_{i+1} (indices mod k) and a hub joined to every f_i, and the
-    names of the fresh vertices.
+def _augmented(tg: TerminalGraph) -> tuple[list[Vertex], list[tuple[Vertex, Vertex]]]:
+    """The fresh vertices and the new edges whose addition to tg.graph gives
+    a graph that is planar exactly when tg is disc-planar.
 
-    The cycle t_1 f_1 t_2 f_2 ... t_k f_k with the hub joined to every f_i
-    is a subdivided wheel, whose embedding is unique up to reflection.
-    Each of its spoke faces touches only one terminal, so every part of g
-    that meets two or more terminals lies on the rim side, where the
-    terminals sit in the given cyclic order.  A ring f_i f_{i+1} would add
-    nothing to that, so the fence has none.
+    Unordered terminals, and ordered ones up to three (which have one
+    cyclic order up to reflection), get an apex joined to every terminal.
+    Four or more ordered terminals t_1..t_k get a fence: fresh f_i joined
+    to t_i and t_{i+1} (indices mod k), and a hub joined to every f_i.
+    The cycle t_1 f_1 t_2 f_2 ... t_k f_k with the hub is a subdivided
+    wheel, whose embedding is unique up to reflection.  Each of its spoke
+    faces touches only one terminal, so every part of the graph that meets
+    two or more terminals lies on the rim side, where the terminals sit
+    in the given cyclic order.  A ring f_i f_{i+1} would add nothing to
+    that, so the fence has none.
     """
-    k = len(terminals)
-    names = _fresh_names(g, k + 1, "fence")
-    fs, hub = names[:k], names[k]
-    edges = []
-    for i, f in enumerate(fs):
-        edges += [(f, terminals[i]), (f, terminals[(i + 1) % k]), (f, hub)]
-    return add(g, fs + [hub], edges), names
-
-
-def _augmented(tg: TerminalGraph) -> tuple[Graph, set[Vertex]]:
-    """The graph that is planar exactly when tg is disc-planar, and the
-    vertices it adds: a fence for four or more ordered terminals (three
-    or fewer have one cyclic order up to reflection), else an apex."""
-    if len(tg.terminals) < 1:
+    ts = tg.terminals
+    if len(ts) < 1:
         raise InputDomainError("disc-planarity needs at least one terminal")
-    if tg.ordered and len(tg.terminals) > 3:
-        aug, names = _fence_augmented(tg.graph, tg.terminals)
-        return aug, set(names)
+    if tg.ordered and len(ts) > 3:
+        k = len(ts)
+        names = _fresh_names(tg.graph, k + 1, "fence")
+        hub = names[k]
+        edges = []
+        for i, f in enumerate(names[:k]):
+            edges += [(f, ts[i]), (f, ts[(i + 1) % k]), (f, hub)]
+        return names, edges
     (apex,) = _fresh_names(tg.graph, 1, "apex")
-    return add(tg.graph, [apex], [(apex, t) for t in tg.terminals]), {apex}
+    return [apex], [(apex, t) for t in ts]
 
 
 def is_disc_planar(tg: TerminalGraph) -> bool:
@@ -217,8 +236,18 @@ def is_disc_planar(tg: TerminalGraph) -> bool:
 
     Ordered terminal graphs must realize the given cyclic boundary order
     (up to rotation and reflection); unordered ones may use any order.
+    The augmentation of `_augmented` is laid onto a set-adjacency copy of
+    the graph, which `_planar` decides; no `Graph` is built.
     """
-    return is_planar(_augmented(tg)[0])
+    names, edges = _augmented(tg)
+    g = tg.graph
+    adj = {v: set(g.neighbors(v)) for v in g.vertices}
+    for v in names:
+        adj[v] = set()
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return _planar(adj)
 
 
 def embed(g: Graph) -> Embedding:
@@ -257,10 +286,10 @@ def embed_terminal(tg: TerminalGraph) -> Embedding:
     augmentation vertices; the merged face left behind is the disc
     boundary face.
     """
-    aug, added = _augmented(tg)
-    rot_aug = _rotation(aug)
+    names, edges = _augmented(tg)
+    rot_aug = _rotation(add(tg.graph, names, edges))
     if rot_aug is None:
         raise PreconditionError("terminal pair is not disc-planar")
     keep = set(tg.graph.vertices)
-    witness = _corner_dart(rot_aug, added, keep)
+    witness = _corner_dart(rot_aug, set(names), keep)
     return Embedding(_restrict_rotation(rot_aug, keep), outer_dart=witness)

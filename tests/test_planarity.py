@@ -4,14 +4,14 @@ from itertools import combinations, permutations
 import networkx as nx
 import pytest
 
-from wheelkit import planarity
+from wheelkit import graph, planarity
 from wheelkit.errors import InputDomainError, PreconditionError
 from wheelkit.generate import small_graph_classes, terminal_set_classes
-from wheelkit.graph import Graph, complete_graph, cycle_graph, remove
+from wheelkit.graph import Graph, add, complete_graph, cycle_graph, remove
 from wheelkit.planarity import (
     TerminalGraph,
+    _augmented,
     _core,
-    _fence_augmented,
     embed,
     embed_terminal,
     is_disc_planar,
@@ -113,7 +113,8 @@ def _prism() -> Graph:
 )
 def test_is_planar_hand_cases(g, core_size, planar, monkeypatch):
     assert _networkx_planar(g) is planar
-    core = _core(g)
+    core = {v: set(g.neighbors(v)) for v in g.vertices}
+    _core(core)
     assert (len(core), sum(map(len, core.values())) // 2) == core_size
     calls = []
     check = nx.check_planarity
@@ -125,6 +126,17 @@ def test_is_planar_hand_cases(g, core_size, planar, monkeypatch):
     assert len(calls) == (core_size == (6, 9))
 
 
+def three_terminal_fence(g: Graph, ts) -> Graph:
+    """g plus the fence of the terminal order t_1 t_2 t_3: fresh f_i joined
+    to t_i and t_{i+1} (indices mod 3), and a hub joined to every f_i.
+    `_augmented` only fences four or more terminals."""
+    fs = [f"__f{i}" for i in range(3)]
+    edges = [(f, ts[i]) for i, f in enumerate(fs)]
+    edges += [(f, ts[(i + 1) % 3]) for i, f in enumerate(fs)]
+    edges += [(f, "__hub") for f in fs]
+    return add(g, [*fs, "__hub"], edges)
+
+
 def test_fence_matches_apex_at_three_terminals():
     """The fence, which decides four or more ordered terminals, gives the
     apex's verdict on every 3-terminal set (up to rooted isomorphism) of
@@ -133,7 +145,48 @@ def test_fence_matches_apex_at_three_terminals():
     for g in small_graph_classes(6):
         for ts in terminal_set_classes(g, 3):
             tg = TerminalGraph(g, ts, ordered=True)
-            assert is_planar(_fence_augmented(g, ts)[0]) == is_disc_planar(tg), (g.edges, ts)
+            assert is_planar(three_terminal_fence(g, ts)) == is_disc_planar(tg), (g.edges, ts)
+
+
+def test_disc_planar_matches_the_augmented_graph():
+    """`is_disc_planar` decides the augmentation on set adjacencies; the
+    `Graph` that `embed_terminal` builds from the same description gets
+    the same verdict from `is_planar`, for every terminal set of sizes 1
+    to 5 (up to rooted isomorphism) of every graph on at most 6 vertices,
+    ordered and unordered."""
+    cases = 0
+    for g in small_graph_classes(6):
+        for k in range(1, 6):
+            for ts in terminal_set_classes(g, k):
+                for ordered in (True, False):
+                    tg = TerminalGraph(g, ts, ordered=ordered)
+                    names, edges = _augmented(tg)
+                    assert is_planar(add(g, names, edges)) == is_disc_planar(tg), (g.edges, ts, ordered)
+                    cases += 1
+    assert cases == 2 * 5394
+
+
+@pytest.mark.parametrize(
+    "g, ts, ordered",
+    [
+        (cycle_graph(list("abcd")), ("a",), True),
+        (cycle_graph(list("abcd")), ("a", "c"), False),
+        (complete_graph(list("abcd")), ("a", "b", "c"), True),
+        (complete_graph(list("abcd")), ("a", "b", "c", "d"), False),
+        (cycle_graph(list("abcde")), ("a", "b", "c", "d"), True),
+        (cycle_graph(list("abcde")), ("a", "c", "b", "d", "e"), True),
+    ],
+    ids=["apex-1", "apex-2-unordered", "apex-3", "apex-4-unordered", "fence-4", "fence-5"],
+)
+def test_disc_planar_builds_no_graph(g, ts, ordered, monkeypatch):
+    tg = TerminalGraph(g, ts, ordered=ordered)
+    names, _ = _augmented(tg)
+    assert len(names) == (len(ts) + 1 if ordered and len(ts) > 3 else 1)
+    builds = []
+    fill = graph.Graph._fill
+    monkeypatch.setattr(graph.Graph, "_fill", lambda self, *a: builds.append(a) or fill(self, *a))
+    is_disc_planar(tg)
+    assert builds == []
 
 
 def test_fence_matches_apex_over_cyclic_orders_at_four_and_five_terminals():
@@ -179,6 +232,14 @@ def test_disconnected_face_count():
     # two triangles: 2 inner faces plus one shared unbounded face
     assert emb.face_count() == 3
     assert g.n - g.m + emb.face_count() == 1 + 2
+
+
+def test_face_count_skips_isolated_vertices():
+    g = add(cycle_graph(list("abc")), ["z"])
+    emb = embed(g)
+    # a lone vertex traces no face and shares the unbounded one
+    assert emb.face_count() == 2
+    assert g.n - g.m + emb.face_count() == 1 + len(g.components())
 
 
 def test_disc_planar_c5_all_terminals_ordered():
