@@ -195,67 +195,102 @@ def disjoint_paths_at_least(n: int, adj: list[int], s: int, t: int, k: int) -> b
 
     A direct edge s-t counts as one path.  When the common neighbors and
     the direct edge already number k the answer is yes at once.
-    Otherwise the flow starts from those paths and grows by augmenting
-    paths on the vertex-split graph (every vertex but s and t has
-    capacity one) until it reaches k or no augmenting path is left; by
-    Menger's theorem the flow's value is the largest number of such paths.
+    Otherwise the flow starts from the paths s-c-t through the common
+    neighbors c and grows by augmenting paths until it reaches k or no
+    augmenting path is left; by Menger's theorem the flow's value is the
+    largest number of such paths.
+
+    The flow is held as links: `nxt[v]` and `prv[v]` are the vertices
+    after and before v on its flow path (-1 off every path), and `first`
+    is the bitmask of the vertices that follow s.  An augmenting path is
+    found by breadth-first search over the vertex-split graph, in which
+    every vertex but s and t has capacity one: a vertex is entered, then
+    left.  A vertex on a flow path can be entered only to go back along
+    its in-arc, and left by a fresh arc or back through its own entry.
+    `seen_in` and `seen_out` mark the states reached; `via_in[w]` is the
+    vertex left just before w is entered, and `via_out[v]` the vertex
+    entered just before v is left.
     """
     direct = adj[s] >> t & 1
     common = adj[s] & adj[t]
     found = direct + common.bit_count()
     if found >= k:
         return True
-    flow = set()  # arcs (u, w) carrying one unit, the edge s-t never among them
-    for c in _bits(common):
-        flow |= {(s, c), (c, t)}
+    sbit, tbit = 1 << s, 1 << t
+    prv = [-1] * n
+    nxt = [-1] * n
+    first = common
+    rest = common
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        c = b.bit_length() - 1
+        prv[c], nxt[c] = s, t
+    via_in = [0] * n
+    via_out = [0] * n
     while found < k:
-        if not _augment(adj, s, t, flow):
-            return False
+        seen_in, seen_out = 0, sbit
+        leave = sbit  # the vertices left in the current layer
+        while True:
+            enter = 0
+            while leave:
+                b = leave & -leave
+                leave ^= b
+                v = b.bit_length() - 1
+                if v == s:
+                    fresh = adj[s] & ~(tbit | first)
+                else:
+                    fresh = adj[v] & ~sbit
+                    w = nxt[v]
+                    if w >= 0:
+                        fresh &= ~(1 << w)
+                        if not seen_in & b:
+                            via_in[v] = v
+                            enter |= b
+                            seen_in |= b
+                fresh &= ~seen_in
+                seen_in |= fresh
+                enter |= fresh
+                while fresh:
+                    b = fresh & -fresh
+                    fresh ^= b
+                    via_in[b.bit_length() - 1] = v
+            if seen_in & tbit:
+                break
+            while enter:
+                b = enter & -enter
+                enter ^= b
+                w = b.bit_length() - 1
+                u = prv[w]
+                if u < 0:
+                    u = w
+                if not seen_out >> u & 1:
+                    via_out[u] = w
+                    seen_out |= 1 << u
+                    leave |= 1 << u
+            if not leave:
+                return False
+        # Walk the path back from t.  Leaving u into another vertex w adds
+        # the arc u-w; leaving u back through its own entry takes u off the
+        # flow; going from an entered x back to the vertex u before it
+        # cancels the arc u-x.
+        w = t
+        while True:
+            u = via_in[w]
+            if u == w:
+                nxt[u] = -1
+            else:
+                prv[w] = u
+                if u == s:
+                    first |= 1 << w
+                    break
+                nxt[u] = w
+            x = via_out[u]
+            if x != u:
+                prv[x] = -1
+            w = x
         found += 1
     return True
-
-
-def _augment(adj: list[int], s: int, t: int, flow: set[tuple[int, int]]) -> bool:
-    """Add one augmenting s-t path to `flow`; False when there is none.
-
-    Breadth-first search over the residual vertex-split graph, whose
-    states are 2v (v entered) and 2v + 1 (v left).  A vertex on a flow
-    path can be entered only to leave backwards along its in-arc, and
-    left only by a fresh arc or back through its own entry.
-    """
-    pred = {w: u for u, w in flow}
-    start, goal = 2 * s + 1, 2 * t
-    parent = {start: start}
-    queue = [start]
-    for state in queue:
-        v, out = divmod(state, 2)
-        if not out:
-            steps = [2 * pred[v] + 1] if v in pred else [2 * v + 1]
-        else:
-            mask = adj[v] & ~(1 << s)
-            if v == s:
-                mask &= ~(1 << t)
-            steps = [2 * w for w in _bits(mask) if (v, w) not in flow]
-            if v in pred:
-                steps.append(2 * v)
-        for nxt in steps:
-            if nxt in parent:
-                continue
-            parent[nxt] = state
-            if nxt == goal:
-                while nxt != start:
-                    prev = parent[nxt]
-                    u, w = prev // 2, nxt // 2
-                    # between two vertices a step from a left state is a
-                    # fresh arc, one from an entered state cancels an arc
-                    if u != w and prev % 2:
-                        flow.add((u, w))
-                    elif u != w:
-                        flow.discard((w, u))
-                    nxt = prev
-                return True
-            queue.append(nxt)
-    return False
 
 
 def bfs_dist(n: int, adj: list[int], s: int, t: int, block: int) -> int:

@@ -135,13 +135,17 @@ def is_k_connected(g: Graph, k: int) -> bool:
     By Whitney's theorem, g is k-connected exactly when it has more than
     k vertices and every two of them are joined by k internally disjoint
     paths, which the Menger kernel counts pair by pair (Even and Tarjan,
-    SIAM J. Comput. 1975).  The kernel's vertex cap applies.
+    SIAM J. Comput. 1975).  A vertex of degree below k answers no before
+    any pair is asked: with more than k vertices it has a non-neighbor,
+    and its neighbors separate the two.  The kernel's vertex cap applies.
     """
     if k <= 0:
         return True
     if g.n <= k:
         return False
     _, adj = index_graph(g)
+    if any(a.bit_count() < k for a in adj):
+        return False
     return all(
         disjoint_paths_at_least(g.n, adj, s, t, k) for s, t in combinations(range(g.n), 2)
     )

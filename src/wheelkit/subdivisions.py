@@ -160,40 +160,64 @@ def find_k5_subdivision(g: Graph, *, limit: int = DEFAULT_SEARCH_LIMIT) -> Subdi
     """Complete exact search for a K5-subdivision.
 
     Branch candidates are the vertices of degree >= 4 (forced by the
-    definition); the 5-subsets are taken in canonical order.  A subset
-    with a pair of candidates that no 4 internally disjoint paths join
-    is skipped (a K5-subdivision joins two branch vertices by their own
-    path and one through each other branch vertex; pair answers are
-    kept for the call); every other subset goes to a 10-pair internally
-    disjoint linkage search.  Raises ResourceLimitError above `limit` or
-    kernels.MAX_KERNEL_VERTICES vertices, whatever the graph's degrees.
+    definition).  A K5-subdivision joins two branch vertices by their own
+    path and one through each other branch vertex, so a pair of
+    candidates that no 4 internally disjoint paths join lies in no branch
+    set.  The 5-sets are grown in canonical (lexicographic) order, and a
+    prefix is extended only by a candidate joined in that way to every
+    vertex already in it; each pair is asked of
+    `kernels.disjoint_paths_at_least` at most once, when first needed.
+    Every 5-set grown goes to a 10-pair internally disjoint linkage
+    search, so the linkage calls are those of a loop over all 5-subsets
+    that skips the ones with an unjoined pair.  Raises ResourceLimitError
+    above `limit` or kernels.MAX_KERNEL_VERTICES vertices, whatever the
+    graph's degrees.
     """
     if g.n > limit:
         raise ResourceLimitError(f"subdivision search capped at {limit} vertices, got {g.n}")
-    idx, adj = kernels.index_graph(g)
-    cands = [v for v in g.vertices if g.degree(v) >= 4]
+    _, adj = kernels.index_graph(g)
+    n = g.n
+    cands = [v for v in range(n) if adj[v].bit_count() >= 4]
     if len(cands) < 5 or g.m < 10:
         return None
-    names = g.vertices
-    joined: dict[tuple[int, int], bool] = {}
+    joined: dict[int, bool] = {}  # s*n + t -> 4 paths join s < t
 
     def four_paths(s: int, t: int) -> bool:
-        if (s, t) not in joined:
-            joined[s, t] = kernels.disjoint_paths_at_least(g.n, adj, s, t, 4)
-        return joined[s, t]
+        key = s * n + t
+        ans = joined.get(key)
+        if ans is None:
+            ans = joined[key] = kernels.disjoint_paths_at_least(n, adj, s, t, 4)
+        return ans
 
-    for combo in combinations(cands, 5):
-        ipairs = [(idx[combo[i]], idx[combo[j]]) for i, j in K5_PAIRS]
-        if not all(four_paths(s, t) for s, t in ipairs):
-            continue
-        found = kernels.linkage_masks(g.n, adj, ipairs, 0)
-        if found is None:
-            continue
-        paths = tuple(tuple(names[x] for x in p) for p in found)
-        sub = Subdivision(tuple(combo), paths)
-        validate_subdivision(g, sub)
-        return sub
-    return None
+    branch: list[int] = []
+
+    def grow(start: int) -> list[list[int]] | None:
+        if len(branch) == 5:
+            return kernels.linkage_masks(
+                n, adj, [(branch[i], branch[j]) for i, j in K5_PAIRS], 0
+            )
+        for i in range(start, len(cands) + len(branch) - 4):
+            x = cands[i]
+            for b in branch:
+                if not four_paths(b, x):
+                    break
+            else:
+                branch.append(x)
+                found = grow(i + 1)
+                if found is not None:
+                    return found
+                branch.pop()
+        return None
+
+    found = grow(0)
+    if found is None:
+        return None
+    names = g.vertices
+    sub = Subdivision(
+        tuple(names[x] for x in branch), tuple(tuple(names[x] for x in p) for p in found)
+    )
+    validate_subdivision(g, sub)
+    return sub
 
 
 def subdivision_from_edges(g: Graph, edges) -> Subdivision | None:

@@ -175,6 +175,101 @@ def test_disjoint_paths_at_least_matches_vertex_cuts():
     assert checked == 13800
 
 
+def arcset_disjoint_paths_at_least(n, adj, s, t, k):
+    """The Menger kernel as it was before the flow was held as links: the
+    flow is a set of arcs (u, w), and each augmenting path is found by
+    breadth-first search over the states 2v (v entered) and 2v + 1 (v
+    left) of the vertex-split graph."""
+    direct = adj[s] >> t & 1
+    common = adj[s] & adj[t]
+    found = direct + common.bit_count()
+    if found >= k:
+        return True
+    flow = set()
+    for c in range(n):
+        if common >> c & 1:
+            flow |= {(s, c), (c, t)}
+    while found < k:
+        if not _arcset_augment(n, adj, s, t, flow):
+            return False
+        found += 1
+    return True
+
+
+def _arcset_augment(n, adj, s, t, flow):
+    pred = {w: u for u, w in flow}
+    start, goal = 2 * s + 1, 2 * t
+    parent = {start: start}
+    queue = [start]
+    for state in queue:
+        v, out = divmod(state, 2)
+        if not out:
+            steps = [2 * pred[v] + 1] if v in pred else [2 * v + 1]
+        else:
+            mask = adj[v] & ~(1 << s)
+            if v == s:
+                mask &= ~(1 << t)
+            steps = [2 * w for w in range(n) if mask >> w & 1 and (v, w) not in flow]
+            if v in pred:
+                steps.append(2 * v)
+        for nxt in steps:
+            if nxt in parent:
+                continue
+            parent[nxt] = state
+            if nxt == goal:
+                while nxt != start:
+                    prev = parent[nxt]
+                    u, w = prev // 2, nxt // 2
+                    if u != w and prev % 2:
+                        flow.add((u, w))
+                    elif u != w:
+                        flow.discard((w, u))
+                    nxt = prev
+                return True
+            queue.append(nxt)
+    return False
+
+
+def k5_search_graphs():
+    """250 graphs as one pass of the k5-search benchmark draws them:
+    stacked triangulations on 9 to 12 vertices with 95% of their edges."""
+    rng = random.Random(7)
+    return [random_planar_graph(9 + i % 4, rng, keep_fraction=0.95) for i in range(250)]
+
+
+def seeded_gnp_graphs():
+    """300 seeded G(n, p) graphs, 7 to 11 vertices, p from 0.35 to 0.8."""
+    rng = random.Random(11)
+    out = []
+    for _ in range(300):
+        names = [str(i) for i in range(rng.randrange(7, 12))]
+        p = rng.uniform(0.35, 0.8)
+        out.append(Graph(names, [e for e in combinations(names, 2) if rng.random() < p]))
+    return out
+
+
+def test_disjoint_paths_at_least_matches_arcset_kernel():
+    rng = random.Random(3)
+    graphs = [random_planar_graph(rng.randrange(7, 13), rng, keep_fraction=0.95) for _ in range(100)]
+    for _ in range(100):
+        names = [str(i) for i in range(rng.randrange(7, 13))]
+        p = rng.uniform(0.2, 0.8)
+        graphs.append(Graph(names, [e for e in combinations(names, 2) if rng.random() < p]))
+    yes = no = 0
+    for g in graphs:
+        _, adj = kernels.index_graph(g)
+        for s in range(g.n):
+            for t in range(g.n):
+                if s == t:
+                    continue
+                for k in range(1, 6):
+                    want = arcset_disjoint_paths_at_least(g.n, adj, s, t, k)
+                    assert kernels.disjoint_paths_at_least(g.n, adj, s, t, k) == want, (g.edges, s, t, k)
+                    yes += want
+                    no += not want
+    assert yes > 20000 and no > 20000
+
+
 def test_disjoint_paths_at_least_reroutes_an_earlier_path():
     # {3, 5} separates 0 from 1 (2 is isolated).  The first path is
     # 0-3-5-1; the second, 0-4-5, takes 5 over and sends the first path on
@@ -187,6 +282,25 @@ def test_disjoint_paths_at_least_reroutes_an_earlier_path():
     s, t = idx["0"], idx["1"]
     assert kernels.disjoint_paths_at_least(g.n, adj, s, t, 2)
     assert not kernels.disjoint_paths_at_least(g.n, adj, s, t, 3)
+
+
+def test_disjoint_paths_at_least_cancels_two_arcs_in_one_path():
+    # The first two paths are 0-2-5-1 and 0-3-6-1.  The third enters 5
+    # from 0-4, goes back along 2-5 to leave 2 for 6, goes back along 3-6
+    # and leaves 3 for 7-1: it cancels two flow arcs, and the flow becomes
+    # 0-4-5-1, 0-2-6-1 and 0-3-7-1.  Vertices 8 and 9 give 0 and 1 a
+    # fourth neighbor each, but {2, 3, 5} still separates them, so the
+    # fourth search must fail on the rerouted flow.
+    g = Graph([str(i) for i in range(10)], [
+        ("0", "2"), ("0", "3"), ("0", "4"), ("0", "8"), ("1", "5"), ("1", "6"),
+        ("1", "7"), ("1", "9"), ("2", "5"), ("2", "6"), ("2", "8"), ("3", "6"),
+        ("3", "7"), ("4", "5"), ("7", "9"),
+    ])
+    idx, adj = kernels.index_graph(g)
+    s, t = idx["0"], idx["1"]
+    assert kernels.disjoint_paths_at_least(g.n, adj, s, t, 3)
+    assert not kernels.disjoint_paths_at_least(g.n, adj, s, t, 4)
+    assert separated_by_fewer_than(g.n, adj, s, t, 4)
 
 
 def unscreened_k5_subdivision(g):
@@ -203,18 +317,68 @@ def unscreened_k5_subdivision(g):
     return None
 
 
+def combinations_k5_subdivision(g):
+    """The screened K5 search as a loop over all 5-subsets of the branch
+    candidates in combinations order: a 5-set with a pair that the
+    arc-set kernel finds no 4 internally disjoint paths for is skipped,
+    every other goes to the linkage kernel."""
+    idx, adj = kernels.index_graph(g)
+    cands = [v for v in g.vertices if g.degree(v) >= 4]
+    if len(cands) < 5 or g.m < 10:
+        return None
+    joined = {}
+
+    def four_paths(s, t):
+        if (s, t) not in joined:
+            joined[s, t] = arcset_disjoint_paths_at_least(g.n, adj, s, t, 4)
+        return joined[s, t]
+
+    for combo in combinations(cands, 5):
+        ipairs = [(idx[combo[i]], idx[combo[j]]) for i, j in K5_PAIRS]
+        if not all(four_paths(s, t) for s, t in ipairs):
+            continue
+        found = kernels.linkage_masks(g.n, adj, ipairs, 0)
+        if found is not None:
+            paths = tuple(tuple(g.vertices[x] for x in p) for p in found)
+            return Subdivision(tuple(combo), paths)
+    return None
+
+
 def test_screen_keeps_every_k5_witness():
-    rng = random.Random(11)
     with_k5 = 0
-    for _ in range(300):
-        names = [str(i) for i in range(rng.randrange(7, 12))]
-        p = rng.uniform(0.35, 0.8)
-        g = Graph(names, [e for e in combinations(names, 2) if rng.random() < p])
+    for g in seeded_gnp_graphs():
         got = find_k5_subdivision(g)
         want = unscreened_k5_subdivision(g)
         assert got == want, g.edges
         with_k5 += want is not None
     assert 100 < with_k5 < 300
+
+
+@pytest.mark.parametrize("corpus, total_calls", [
+    (lambda: small_graph_classes(6), 16),
+    (seeded_gnp_graphs, 414),
+    (k5_search_graphs, 0),
+], ids=["small-classes-6", "seeded-gnp", "k5-search"])
+def test_linkage_calls_match_the_combinations_loop(monkeypatch, corpus, total_calls):
+    calls = []
+    linkage = kernels.linkage_masks
+
+    def recorded(n, adj, pairs, forbidden):
+        calls.append((n, tuple(adj), tuple(pairs), forbidden))
+        return linkage(n, adj, pairs, forbidden)
+
+    monkeypatch.setattr(kernels, "linkage_masks", recorded)
+    total = 0
+    for g in corpus():
+        got = find_k5_subdivision(g)
+        got_calls = calls[:]
+        calls.clear()
+        want = combinations_k5_subdivision(g)
+        assert got == want, g.edges
+        assert got_calls == calls, g.edges
+        total += len(calls)
+        calls.clear()
+    assert total == total_calls
 
 
 def test_screen_linkage_call_counts(monkeypatch):
