@@ -22,7 +22,7 @@ from wheelkit.errors import InputDomainError, PreconditionError, WheelkitError
 from wheelkit.experiments import EXPERIMENTS, Config, run_experiment
 from wheelkit.gadgets import apply_gadget, gadget_case, gadget_library, lift_subdivision
 from wheelkit.generate import FILTERS, generate_terminal_planar
-from wheelkit.graph import Graph
+from wheelkit.graph import Graph, vkey
 from wheelkit.planarity import TerminalGraph, embed, is_disc_planar
 from wheelkit.separations import check_trichotomy, enumerate_separations, split
 from wheelkit.subdivisions import DEFAULT_SEARCH_LIMIT, find_k5_subdivision
@@ -87,7 +87,7 @@ def cmd_good_wheel(args):
         _emit({"found": False}, args.out)
         return 1
     _emit(
-        {"found": True, "center": w.center, "rim": list(w.rim), "spokes": sorted(w.spokes)},
+        {"found": True, "center": w.center, "rim": list(w.rim), "spokes": sorted(w.spokes, key=vkey)},
         args.out,
     )
     return 0

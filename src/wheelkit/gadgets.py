@@ -78,7 +78,7 @@ def lift_subdivision(g: Graph, rule: GadgetRule, sub_prime: Subdivision) -> Subd
     gp = apply_gadget(g, rule)
     validate_subdivision(gp, sub_prime)
     tedges = set(sub_prime.edge_set())
-    used = frozenset(tedges & foreign_edges(g, rule))
+    used = frozenset(e for e in tedges if not g.has_edge(*e))
     for paths in _plans(rule, used):
         new_edges = tedges - used
         for p in paths:

@@ -12,7 +12,7 @@ identical outputs, and values are safe to share between workers.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from wheelkit.errors import InputDomainError
 
@@ -124,22 +124,9 @@ class Graph:
         )
 
     def components(self) -> tuple[frozenset[Vertex], ...]:
-        seen: set[Vertex] = set()
-        out = []
-        for start in self._vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                x = stack.pop()
-                for y in self._adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            seen |= comp
-            out.append(frozenset(comp))
-        return tuple(out)
+        """The vertex sets of the components, in the vkey order of their
+        least vertices (`flood_components` over the adjacency)."""
+        return tuple(frozenset(c) for c in flood_components(self._adj, self._vertices))
 
     # -- dunder -----------------------------------------------------------
 
@@ -155,6 +142,34 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def flood_components(
+    adj: Mapping[Vertex, Iterable[Vertex]], order: Iterable[Vertex], skip: Iterable[Vertex] = ()
+) -> list[list[Vertex]]:
+    """The vertex lists of the components of the graph `adj` minus `skip`.
+
+    `order` holds every vertex.  A flood fill starts from each vertex of
+    `order` that no earlier fill reached and never enters `skip`, so each
+    list starts at its component's first vertex in `order`, and the lists
+    come in that order: with `order` in vkey order, the vkey order of the
+    components' least vertices.  A vertex with no neighbour is a
+    component of its own.  Linear time (Hopcroft and Tarjan, CACM 1973).
+    """
+    seen = set(skip)
+    comps = []
+    for start in order:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for x in comp:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+        comps.append(comp)
+    return comps
 
 
 # -- surgery operations ---------------------------------------------------

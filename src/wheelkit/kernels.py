@@ -72,8 +72,6 @@ def four_color_masks(n: int, adj: list[int]) -> list[int] | None:
                         break
         if best == -1:
             return True
-        if best_k == 0:
-            return False
         v = best
         mask = avail[v]
         for c in range(4):
@@ -160,8 +158,6 @@ def linkage_masks(
         def extend(v: int, length: int, interior: int) -> bool:
             for w in nbrs[v]:
                 if w == t:
-                    if length + 1 > limit:
-                        continue
                     paths[i] = [s] + interior_order + [t]
                     if route(i + 1, used | interior, budget - (length + 1)):
                         return True

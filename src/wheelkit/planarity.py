@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import networkx as nx
 
 from wheelkit.errors import InputDomainError, PreconditionError
-from wheelkit.graph import Graph, Vertex, add, vkey
+from wheelkit.graph import Graph, Vertex, add, flood_components, vkey
 
 Dart = tuple[Vertex, Vertex]
 
@@ -78,23 +78,12 @@ class Embedding:
     def face_count(self) -> int:
         """Face count with the unbounded face shared across components.
 
-        Components are counted by a flood fill over the rotation; a vertex
-        with no neighbour has no face and is not counted.
+        Components are counted by `flood_components` over the rotation; a
+        vertex with no neighbour has no face and is not counted.
         """
-        seen: set[Vertex] = set()
-        components = 0
-        for start, ns in self.rotation.items():
-            if not ns or start in seen:
-                continue
-            components += 1
-            seen.add(start)
-            stack = [start]
-            while stack:
-                for y in self.rotation[stack.pop()]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-        return len(self.faces) - components + 1
+        rot = self.rotation
+        isolated = [v for v, ns in rot.items() if not ns]
+        return len(self.faces) - len(flood_components(rot, rot, isolated)) + 1
 
 
 def _trace_faces(rotation: dict[Vertex, tuple[Vertex, ...]]) -> tuple[tuple[Dart, ...], ...]:

@@ -17,7 +17,7 @@ from typing import Iterator
 
 from wheelkit.catalog import CatalogMember, matches_catalog
 from wheelkit.errors import InputDomainError, PreconditionError
-from wheelkit.graph import Graph, Vertex, vkey
+from wheelkit.graph import Graph, Vertex, flood_components, vkey
 from wheelkit.kernels import disjoint_paths_at_least, index_graph
 from wheelkit.planarity import TerminalGraph, is_disc_planar
 from wheelkit.wheels import Wheel, find_s_good_wheel
@@ -55,12 +55,14 @@ def validate_separation(g: Graph, sep: Separation) -> None:
 
 def enumerate_separations(g: Graph, k: int) -> Iterator[Separation]:
     """The k-separations whose cut-internal edges lie on one side, up to
-    swapping sides; side1 is the side that sorts first by (vertices, edges).
+    swapping sides; side1 is the side whose vertices come first in vkey
+    order (the two sides' vertex sets always differ).
 
-    For every k-cut, every nonempty group of the components of G - cut is
-    `split` off, and the cut-internal edges stay with the rest.  The rest
-    may hold no component only when it owns a cut-internal edge (a
-    complete graph's (n-1)-separations are of this shape).  With no
+    For every k-cut, `flood_components` finds the components of G - cut
+    in the vkey order of their least vertices, every nonempty group of
+    them is `split` off, and the cut-internal edges stay with the rest.
+    The rest may hold no component only when it owns a cut-internal edge
+    (a complete graph's (n-1)-separations are of this shape).  With no
     cut-internal edge a group and its complement give the same
     separation, so only the smaller group is split off, or at equal sizes
     the one holding component 0.
@@ -69,7 +71,7 @@ def enumerate_separations(g: Graph, k: int) -> Iterator[Separation]:
         raise InputDomainError("separation order must be nonnegative")
     for cut in combinations(g.vertices, k):
         cset = set(cut)
-        comps = _components_avoiding(g, cset)
+        comps = flood_components(g._adj, g.vertices, cut)
         inner = any(e[0] in cset and e[1] in cset for e in g.edges)
         n = len(comps)
         for r in range(1, n + 1 if inner else n // 2 + 1):
@@ -77,32 +79,8 @@ def enumerate_separations(g: Graph, k: int) -> Iterator[Separation]:
                 if not inner and 2 * r == n and group[0] != 0:
                     continue
                 sep = split(g, cut, set().union(*(comps[i] for i in group)))
-                sides = sorted((sep.side1, sep.side2), key=lambda s: (s.vertices, s.edges))
+                sides = sorted((sep.side1, sep.side2), key=lambda s: list(map(vkey, s.vertices)))
                 yield Separation(*sides)
-
-
-def _components_avoiding(g: Graph, cut: set) -> list[set]:
-    """The vertex sets of the components of g - cut, by a flood fill over
-    g's adjacency that never enters the cut, in the string order of their
-    vkey-least vertices.  Each fill starts from its component's vkey-least
-    vertex, and components are disjoint, so this is the order of their
-    vkey-sorted vertex lists."""
-    seen = set(cut)
-    found = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = {start}
-        stack = [start]
-        while stack:
-            for y in g.neighbors(stack.pop()):
-                if y not in seen:
-                    seen.add(y)
-                    comp.add(y)
-                    stack.append(y)
-        found.append((start, comp))
-    return [comp for _, comp in sorted(found, key=lambda f: f[0])]
 
 
 def split(g: Graph, cut, exclusive) -> Separation:

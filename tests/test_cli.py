@@ -73,6 +73,13 @@ def test_good_wheel_subcommand(tmp_path, capsys):
     assert code == 0 and payload["found"]
 
 
+def test_good_wheel_spokes_in_vkey_order(tmp_path, capsys):
+    rim = [str(i) for i in range(1, 11)]
+    g = add(cycle_graph(rim), {"0"}, [("0", r) for r in rim])
+    code, payload = run(capsys, "good-wheel", write(tmp_path, "wheel10.txt", to_edgelist(g)))
+    assert code == 0 and payload["center"] == "0" and payload["spokes"] == rim
+
+
 def test_separations_subcommand(tmp_path, capsys):
     path = write(tmp_path, "c6.txt", to_edgelist(cycle_graph([f"v{i}" for i in range(6)])))
     code, payload = run(capsys, "separations", path, "-k", "2")

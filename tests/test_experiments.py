@@ -7,7 +7,6 @@ from wheelkit import experiments
 from wheelkit.errors import InputDomainError
 from wheelkit.experiments import EXPERIMENTS, Config, run_experiment
 from wheelkit.gadgets import Lift, gadget_case
-from wheelkit.generate import small_graph_classes
 
 from tests.test_acceptance import GOLDEN, without_elapsed
 
@@ -43,14 +42,6 @@ def test_seed_actually_steers_the_corpus():
     b = run_experiment("planar-no-k5", Config(seed=2, instances=20))
     assert a.passed and b.passed
     assert a.config["seed"] != b.config["seed"]
-
-
-def test_small_graph_class_counts():
-    # known counts of graphs up to isomorphism on 1..6 vertices
-    by_n = {}
-    for g in small_graph_classes(6):
-        by_n[g.n] = by_n.get(g.n, 0) + 1
-    assert by_n == {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 
 
 def test_programming_error_is_not_a_counterexample(monkeypatch):

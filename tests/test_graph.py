@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +9,7 @@ from wheelkit.graph import (
     complete_graph,
     cycle_graph,
     enumerate_cycles,
+    flood_components,
     identify,
     norm_edge,
     path_graph,
@@ -169,6 +171,31 @@ def test_neighbors_and_edges_in_vkey_order(g):
     for v in g.vertices:
         assert list(g.neighbors(v)) == sorted(g.neighbors(v), key=vkey)
         assert set(g.neighbors(v)) == {x for e in g.edges if v in e for x in e if x != v}
+
+
+def test_flood_components_follow_the_given_order_and_skip_a_set():
+    g = Graph(["9", "10", "2", "11", "a"], [("9", "11"), ("10", "a"), ("2", "11")])
+    assert g.components() == (frozenset({"2", "9", "11"}), frozenset({"10", "a"}))
+    adj = {v: g.neighbors(v) for v in g.vertices}
+    assert flood_components(adj, g.vertices, ["11"]) == [["2"], ["9"], ["a", "10"]]
+    assert flood_components(adj, ["10", "9", "2", "11", "a"], ["11"]) == [["10", "a"], ["9"], ["2"]]
+
+
+@given(graphs(ids=mixed_ids), st.data())
+def test_flood_components_are_the_components_without_the_skipped_set(g, data):
+    """Each component of g minus the skipped set comes once, led by its
+    vkey-least vertex, and the leaders come in vkey order."""
+    skip = data.draw(st.sets(st.sampled_from(g.vertices)))
+    got = flood_components({v: g.neighbors(v) for v in g.vertices}, g.vertices, skip)
+    rest = nx.Graph()
+    rest.add_nodes_from(v for v in g.vertices if v not in skip)
+    rest.add_edges_from(e for e in g.edges if not set(e) & skip)
+    assert sorted(map(frozenset, got), key=sorted) == sorted(
+        map(frozenset, nx.connected_components(rest)), key=sorted
+    )
+    assert all(len(c) == len(set(c)) and c[0] == min(c, key=vkey) for c in got)
+    leaders = [c[0] for c in got]
+    assert leaders == sorted(leaders, key=vkey)
 
 
 def same_graph(got, want):

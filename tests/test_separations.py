@@ -97,7 +97,7 @@ def seen_set_separations(g, k):
     for cut in combinations(g.vertices, k):
         cset = set(cut)
         rest = g.induced([v for v in g.vertices if v not in cset])
-        comps = sorted(rest.components(), key=lambda c: sorted(c, key=vkey))
+        comps = sorted(rest.components(), key=lambda c: sorted(map(vkey, c)))
         inner = [e for e in g.edges if e[0] in cset and e[1] in cset]
         n = len(comps)
         for r in range(n + 1):
@@ -109,7 +109,7 @@ def seen_set_separations(g, k):
                 if (not a and not e1) or (not b and not e2):
                     continue
                 s1, s2 = Graph(a | cset, e1), Graph(b | cset, e2)
-                if (s2.vertices, s2.edges) < (s1.vertices, s1.edges):
+                if list(map(vkey, s2.vertices)) < list(map(vkey, s1.vertices)):
                     s1, s2 = s2, s1
                 key = (s1.vertices, s1.edges, s2.vertices, s2.edges)
                 if key not in seen:
@@ -133,9 +133,10 @@ def test_enumeration_order_matches_the_seen_set_reference():
     assert emitted == 6411
 
 
-def test_component_order_follows_string_order_of_least_vertices():
-    """Components are taken in the string order of their vkey-least
-    vertices, where "10" comes before "9" though vkey puts "9" first."""
+def test_component_order_and_side1_follow_vkey_order():
+    """Components are taken in the vkey order of their least vertices,
+    and side1 is the side whose vertex list comes first in vkey order:
+    "9" comes before "10" though string order puts "10" first."""
     rng = random.Random(23)
     ids = ["9", "10", "2", "11", "a", "b1", "t2", "t10"]
     for _ in range(40):
@@ -143,7 +144,14 @@ def test_component_order_follows_string_order_of_least_vertices():
         p = rng.uniform(0.1, 0.6)
         g = Graph(names, [e for e in combinations(names, 2) if rng.random() < p])
         for k in range(4):
-            assert list(enumerate_separations(g, k)) == list(seen_set_separations(g, k))
+            got = list(enumerate_separations(g, k))
+            assert got == list(seen_set_separations(g, k))
+            for sep in got:
+                assert list(map(vkey, sep.side1.vertices)) < list(map(vkey, sep.side2.vertices))
+    # the 1-cut {"2"} of the path 9-2-10 leaves {"9"} and {"10"}: side1 is
+    # the side holding 9
+    [sep] = enumerate_separations(path_graph(["9", "2", "10"]), 1)
+    assert sep.side1.vertices == ("2", "9") and sep.side2.vertices == ("2", "10")
 
 
 def test_connectivity_standards():

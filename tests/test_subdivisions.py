@@ -255,6 +255,15 @@ def test_disjoint_paths_at_least_matches_arcset_kernel():
         names = [str(i) for i in range(rng.randrange(7, 13))]
         p = rng.uniform(0.2, 0.8)
         graphs.append(Graph(names, [e for e in combinations(names, 2) if rng.random() < p]))
+    # At (s, t, k) = (4, 5, 2), answer yes, and (4, 1, 4), answer no, an
+    # augmenting path leaves a flow vertex back through its own entry, so
+    # the walk back takes that vertex off the flow: no random input above
+    # reaches that step.
+    for n, edges in [
+        (10, "0-6 0-7 1-7 2-3 2-4 3-7 4-6 5-7 5-8 6-9 7-9 8-9"),
+        (9, "0-3 0-8 1-2 1-3 2-5 2-6 4-7 4-8 5-8 6-7"),
+    ]:
+        graphs.append(Graph([str(i) for i in range(n)], [e.split("-") for e in edges.split()]))
     yes = no = 0
     for g in graphs:
         _, adj = kernels.index_graph(g)
