@@ -179,6 +179,8 @@ def cmd_catalog(args):
         _emit(payload, args.out)
         return 0
     # match
+    if args.graph is None:
+        raise InputDomainError("catalog match needs a graph file")
     parsed = _read(args.graph)
     g, _ = parsed
     ts = _terminals(args, parsed)
@@ -217,8 +219,7 @@ def cmd_lift(args):
         g = case.hosts[args.host]
     else:
         if not args.graph:
-            print("error: need a graph file or --demo", file=sys.stderr)
-            return 2
+            raise InputDomainError("need a graph file or --demo")
         g, _ = _read(args.graph)
         if args.map:
             g = _renamed(g, args.map)
@@ -383,7 +384,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (WheelkitError, OSError) as exc:
+    except (WheelkitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ from wheelkit.gadgets import (
 )
 from wheelkit.generate import (
     generate_terminal_planar,
+    random_graph,
     random_planar_graph,
     random_wheel_host,
     small_graph_classes,
@@ -110,12 +111,6 @@ class ExperimentReport:
             "elapsed_seconds": round(self.elapsed, 3),
             "config": self.config,
         }
-
-
-def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
-    names = [str(i) for i in range(n)]
-    edges = [(a, b) for a, b in combinations(names, 2) if rng.random() < p]
-    return Graph(names, edges)
 
 
 # -- experiments ---------------------------------------------------------------
@@ -217,7 +212,7 @@ def run_oracle_equivalence(seed, oracle_bound, instances):
         if i < len(structured):
             g = structured[i]
         else:
-            g = _random_graph(rng, rng.randrange(3, oracle_bound + 1), rng.uniform(0.2, 0.9))
+            g = random_graph(rng.randrange(3, oracle_bound + 1), rng.uniform(0.2, 0.9), rng)
         count += 1
         ours = four_color(g)
         brute = brute_four_color(g)
@@ -226,7 +221,7 @@ def run_oracle_equivalence(seed, oracle_bound, instances):
 
     # disjoint paths vs brute force
     for _ in range(instances):
-        g = _random_graph(rng, rng.randrange(4, oracle_bound + 1), rng.uniform(0.3, 0.8))
+        g = random_graph(rng.randrange(4, oracle_bound + 1), rng.uniform(0.3, 0.8), rng)
         vs = list(g.vertices)
         rng.shuffle(vs)
         if len(vs) < 4:
@@ -243,7 +238,7 @@ def run_oracle_equivalence(seed, oracle_bound, instances):
         if i < len(structured):
             g = structured[i]
         else:
-            g = _random_graph(rng, rng.randrange(5, oracle_bound + 1), rng.uniform(0.3, 0.85))
+            g = random_graph(rng.randrange(5, oracle_bound + 1), rng.uniform(0.3, 0.85), rng)
         count += 1
         ours = find_k5_subdivision(g)
         brute = brute_k5_subdivision(g)
@@ -252,7 +247,7 @@ def run_oracle_equivalence(seed, oracle_bound, instances):
 
     # separations vs the definition filter, cut-internal edges on one side
     for _ in range(instances):
-        g = _random_graph(rng, rng.randrange(4, min(7, oracle_bound) + 1), rng.uniform(0.3, 0.8))
+        g = random_graph(rng.randrange(4, min(7, oracle_bound) + 1), rng.uniform(0.3, 0.8), rng)
         k = rng.randrange(1, 4)
         count += 1
         got = {

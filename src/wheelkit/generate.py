@@ -292,7 +292,15 @@ def generate_terminal_planar(n_max: int, s_size: int, filters=()) -> Iterator[Te
                 yield level[key]
 
 
-# -- random planar graphs ------------------------------------------------------
+# -- random graphs -------------------------------------------------------------
+
+
+def random_graph(names: int | Iterable[Vertex], p: float, rng: random.Random) -> Graph:
+    """A seeded G(n, p) on `names`, or on the ids 0..n-1 when given a
+    count n: one `rng.random()` per pair in `combinations` order, an edge
+    when it falls below p."""
+    names = [str(i) for i in range(names)] if isinstance(names, int) else list(names)
+    return Graph(names, [e for e in combinations(names, 2) if rng.random() < p])
 
 
 def random_planar_graph(n: int, rng: random.Random, *, keep_fraction: float = 0.8) -> Graph:

@@ -10,6 +10,7 @@ from wheelkit.gio import from_graph6, parse_edgelist, to_edgelist, to_graph6
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, union
 from wheelkit.catalog import catalog
 from wheelkit.planarity import TerminalGraph, is_disc_planar
+from tests.cli_cases import CASES, write_files
 
 
 def run(capsys, *argv):
@@ -334,6 +335,23 @@ def test_disc_planar_terminal_index_out_of_range_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: terminal index 9 out of range for 3 vertices\n"
+
+
+@pytest.mark.parametrize("argv, code", CASES, ids=[" ".join(argv) for argv, _ in CASES])
+def test_cli_case(tmp_path, monkeypatch, capsys, argv, code):
+    """One row of `tests/cli_cases.py`, in-process: its exit code; a JSON
+    report and no stderr on exits 0 and 1; no report and an error line on
+    exit 2."""
+    write_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", "out.json"]) == code
+    err = capsys.readouterr().err
+    report = tmp_path / "out.json"
+    if code == 2:
+        assert not report.exists() and "error: " in err.splitlines()[-1]
+    else:
+        assert err == ""
+        json.loads(report.read_text())
 
 
 def test_usage_error_exit_2(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from wheelkit import oracles
 from wheelkit.errors import InputDomainError
-from wheelkit.generate import small_graph_classes
+from wheelkit.generate import random_graph, small_graph_classes
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, remove, union
 from wheelkit.oracles import (
     _component_faces,
@@ -203,12 +203,10 @@ def dict_per_assignment(g):
 
 def random_graphs(seed, count, n_low, n_high, p_low, p_high):
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        names = [str(i) for i in range(rng.randrange(n_low, n_high + 1))]
-        p = rng.uniform(p_low, p_high)
-        out.append(Graph(names, [e for e in combinations(names, 2) if rng.random() < p]))
-    return out
+    return [
+        random_graph(rng.randrange(n_low, n_high + 1), rng.uniform(p_low, p_high), rng)
+        for _ in range(count)
+    ]
 
 
 def test_four_color_oracle_returns_first_proper_assignment():
@@ -354,8 +352,6 @@ def test_separation_masks_follow_vertex_order_not_id_strings():
     rng = random.Random(29)
     ids = ["9", "10", "2", "11", "a", "b1", "t2", "t10"]
     for _ in range(12):
-        names = rng.sample(ids, rng.randrange(5, 9))
-        p = rng.uniform(0.2, 0.5)
-        g = Graph(names, [e for e in combinations(names, 2) if rng.random() < p])
+        g = random_graph(rng.sample(ids, rng.randrange(5, 9)), rng.uniform(0.2, 0.5), rng)
         for k in range(5):
             assert brute_separations(g, k) == full_universe_separations(g, k), (g.edges, k)

@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from itertools import combinations, permutations
 
 import networkx as nx
@@ -137,13 +138,21 @@ def three_terminal_fence(g: Graph, ts) -> Graph:
     return add(g, [*fs, "__hub"], edges)
 
 
+@cache
+def terminal_set_corpus():
+    """Every graph on at most 6 vertices (up to isomorphism), each with
+    its terminal sets of sizes 1 to 5 (up to rooted isomorphism), by size:
+    built once for the three tests below that walk it."""
+    return [(g, {k: terminal_set_classes(g, k) for k in range(1, 6)}) for g in small_graph_classes(6)]
+
+
 def test_fence_matches_apex_at_three_terminals():
     """The fence, which decides four or more ordered terminals, gives the
     apex's verdict on every 3-terminal set (up to rooted isomorphism) of
     every graph on at most 6 vertices.  Criterion 7 checks the apex
     against the rotation-system oracle on the same corpus."""
-    for g in small_graph_classes(6):
-        for ts in terminal_set_classes(g, 3):
+    for g, by_size in terminal_set_corpus():
+        for ts in by_size[3]:
             tg = TerminalGraph(g, ts, ordered=True)
             assert is_planar(three_terminal_fence(g, ts)) == is_disc_planar(tg), (g.edges, ts)
 
@@ -155,9 +164,9 @@ def test_disc_planar_matches_the_augmented_graph():
     to 5 (up to rooted isomorphism) of every graph on at most 6 vertices,
     ordered and unordered."""
     cases = 0
-    for g in small_graph_classes(6):
+    for g, by_size in terminal_set_corpus():
         for k in range(1, 6):
-            for ts in terminal_set_classes(g, k):
+            for ts in by_size[k]:
                 for ordered in (True, False):
                     tg = TerminalGraph(g, ts, ordered=ordered)
                     names, edges = _augmented(tg)
@@ -195,9 +204,9 @@ def test_fence_matches_apex_over_cyclic_orders_at_four_and_five_terminals():
     3 orders at four terminals, 12 at five.  Every terminal set (up to
     rooted isomorphism) of every graph on at most 6 vertices."""
     sets = 0
-    for g in small_graph_classes(6):
+    for g, by_size in terminal_set_corpus():
         for k in (4, 5):
-            for ts in terminal_set_classes(g, k):
+            for ts in by_size[k]:
                 sets += 1
                 orders = [
                     (ts[0],) + rest

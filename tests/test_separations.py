@@ -5,7 +5,7 @@ import pytest
 
 from wheelkit.catalog import catalog
 from wheelkit.errors import PreconditionError
-from wheelkit.generate import generate_terminal_planar, small_graph_classes
+from wheelkit.generate import generate_terminal_planar, random_graph, small_graph_classes
 from wheelkit.gio import from_graph6
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, union, vkey
 from wheelkit.oracles import brute_k_connected, brute_separations
@@ -121,9 +121,7 @@ def test_enumeration_order_matches_the_seen_set_reference():
     rng = random.Random(17)
     graphs = list(HAND_GRAPHS)
     for _ in range(60):
-        names = [str(i) for i in range(rng.randrange(4, 8))]
-        p = rng.uniform(0.2, 0.8)
-        graphs.append(Graph(names, [e for e in combinations(names, 2) if rng.random() < p]))
+        graphs.append(random_graph(rng.randrange(4, 8), rng.uniform(0.2, 0.8), rng))
     emitted = 0
     for g in graphs:
         for k in range(5):
@@ -140,9 +138,7 @@ def test_component_order_and_side1_follow_vkey_order():
     rng = random.Random(23)
     ids = ["9", "10", "2", "11", "a", "b1", "t2", "t10"]
     for _ in range(40):
-        names = rng.sample(ids, rng.randrange(3, 8))
-        p = rng.uniform(0.1, 0.6)
-        g = Graph(names, [e for e in combinations(names, 2) if rng.random() < p])
+        g = random_graph(rng.sample(ids, rng.randrange(3, 8)), rng.uniform(0.1, 0.6), rng)
         for k in range(4):
             got = list(enumerate_separations(g, k))
             assert got == list(seen_set_separations(g, k))

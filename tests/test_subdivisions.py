@@ -5,7 +5,7 @@ import pytest
 
 from wheelkit import kernels
 from wheelkit.errors import ConstructionError, InputDomainError, PreconditionError, ResourceLimitError
-from wheelkit.generate import random_planar_graph, small_graph_classes
+from wheelkit.generate import random_graph, random_planar_graph, small_graph_classes
 from wheelkit.graph import (
     Graph,
     add,
@@ -240,21 +240,14 @@ def k5_search_graphs():
 def seeded_gnp_graphs():
     """300 seeded G(n, p) graphs, 7 to 11 vertices, p from 0.35 to 0.8."""
     rng = random.Random(11)
-    out = []
-    for _ in range(300):
-        names = [str(i) for i in range(rng.randrange(7, 12))]
-        p = rng.uniform(0.35, 0.8)
-        out.append(Graph(names, [e for e in combinations(names, 2) if rng.random() < p]))
-    return out
+    return [random_graph(rng.randrange(7, 12), rng.uniform(0.35, 0.8), rng) for _ in range(300)]
 
 
 def test_disjoint_paths_at_least_matches_arcset_kernel():
     rng = random.Random(3)
     graphs = [random_planar_graph(rng.randrange(7, 13), rng, keep_fraction=0.95) for _ in range(100)]
     for _ in range(100):
-        names = [str(i) for i in range(rng.randrange(7, 13))]
-        p = rng.uniform(0.2, 0.8)
-        graphs.append(Graph(names, [e for e in combinations(names, 2) if rng.random() < p]))
+        graphs.append(random_graph(rng.randrange(7, 13), rng.uniform(0.2, 0.8), rng))
     # At (s, t, k) = (4, 5, 2), answer yes, and (4, 1, 4), answer no, an
     # augmenting path leaves a flow vertex back through its own entry, so
     # the walk back takes that vertex off the flow: no random input above
