@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
 
 from wheelkit import gio
@@ -43,16 +44,24 @@ def _emit(payload, out):
         print(text)
 
 
-def _terminals(args, parsed) -> tuple:
-    if getattr(args, "terminals", None):
-        g, _ = parsed
-        names = args.terminals.split(",")
-        for t in names:
-            if t.isdigit() and int(t) >= g.n:
-                raise InputDomainError(f"terminal index {t} out of range for {g.n} vertices")
-        return tuple(g.vertices[int(t)] if t.isdigit() else t for t in names)
-    _, ts = parsed
-    return ts or ()
+def _read_terminals(args):
+    """The graph file and its terminals: --terminals (vertex indices or
+    names) when given, else the edge list's S: line."""
+    g, ts = _read(args.graph)
+    if not args.terminals:
+        return g, ts or ()
+    names = args.terminals.split(",")
+    for t in names:
+        if t.isdecimal() and int(t) >= g.n:
+            raise InputDomainError(f"terminal index {t} out of range for {g.n} vertices")
+    return g, tuple(g.vertices[int(t)] if t.isdecimal() else t for t in names)
+
+
+def _stop(args):
+    """--max as an islice stop: None for the default 0, no negatives."""
+    if args.max < 0:
+        raise InputDomainError(f"--max must be at least 0, got {args.max}")
+    return args.max or None
 
 
 def cmd_planar(args):
@@ -60,133 +69,103 @@ def cmd_planar(args):
     try:
         emb = embed(g)
     except PreconditionError:
-        _emit({"planar": False, "faces": None}, args.out)
-        return 1
+        return {"planar": False, "faces": None}, False
     faces = [list(emb.face_vertices(i)) for i in range(len(emb.faces))]
-    _emit({"planar": True, "faces": faces, "face_count": emb.face_count()}, args.out)
-    return 0
+    return {"planar": True, "faces": faces, "face_count": emb.face_count()}, True
 
 
 def cmd_disc_planar(args):
-    parsed = _read(args.graph)
-    g, _ = parsed
-    ts = _terminals(args, parsed)
+    g, ts = _read_terminals(args)
     tg = TerminalGraph(g, ts, ordered=args.ordered)
     ok = is_disc_planar(tg)
-    _emit({"disc_planar": ok, "ordered": tg.ordered, "terminals": list(ts)}, args.out)
-    return 0 if ok else 1
+    return {"disc_planar": ok, "ordered": tg.ordered, "terminals": list(ts)}, ok
 
 
 def cmd_good_wheel(args):
-    parsed = _read(args.graph)
-    g, _ = parsed
-    ts = _terminals(args, parsed)
-    tg = TerminalGraph(g, ts, ordered=False)
-    w = find_s_good_wheel(tg, limit=args.limit)
+    g, ts = _read_terminals(args)
+    w = find_s_good_wheel(TerminalGraph(g, ts, ordered=False), limit=args.limit)
     if w is None:
-        _emit({"found": False}, args.out)
-        return 1
-    _emit(
-        {"found": True, "center": w.center, "rim": list(w.rim), "spokes": sorted(w.spokes, key=vkey)},
-        args.out,
-    )
-    return 0
+        return {"found": False}, False
+    spokes = sorted(w.spokes, key=vkey)
+    return {"found": True, "center": w.center, "rim": list(w.rim), "spokes": spokes}, True
 
 
 def cmd_k5(args):
     g, _ = _read(args.graph)
     sub = find_k5_subdivision(g, limit=args.limit)
     if sub is None:
-        _emit({"found": False}, args.out)
-        return 1
-    _emit({"found": True, "branch": list(sub.branch), "paths": [list(p) for p in sub.paths]}, args.out)
-    return 0
+        return {"found": False}, False
+    return {"found": True, "branch": list(sub.branch), "paths": [list(p) for p in sub.paths]}, True
 
 
 def cmd_color(args):
     g, _ = _read(args.graph)
     col = four_color(g)
-    if col is None:
-        _emit({"colorable": False, "assignment": None}, args.out)
-        return 1
-    _emit({"colorable": True, "assignment": col}, args.out)
-    return 0
+    return {"colorable": col is not None, "assignment": col}, col is not None
+
+
+def _side(g: Graph) -> dict:
+    return {"vertices": list(g.vertices), "edges": [list(e) for e in g.edges]}
+
+
+def _oriented(seps, planar_side: bool):
+    """Each separation as (cut, side1, side2); with planar_side, only those
+    with a side disc-planar over the cut, and that side first."""
+    for sep in seps:
+        if not planar_side:
+            yield sep.cut, sep.side1, sep.side2
+            continue
+        for first, second in ((sep.side1, sep.side2), (sep.side2, sep.side1)):
+            if is_disc_planar(TerminalGraph(first, sep.cut, ordered=False)):
+                yield sep.cut, first, second
+                break
 
 
 def cmd_separations(args):
-    if args.max < 0:
-        raise InputDomainError(f"--max must be at least 0, got {args.max}")
+    stop = _stop(args)
     g, _ = _read(args.graph)
-    out = []
-    for sep in enumerate_separations(g, args.k):
-        side1, side2 = sep.side1, sep.side2
-        if args.planar_side:
-            planar = (s for s in (side1, side2) if is_disc_planar(TerminalGraph(s, sep.cut, ordered=False)))
-            first = next(planar, None)
-            if first is None:
-                continue
-            if first is side2:
-                side1, side2 = side2, side1
-        out.append(
-            {
-                "cut": list(sep.cut),
-                "side1": {"vertices": list(side1.vertices), "edges": [list(e) for e in side1.edges]},
-                "side2": {"vertices": list(side2.vertices), "edges": [list(e) for e in side2.edges]},
-            }
-        )
-        if args.max and len(out) >= args.max:
-            break
-    _emit({"order": args.k, "count": len(out), "separations": out}, args.out)
-    return 0
+    found = islice(_oriented(enumerate_separations(g, args.k), args.planar_side), stop)
+    out = [{"cut": list(cut), "side1": _side(s1), "side2": _side(s2)} for cut, s1, s2 in found]
+    return {"order": args.k, "count": len(out), "separations": out}, True
 
 
 def cmd_trichotomy(args):
     g, _ = _read(args.graph)
     res = check_trichotomy(g, split(g, args.cut.split(","), args.side.split(",")))
-    payload = {"verdict": res.verdict.value}
+    report = {"verdict": res.verdict.value}
     if res.wheel:
-        payload["wheel"] = {"center": res.wheel.center, "rim": list(res.wheel.rim)}
+        report["wheel"] = {"center": res.wheel.center, "rim": list(res.wheel.rim)}
     if res.member:
-        payload["member"] = res.member.name
-    _emit(payload, args.out)
-    return 0 if res.verdict.value != "none" else 1
+        report["member"] = res.member.name
+    return report, res.verdict.value != "none"
+
+
+_DUMP = {
+    "graph6": lambda tg: gio.to_graph6(tg.graph),
+    "dot": lambda tg: gio.to_dot(tg.graph, tg.terminals),
+    "edgelist": lambda tg: gio.to_edgelist(tg.graph, tg.terminals),
+}
 
 
 def cmd_catalog(args):
     if args.action == "list":
-        _emit(
-            [
-                {
-                    "name": m.name,
-                    "vertices": m.tg.graph.n,
-                    "terminals": list(m.tg.terminals),
-                    "special_vertex": m.special_vertex,
-                }
-                for m in catalog()
-            ],
-            args.out,
-        )
-        return 0
+        return [
+            {
+                "name": m.name,
+                "vertices": m.tg.graph.n,
+                "terminals": list(m.tg.terminals),
+                "special_vertex": m.special_vertex,
+            }
+            for m in catalog()
+        ], True
     if args.action == "dump":
-        payload = {}
-        for m in catalog():
-            if args.format == "graph6":
-                payload[m.name] = gio.to_graph6(m.tg.graph)
-            elif args.format == "dot":
-                payload[m.name] = gio.to_dot(m.tg.graph, m.tg.terminals)
-            else:
-                payload[m.name] = gio.to_edgelist(m.tg.graph, m.tg.terminals)
-        _emit(payload, args.out)
-        return 0
+        return {m.name: _DUMP[args.format](m.tg) for m in catalog()}, True
     # match
     if args.graph is None:
         raise InputDomainError("catalog match needs a graph file")
-    parsed = _read(args.graph)
-    g, _ = parsed
-    ts = _terminals(args, parsed)
+    g, ts = _read_terminals(args)
     m = matches_catalog(TerminalGraph(g, ts, ordered=False))
-    _emit({"match": m.name if m else None}, args.out)
-    return 0 if m else 1
+    return {"match": m.name if m else None}, m is not None
 
 
 def _renamed(g: Graph, spec: str) -> Graph:
@@ -223,35 +202,19 @@ def cmd_lift(args):
         g, _ = _read(args.graph)
         if args.map:
             g = _renamed(g, args.map)
-    gp = apply_gadget(g, case.rule)
-    sub = find_k5_subdivision(gp, limit=args.limit)
+    sub = find_k5_subdivision(apply_gadget(g, case.rule), limit=args.limit)
     if sub is None:
-        _emit({"reduced_has_k5": False}, args.out)
-        return 1
+        return {"reduced_has_k5": False}, False
     lifted = lift_subdivision(g, case.rule, sub)
-    _emit(
-        {
-            "reduced_has_k5": True,
-            "branch": list(lifted.branch),
-            "paths": [list(p) for p in lifted.paths],
-        },
-        args.out,
-    )
-    return 0
+    paths = [list(p) for p in lifted.paths]
+    return {"reduced_has_k5": True, "branch": list(lifted.branch), "paths": paths}, True
 
 
 def cmd_gen(args):
-    if args.max < 0:
-        raise InputDomainError(f"--max must be at least 0, got {args.max}")
-    count = 0
-    lines = []
-    for tg in generate_terminal_planar(args.n_max, args.s_size, filters=tuple(args.filter or ())):
-        lines.append(gio.to_edgelist(tg.graph, tg.terminals))
-        count += 1
-        if args.max and count >= args.max:
-            break
-    _emit({"count": count, "graphs": lines}, args.out)
-    return 0
+    stop = _stop(args)
+    stream = generate_terminal_planar(args.n_max, args.s_size, filters=tuple(args.filter or ()))
+    lines = [gio.to_edgelist(tg.graph, tg.terminals) for tg in islice(stream, stop)]
+    return {"count": len(lines), "graphs": lines}, True
 
 
 def _read_config(path: str) -> Config:
@@ -284,8 +247,7 @@ def cmd_verify(args):
     cfg.validate()
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     reports = [run_experiment(n, cfg) for n in names]
-    _emit([r.as_dict() for r in reports], args.out)
-    return 0 if all(r.passed for r in reports) else 1
+    return [r.as_dict() for r in reports], all(r.passed for r in reports)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,16 +339,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Each cmd_* returns (report, holds), and the
+    report is written here once: exit 0 when holds, 1 when not, 2 on bad
+    input (one `error:` line on stderr, no report)."""
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        report, holds = args.func(args)
+        _emit(report, args.out)
     except (WheelkitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if holds else 1
 
 
 if __name__ == "__main__":

@@ -14,19 +14,13 @@ import inspect
 import random
 import time
 from dataclasses import dataclass, field, fields
-from itertools import combinations
 
 from wheelkit import gio
 from wheelkit.catalog import catalog, matches_catalog, verify_catalog
 from wheelkit.errors import InputDomainError, WheelkitError
-from wheelkit.gadgets import (
-    apply_gadget,
-    foreign_edges,
-    gadget_library,
-    lift_subdivision,
-    validate_rule,
-)
+from wheelkit.gadgets import gadget_library, lift_subdivision, reduced_witnesses, validate_rule
 from wheelkit.generate import (
+    DEFAULT_GENERATION_LIMIT,
     generate_terminal_planar,
     random_graph,
     random_planar_graph,
@@ -78,13 +72,16 @@ class Config:
         at 16, where the default instances still take seconds.  The oracles
         of oracle-equivalence grow faster (its default instances took about
         3 s at oracle_bound 10 and 8 s at 11 on 2 cores): it stops at 10.
+        The stream refuses more than DEFAULT_GENERATION_LIMIT (9) vertices,
+        so generation_bound stops there.
         """
         minimums = {"oracle_bound": 5, "search_bound": 5, "generation_bound": 5, "instances": 1}
         for key, low in minimums.items():
             value = getattr(self, key)
             if value < low:
                 raise InputDomainError(f"config {key} = {value} is below its minimum {low}")
-        for key, high in {"oracle_bound": 10, "search_bound": 16}.items():
+        maximums = {"oracle_bound": 10, "search_bound": 16, "generation_bound": DEFAULT_GENERATION_LIMIT}
+        for key, high in maximums.items():
             value = getattr(self, key)
             if value > high:
                 raise InputDomainError(f"config {key} = {value} is above its maximum {high}")
@@ -147,23 +144,13 @@ def run_wheel_k5_construction(seed):
 def run_lift_all_gadgets():
     instances, counterexamples = 0, []
     for case in gadget_library():
-        rule = case.rule
         counterexamples.extend(validate_rule(case))
-        for host in case.hosts:
-            gp = apply_gadget(host, rule)
-            foreign = sorted(foreign_edges(host, rule))
-            for r in range(len(foreign) + 1):
-                for keep in combinations(foreign, r):
-                    banned = [e for e in foreign if e not in keep]
-                    trimmed = remove(gp, edges=banned)
-                    sub = find_k5_subdivision(trimmed)
-                    if sub is None:
-                        continue
-                    instances += 1
-                    try:
-                        validate_subdivision(host, lift_subdivision(host, rule, sub))
-                    except WheelkitError as exc:
-                        counterexamples.append(f"{rule.name}: {exc}")
+        for _, host, _, sub in reduced_witnesses(case):
+            instances += 1
+            try:
+                validate_subdivision(host, lift_subdivision(host, case.rule, sub))
+            except WheelkitError as exc:
+                counterexamples.append(f"{case.rule.name}: {exc}")
     return instances, counterexamples
 
 

@@ -26,7 +26,12 @@ from itertools import combinations, product
 from wheelkit.errors import LiftingError, PreconditionError
 from wheelkit.graph import Graph, Vertex, add, identify, norm_edge, remove, union
 from wheelkit.planarity import TerminalGraph
-from wheelkit.subdivisions import Subdivision, subdivision_from_edges, validate_subdivision
+from wheelkit.subdivisions import (
+    Subdivision,
+    find_k5_subdivision,
+    subdivision_from_edges,
+    validate_subdivision,
+)
 
 Edge = tuple[Vertex, Vertex]
 Path = tuple[Vertex, ...]
@@ -612,3 +617,19 @@ def gadget_case(name: str) -> GadgetCase:
         if case.rule.name == name:
             return case
     raise PreconditionError(f"unknown gadget rule {name!r}")
+
+
+def reduced_witnesses(case: GadgetCase):
+    """The lifting corpus of one case: for each host and each subset of its
+    foreign edges, the reduction without the other foreign edges is
+    searched for a K5 subdivision.  Yields (host index, host, kept foreign
+    edges, reduced witness) for each search that finds one."""
+    for i, host in enumerate(case.hosts):
+        reduced = apply_gadget(host, case.rule)
+        foreign = sorted(foreign_edges(host, case.rule))
+        for r in range(len(foreign) + 1):
+            for keep in combinations(foreign, r):
+                banned = [e for e in foreign if e not in keep]
+                sub = find_k5_subdivision(remove(reduced, edges=banned))
+                if sub is not None:
+                    yield i, host, keep, sub

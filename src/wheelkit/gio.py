@@ -133,6 +133,6 @@ def sniff_graph(text: str) -> tuple[Graph, tuple[Vertex, ...] | None]:
     first = next((ln for ln in text.splitlines() if ln.strip()), "")
     try:
         int(first.strip())
-        return parse_edgelist(text)
     except ValueError:
         return from_graph6(first), None
+    return parse_edgelist(text)

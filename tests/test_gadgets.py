@@ -1,6 +1,5 @@
 import json
 from dataclasses import replace
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -13,9 +12,10 @@ from wheelkit.gadgets import (
     gadget_case,
     gadget_library,
     lift_subdivision,
+    reduced_witnesses,
     validate_rule,
 )
-from wheelkit.graph import Graph, remove, union
+from wheelkit.graph import Graph, union
 from wheelkit.planarity import is_disc_planar
 from wheelkit.subdivisions import find_k5_subdivision, validate_subdivision
 from wheelkit.wheels import find_s_good_wheel
@@ -116,29 +116,20 @@ def test_foreign_edges_are_the_inserted_web():
     assert len(fe) == 5
 
 
-def _lifts(case, host):
-    """The lift-all-gadgets loop on one host: search the reduction
-    restricted to every foreign-edge subset and lift whatever subdivision
-    turns up; yields (kept foreign edges, reduced witness, lifted witness)."""
-    rule = case.rule
-    gp = apply_gadget(host, rule)
-    foreign = sorted(foreign_edges(host, rule))
-    for r in range(len(foreign) + 1):
-        for keep in combinations(foreign, r):
-            banned = [e for e in foreign if e not in keep]
-            trimmed = remove(gp, edges=banned)
-            sub = find_k5_subdivision(trimmed)
-            if sub is None:
-                continue
-            validate_subdivision(gp, sub)
-            out = lift_subdivision(host, rule, sub)
-            validate_subdivision(host, out)
-            yield keep, sub, out
+def _lifts(case):
+    """Each witness of the lifting corpus, checked in the reduction, then
+    lifted and checked in its host; yields (host index, kept foreign
+    edges, lifted witness)."""
+    for i, host, keep, sub in reduced_witnesses(case):
+        validate_subdivision(apply_gadget(host, case.rule), sub)
+        out = lift_subdivision(host, case.rule, sub)
+        validate_subdivision(host, out)
+        yield i, keep, out
 
 
 @pytest.mark.parametrize("case", gadget_library(), ids=lambda c: c.rule.name)
 def test_lift_all_hosts_all_usage_patterns(case):
-    total = sum(1 for host in case.hosts for _ in _lifts(case, host))
+    total = sum(1 for _ in _lifts(case))
     assert total > 0, "corpus for this rule never produced a subdivision"
 
 
@@ -147,13 +138,12 @@ def test_lifted_witnesses_match_the_golden_file():
     # the key is rule, host index and kept foreign edges
     got = {}
     for case in gadget_library():
-        for i, host in enumerate(case.hosts):
-            for keep, _, out in _lifts(case, host):
-                key = f"{case.rule.name} host{i} keep=" + ",".join(f"{a}-{b}" for a, b in keep)
-                got[key] = {
-                    "branch": " ".join(out.branch),
-                    "paths": [" ".join(p) for p in out.paths],
-                }
+        for i, keep, out in _lifts(case):
+            key = f"{case.rule.name} host{i} keep=" + ",".join(f"{a}-{b}" for a, b in keep)
+            got[key] = {
+                "branch": " ".join(out.branch),
+                "paths": [" ".join(p) for p in out.paths],
+            }
     assert len(got) == 57
     assert got == json.loads(LIFTS_GOLDEN.read_text())
 
