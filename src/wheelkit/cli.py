@@ -48,7 +48,7 @@ def _read_terminals(args):
     """The graph file and its terminals: --terminals (vertex indices or
     names) when given, else the edge list's S: line."""
     g, ts = _read(args.graph)
-    if not args.terminals:
+    if args.terminals is None:
         return g, ts or ()
     names = args.terminals.split(",")
     for t in names:
@@ -147,22 +147,23 @@ _DUMP = {
 }
 
 
-def cmd_catalog(args):
-    if args.action == "list":
-        return [
-            {
-                "name": m.name,
-                "vertices": m.tg.graph.n,
-                "terminals": list(m.tg.terminals),
-                "special_vertex": m.special_vertex,
-            }
-            for m in catalog()
-        ], True
-    if args.action == "dump":
-        return {m.name: _DUMP[args.format](m.tg) for m in catalog()}, True
-    # match
-    if args.graph is None:
-        raise InputDomainError("catalog match needs a graph file")
+def cmd_catalog_list(args):
+    return [
+        {
+            "name": m.name,
+            "vertices": m.tg.graph.n,
+            "terminals": list(m.tg.terminals),
+            "special_vertex": m.special_vertex,
+        }
+        for m in catalog()
+    ], True
+
+
+def cmd_catalog_dump(args):
+    return {m.name: _DUMP[args.format](m.tg) for m in catalog()}, True
+
+
+def cmd_catalog_match(args):
     g, ts = _read_terminals(args)
     m = matches_catalog(TerminalGraph(g, ts, ordered=False))
     return {"match": m.name if m else None}, m is not None
@@ -191,16 +192,19 @@ def _renamed(g: Graph, spec: str) -> Graph:
 def cmd_lift(args):
     case = gadget_case(args.rule)
     if args.demo:
-        if not 0 <= args.host < len(case.hosts):
+        if args.map is not None:
+            raise InputDomainError("--map applies to a graph file, not to --demo")
+        host = args.host or 0
+        if not 0 <= host < len(case.hosts):
             raise InputDomainError(
-                f"host index {args.host} out of range for {len(case.hosts)} hosts of {args.rule}"
+                f"host index {host} out of range for {len(case.hosts)} hosts of {args.rule}"
             )
-        g = case.hosts[args.host]
+        g = case.hosts[host]
     else:
-        if not args.graph:
-            raise InputDomainError("need a graph file or --demo")
+        if args.host is not None:
+            raise InputDomainError("--host applies to --demo, not to a graph file")
         g, _ = _read(args.graph)
-        if args.map:
+        if args.map is not None:
             g = _renamed(g, args.map)
     sub = find_k5_subdivision(apply_gadget(g, case.rule), limit=args.limit)
     if sub is None:
@@ -303,20 +307,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trichotomy)
 
     p = sub.add_parser("catalog", help="obstruction catalog")
-    p.add_argument("action", choices=("list", "dump", "match"))
-    p.add_argument("graph", nargs="?", help="graph to match")
-    p.add_argument("--format", choices=("graph6", "dot", "edgelist"), default="edgelist")
-    p.add_argument("--terminals")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_catalog)
+    actions = p.add_subparsers(dest="action", required=True)
+    a = actions.add_parser("list", help="the members and their terminals")
+    a.add_argument("--out")
+    a.set_defaults(func=cmd_catalog_list)
+    a = actions.add_parser("dump", help="every member in one graph format")
+    a.add_argument("--format", choices=("graph6", "dot", "edgelist"), default="edgelist")
+    a.add_argument("--out")
+    a.set_defaults(func=cmd_catalog_dump)
+    a = actions.add_parser("match", help="the member a terminal graph is rooted-isomorphic to")
+    common(a)
+    a.add_argument("--terminals")
+    a.set_defaults(func=cmd_catalog_match)
 
     p = sub.add_parser("lift", help="apply a gadget rule and lift the K5 witness")
-    p.add_argument("graph", nargs="?", help="host graph file; vertex names via --map")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("graph", nargs="?", help="host graph file; vertex names via --map")
+    source.add_argument("--demo", action="store_true", help="run on the shipped corpus host")
     p.add_argument("--out")
     p.add_argument("--rule", required=True, choices=[c.rule.name for c in gadget_library()])
-    p.add_argument("--map", help="rule-to-input vertex map, e.g. u=0,v=1,v1=2")
-    p.add_argument("--demo", action="store_true", help="run on the shipped corpus host")
-    p.add_argument("--host", type=int, default=0, help="corpus host index for --demo")
+    p.add_argument("--map", help="rule-to-input vertex map for a graph file, e.g. u=0,v=1,v1=2")
+    p.add_argument("--host", type=int, help="corpus host index for --demo (default 0)")
     p.add_argument("--limit", type=int, default=DEFAULT_SEARCH_LIMIT)
     p.set_defaults(func=cmd_lift)
 

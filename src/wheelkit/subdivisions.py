@@ -252,21 +252,17 @@ def subdivision_from_edges(g: Graph, edges) -> Subdivision | None:
             used.add((b, first))
             used.add((first, b))
             while walk[-1] not in bset:
+                # a non-branch vertex has degree 2: one way on
                 prev, cur = walk[-2], walk[-1]
-                nxts = [x for x in adj[cur] if x != prev]
-                if len(nxts) != 1:
-                    return None
-                walk.append(nxts[0])
-                used.add((cur, nxts[0]))
-                used.add((nxts[0], cur))
-            end = walk[-1]
-            if end == b:
-                return None  # a cycle hanging off one branch vertex
-            i, j = bindex[b], bindex[end]
+                (nxt,) = adj[cur] - {prev}
+                walk.append(nxt)
+                used.add((cur, nxt))
+                used.add((nxt, cur))
+            i, j = bindex[b], bindex[walk[-1]]
             key = (min(i, j), max(i, j))
-            if key in paths:
-                return None  # branch pair realized twice
             paths[key] = tuple(walk if i < j else list(reversed(walk)))
+    # a cycle back to its own branch vertex gives the key (i, i), and a
+    # pair walked twice leaves fewer than ten keys
     if set(paths) != set(K5_PAIRS):
         return None
     if len(used) != 2 * len(es):

@@ -125,6 +125,8 @@ CASES = [
     (("disc-planar", "c5.txt", "--terminals", "0,1,9"), 2,
      "error: terminal index 9 out of range for 5 vertices"),
     (("disc-planar", "c5.txt", "--terminals", "0,²"), 2, "error: terminal '²' not in graph"),
+    # an empty --terminals names the terminal '', not the S: line's
+    (("disc-planar", "c5.txt", "--terminals", ""), 2, "error: terminal '' not in graph"),
     (("good-wheel", "wheel10.txt"), 0, {"found": True, "center": "0", "rim": RIM10, "spokes": RIM10}),
     (("good-wheel", "w4.txt"), 0, {"found": True, "center": "0", "spokes": ["1", "2", "3", "4"]}),
     (("good-wheel", "c5.txt"), 1, {"found": False}),
@@ -176,7 +178,11 @@ CASES = [
     (("catalog", "dump"), 0, _dumps(lambda tg, text: parse_edgelist(text) == _indexed(tg))),
     (("catalog", "match", "w1.txt"), 0, {"match": "W1"}),
     (("catalog", "match", "c5.txt"), 1, {"match": None}),
-    (("catalog", "match"), 2, "error: catalog match needs a graph file"),
+    (("catalog", "match"), 2, "wheelkit catalog match: error: the following arguments are required: graph"),
+    (("catalog", "list", "missing.txt", "--format", "dot", "--terminals", "1,2"), 2,
+     "wheelkit: error: unrecognized arguments: missing.txt --format dot --terminals 1,2"),
+    (("catalog", "dump", "missing.txt", "--terminals", "9"), 2,
+     "wheelkit: error: unrecognized arguments: missing.txt --terminals 9"),
     (("lift", "--rule", "pair_chord", "--demo"), 0, {"reduced_has_k5": True, "paths": [
         ["a", "v1"], ["a", "v2"], ["a", "b", "v3"], ["a", "v4"], ["v1", "v2"],
         ["v1", "v3"], ["v1", "v4"], ["v2", "c", "v3"], ["v2", "u", "v", "v4"], ["v3", "d", "v4"],
@@ -195,9 +201,17 @@ CASES = [
      "error: --map gives two vertices the name 'v4'"),
     (("lift", "pair_chord_host.txt", "--rule", "pair_chord", "--map", MAP + ",w=4"), 2,
      "error: --map input '4' appears twice"),
+    (("lift", "pair_chord_host.txt", "--rule", "pair_chord", "--map", ""), 2, "error: --map entry '' is not rule=input"),
     (("lift", "pair_chord_side.txt", "--rule", "pair_chord", "--map", "u=0,v=1,v1=2,v2=3,v3=4,v4=5"), 1,
      {"reduced_has_k5": False}),
-    (("lift", "--rule", "pair_chord"), 2, "error: need a graph file or --demo"),
+    (("lift", "--rule", "pair_chord"), 2,
+     "wheelkit lift: error: one of the arguments graph --demo is required"),
+    (("lift", "--rule", "pair_chord", "--demo", "missing.txt", "--map", "u=1"), 2,
+     "wheelkit lift: error: argument graph: not allowed with argument --demo"),
+    (("lift", "--rule", "pair_chord", "--demo", "--map", "u=1"), 2,
+     "error: --map applies to a graph file, not to --demo"),
+    (("lift", "pair_chord_host.txt", "--rule", "pair_chord", "--map", MAP, "--host", "2"), 2,
+     "error: --host applies to --demo, not to a graph file"),
     (("gen", "--n-max", "7", "--s-size", "5", "--filter", "s-independent"), 0, {"count": 61}),
     (("gen", "--n-max", "5", "--s-size", "4", "--max", "5"), 0, {"count": 5, "graphs": [
         "4\nS: 0 1 2 3\n", "4\n0 1\nS: 0 1 2 3\n", "4\n0 1\n2 3\nS: 0 1 2 3\n",

@@ -26,7 +26,7 @@ def run_row(tmp_path, monkeypatch, capsys):
     return run
 
 
-@pytest.mark.parametrize("case", CASES, ids=[" ".join(argv) for argv, _, _ in CASES])
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(a or "''" for a in argv) for argv, _, _ in CASES])
 def test_cli_case(run_row, case):
     """One row of `tests/cli_cases.py`: its exit code and expected output."""
     run_row(*case[0])

@@ -17,16 +17,7 @@ def test_unknown_experiment_errors():
 
 
 def test_registry_covers_the_cli_promises():
-    assert {
-        "catalog-no-good-wheel",
-        "wheel-k5-construction",
-        "lift-all-gadgets",
-        "coloring-recipes",
-        "oracle-equivalence",
-        "planar-no-k5",
-        "disc-planar-oracle",
-        "trichotomy-regression",
-    } <= set(EXPERIMENTS)
+    assert set(GOLDEN) == set(EXPERIMENTS)
 
 
 def test_reports_reproducible_under_fixed_seed():
@@ -55,7 +46,7 @@ def test_programming_error_is_not_a_counterexample(monkeypatch):
 
 def test_generation_bound_steers_gen_catalog_members():
     full = run_experiment("gen-catalog-members")
-    assert full.passed and full.instances == 7
+    assert full.passed
     assert without_elapsed(full) == GOLDEN["gen-catalog-members"]
     short = run_experiment("gen-catalog-members", Config(generation_bound=5))
     assert not short.passed
@@ -69,7 +60,7 @@ def test_search_bound_steers_planar_no_k5():
     # graphs are drawn with 5 to search_bound vertices, so a bound below
     # the default 12 still runs every instance inside the search cap
     report = run_experiment("planar-no-k5", Config(search_bound=11))
-    assert report.passed and report.instances == 200
+    assert report.passed and report.instances == Config().instances
     with pytest.raises(InputDomainError, match="search_bound"):
         run_experiment("planar-no-k5", Config(search_bound=4))
 
@@ -80,31 +71,16 @@ def test_run_experiment_validates_config():
         run_experiment("oracle-equivalence", Config(oracle_bound=4))
 
 
-# The Config keys each experiment reads, in Config field order: exactly
-# the keys its report echoes.
-ECHOED = {
-    "catalog-no-good-wheel": (),
-    "coloring-recipes": (),
-    "disc-planar-oracle": (),
-    "lift-all-gadgets": (),
-    "gen-catalog-members": ("generation_bound",),
-    "oracle-equivalence": ("seed", "oracle_bound", "instances"),
-    "planar-no-k5": ("seed", "search_bound", "instances"),
-    "trichotomy-regression": ("seed",),
-    "wheel-k5-construction": ("seed",),
-}
-
-
 def test_each_experiment_takes_only_the_keys_it_reads():
-    assert set(ECHOED) == set(EXPERIMENTS)
-    for name, keys in ECHOED.items():
+    # a golden report echoes the keys its experiment reads, in Config
+    # field order: exactly the experiment's parameters
+    order = [f.name for f in fields(Config)]
+    for name in EXPERIMENTS:
+        keys = tuple(GOLDEN[name]["config"])
+        assert keys == tuple(k for k in order if k in keys), name
         assert tuple(inspect.signature(EXPERIMENTS[name]).parameters) == keys, name
     report = run_experiment("planar-no-k5", Config(instances=20))
-    assert list(report.config.items()) == [
-        ("seed", Config().seed),
-        ("search_bound", Config().search_bound),
-        ("instances", 20),
-    ]
+    assert list(report.config.items()) == list({**GOLDEN["planar-no-k5"]["config"], "instances": 20}.items())
 
 
 @pytest.mark.parametrize("name", sorted(set(EXPERIMENTS) - {"disc-planar-oracle"}))
@@ -114,7 +90,7 @@ def test_keys_not_echoed_do_not_change_the_report(name):
     other = Config(
         seed=base.seed + 1, oracle_bound=7, search_bound=13, generation_bound=8, instances=21
     )
-    unread = {f.name: getattr(other, f.name) for f in fields(Config) if f.name not in ECHOED[name]}
+    unread = {f.name: getattr(other, f.name) for f in fields(Config) if f.name not in GOLDEN[name]["config"]}
     a = run_experiment(name, base).as_dict()
     b = run_experiment(name, replace(base, **unread)).as_dict()
     a.pop("elapsed_seconds")
