@@ -1,11 +1,14 @@
 """Search kernels over bitmask adjacency, in pure Python.
 
 These are the hot loops of the whole package: exact 4-coloring, exact
-vertex-disjoint linkage, and the Menger count of internally disjoint
-paths between two vertices that screens the K5 search before linkage.
-A graph enters them through `index_graph`, which numbers its vertices in
+vertex-disjoint linkage, the Menger count of internally disjoint paths
+between two vertices that screens the K5 search before linkage, and
+exact planarity of small graphs by path addition.  A graph enters the
+first three through `index_graph`, which numbers its vertices in
 canonical order and builds one adjacency bitmask per vertex.  Vertex
-counts are capped at 63 so vertex sets fit in one word.
+counts are capped at 63 so vertex sets fit in one word.  The planarity
+kernel gets its bitmasks from `planarity._planar`, which indexes a
+reduced core of at most `planarity.PLANAR_KERNEL_MAX` vertices.
 
 All kernels are deterministic:
 - coloring picks the uncolored vertex with the fewest admissible colors
@@ -13,7 +16,9 @@ All kernels are deterministic:
 - linkage runs iterative deepening on the total path length and grows
   paths by ascending neighbor index;
 - the disjoint-path count answers yes or no, from common neighbors or
-  from breadth-first augmenting paths.
+  from breadth-first augmenting paths;
+- planarity embeds one path at a time, a forced fragment first, else the
+  first fragment in its first admissible face, and answers yes or no.
 """
 
 from __future__ import annotations
@@ -287,6 +292,178 @@ def disjoint_paths_at_least(n: int, adj: list[int], s: int, t: int, k: int) -> b
             w = x
         found += 1
     return True
+
+
+def planar_masks(n: int, adj: list[int]) -> bool:
+    """Exact planarity test by path addition (Demoucron, Malgrange and
+    Pertuiset, 1964).
+
+    Each connected part is tested on its own.  A part with a cycle starts
+    from that cycle as the embedded subgraph H, with two faces.  Each round
+    computes the fragments of H: an edge between embedded vertices that is
+    not yet embedded (a chord), or a component of the part minus H with
+    the edges that join it to H.  A fragment's attachments are the
+    embedded vertices it meets; it fits a face that holds all of them.  A
+    fragment that fits no face makes the graph non-planar.  A fragment
+    that fits exactly one face goes there; otherwise the first fragment
+    goes into its first face.  One path of the fragment between two
+    attachments is embedded, which splits that face in two.  A component
+    with a single attachment v is a union of blocks hanging at v, so it is
+    set aside with v as a part of its own and dropped from the current one;
+    every fragment left has two attachments or more, and H stays
+    2-connected, its faces cycles.
+    """
+    parts = []
+    left = (1 << n) - 1
+    while left:
+        part, _ = _flood(adj, left & -left, left)
+        left &= ~part
+        parts.append(part)
+    while parts:
+        if not _embed_part(adj, parts.pop(), parts):
+            return False
+    return True
+
+
+def _flood(adj: list[int], seed: int, allowed: int) -> tuple[int, int]:
+    """The vertices reachable from `seed` inside `allowed`, and the union
+    of their neighbourhoods."""
+    comp = frontier = seed
+    reach = 0
+    while frontier:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= adj[b.bit_length() - 1]
+        reach |= nxt
+        frontier = nxt & allowed & ~comp
+        comp |= frontier
+    return comp, reach
+
+
+def _cycle(adj: list[int], part: int) -> list[int]:
+    """A cycle of the subgraph induced by `part`, which must hold one: the
+    tree path that the first back edge of a depth-first search closes."""
+    v = (part & -part).bit_length() - 1
+    path = [v]
+    on_path = seen = 1 << v
+    while True:
+        u = path[-1]
+        back = adj[u] & on_path
+        if len(path) > 1:
+            back &= ~(1 << path[-2])
+        if back:
+            return path[path.index((back & -back).bit_length() - 1) :]
+        fresh = adj[u] & part & ~seen
+        if fresh:
+            b = fresh & -fresh
+            path.append(b.bit_length() - 1)
+            seen |= b
+            on_path |= b
+        else:
+            path.pop()
+            on_path ^= 1 << u
+
+
+def _embed_part(adj: list[int], part: int, parts: list[int]) -> bool:
+    """Whether the connected subgraph induced by `part` is planar.  Parts
+    hanging at a single vertex are appended to `parts`."""
+    size = part.bit_count()
+    m = sum((adj[v] & part).bit_count() for v in _bits(part)) // 2
+    # A subdivided K5 or K3,3 has 9 edges or more and cycle rank 4 or more.
+    if m <= 8 or m - size < 3:
+        return True
+    if m > 3 * size - 6:
+        return False
+    cycle = _cycle(adj, part)
+    _, emb = face = _face(cycle)
+    n = len(adj)
+    done = [0] * n  # the embedded neighbours of each vertex
+    for i, v in enumerate(cycle):
+        u = cycle[i - 1]
+        done[u] |= 1 << v
+        done[v] |= 1 << u
+    faces = [face, face]
+    prev = [0] * n
+    while True:
+        # fragments as (attachments, component), a chord with component 0
+        frags = []
+        for u in _bits(emb):
+            rest = adj[u] & emb & ~done[u] & ~((2 << u) - 1)
+            for w in _bits(rest):
+                frags.append(((1 << u) | (1 << w), 0))
+        free = part & ~emb
+        while free:
+            comp, reach = _flood(adj, free & -free, free)
+            free &= ~comp
+            att = reach & emb
+            if att & (att - 1):
+                frags.append((att, comp))
+            else:
+                parts.append(comp | att)
+                part &= ~comp
+        if not frags:
+            return True
+        choice = None
+        for att, comp in frags:
+            fits = [i for i, (_, mask) in enumerate(faces) if not att & ~mask]
+            if not fits:
+                return False
+            if len(fits) == 1:
+                choice = att, comp, fits[0]
+                break
+            if choice is None:
+                choice = att, comp, fits[0]
+        att, comp, fi = choice
+        a = (att & -att).bit_length() - 1
+        if comp:
+            # breadth-first from a into the component, up to a vertex that
+            # sees another attachment b; the path runs b .. a
+            others = att & ~(1 << a)
+            start = adj[a] & comp
+            queue = _bits(start)
+            for x in queue:
+                prev[x] = a
+            seen = start
+            for x in queue:
+                hit = adj[x] & others
+                if hit:
+                    path = [(hit & -hit).bit_length() - 1, x]
+                    while x != a:
+                        x = prev[x]
+                        path.append(x)
+                    break
+                fresh = adj[x] & comp & ~seen
+                seen |= fresh
+                for y in _bits(fresh):
+                    prev[y] = x
+                    queue.append(y)
+        else:
+            path = _bits(att)
+        for u, v in zip(path, path[1:]):
+            done[u] |= 1 << v
+            done[v] |= 1 << u
+        inner = path[1:-1]
+        for v in inner:
+            emb |= 1 << v
+        boundary, _ = faces[fi]
+        i, j = boundary.index(path[0]), boundary.index(path[-1])
+        if i < j:
+            arc1, arc2 = boundary[i : j + 1], boundary[j:] + boundary[: i + 1]
+        else:
+            arc1, arc2 = boundary[i:] + boundary[: j + 1], boundary[j : i + 1]
+        # arc1 runs path[0] .. path[-1] along the face, arc2 back again
+        faces[fi] = _face(arc1 + inner[::-1])
+        faces.append(_face(arc2 + inner))
+
+
+def _face(cycle: list[int]) -> tuple[list[int], int]:
+    """A face: its boundary cycle and the bitmask of its vertices."""
+    mask = 0
+    for v in cycle:
+        mask |= 1 << v
+    return cycle, mask
 
 
 def bfs_dist(n: int, adj: list[int], s: int, t: int, block: int) -> int:

@@ -27,6 +27,22 @@ from wheelkit.gio import from_graph6, parse_edgelist
 from wheelkit.graph import Graph
 from wheelkit.planarity import TerminalGraph, is_disc_planar
 
+def _grid(rows: int, cols: int) -> str:
+    """The rows x cols grid as an edge list, with vertex r * cols + c in
+    row r and column c."""
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return f"{rows * cols}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+# the boundary cycle of the 5 x 8 grid from its corner 0; with the fence of
+# its 22 terminals the core has 63 vertices, so networkx decides it
+GRID_RIM = [*range(8), 15, 23, 31, *range(39, 31, -1), 24, 16, 8]
+GRID_ROWS = [
+    ("disc-planar", "grid5x8.txt", "--terminals", ",".join(map(str, rim)), "--ordered")
+    for rim in (GRID_RIM, [GRID_RIM[0], GRID_RIM[2], GRID_RIM[1], *GRID_RIM[3:]])
+]
+
 FILES = {
     # vertex 3 joined to 4-7, plus K7 on {0, 1, 2, 4, 5, 6, 7}
     "star_k7.g6": "Gw~~~{\n",
@@ -57,6 +73,7 @@ FILES = {
     # pair_chord's first corpus host, a b c d u v v1 v2 v3 v4 as 0..9
     "pair_chord_host.txt": "10\n0 1\n0 6\n0 7\n0 9\n1 8\n2 7\n2 8\n3 8\n3 9\n"
     "4 5\n4 6\n4 7\n4 8\n5 6\n5 8\n5 9\n6 7\n6 8\n6 9\n",
+    "grid5x8.txt": _grid(5, 8),
     "bad_index.txt": "3\n0 5\n",
     "bad_line.txt": "3\n0 1 2\n",
     "not_utf8.txt": b"\xff\xfe\x00",
@@ -127,6 +144,8 @@ CASES = [
     (("disc-planar", "c5.txt", "--terminals", "0,²"), 2, "error: terminal '²' not in graph"),
     # an empty --terminals names the terminal '', not the S: line's
     (("disc-planar", "c5.txt", "--terminals", ""), 2, "error: terminal '' not in graph"),
+    (GRID_ROWS[0], 0, {"disc_planar": True, "ordered": True}),
+    (GRID_ROWS[1], 1, {"disc_planar": False, "ordered": True}),
     (("good-wheel", "wheel10.txt"), 0, {"found": True, "center": "0", "rim": RIM10, "spokes": RIM10}),
     (("good-wheel", "w4.txt"), 0, {"found": True, "center": "0", "spokes": ["1", "2", "3", "4"]}),
     (("good-wheel", "c5.txt"), 1, {"found": False}),

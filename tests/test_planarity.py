@@ -7,9 +7,10 @@ import pytest
 
 from wheelkit import graph, planarity
 from wheelkit.errors import InputDomainError, PreconditionError
-from wheelkit.generate import small_graph_classes, terminal_set_classes
+from wheelkit.generate import random_planar_graph, small_graph_classes, terminal_set_classes
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, remove
 from wheelkit.planarity import (
+    PLANAR_KERNEL_MAX,
     TerminalGraph,
     _augmented,
     _core,
@@ -85,12 +86,69 @@ def test_is_planar_matches_networkx_on_seeded_graphs():
         assert is_planar(g) == _networkx_planar(g), g.edges
 
 
+def _planar_plus_edges(n: int, rng: random.Random) -> Graph:
+    """A seeded planar graph on n vertices plus 0-2 random extra edges."""
+    g = random_planar_graph(n, rng, keep_fraction=rng.uniform(0.6, 1.0))
+    extra = set()
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.sample(g.vertices, 2)
+        if not g.has_edge(u, v) and (v, u) not in extra:
+            extra.add((u, v))
+    return add(g, (), sorted(extra))
+
+
+def _joined(g: Graph, h: Graph, u, v) -> Graph:
+    """g and a primed copy of h, plus the edge from u in g to v's copy."""
+    names = {x: f"{x}'" for x in h.vertices}
+    return add(g, names.values(), [(names[a], names[b]) for a, b in h.edges] + [(u, names[v])])
+
+
+def test_is_planar_matches_networkx_at_and_past_the_kernel_limit():
+    """Seeded planar graphs with 6-40 vertices plus 0-2 extra edges, and a
+    third of the time two such graphs joined by one edge, so cores fall on
+    both sides of `PLANAR_KERNEL_MAX`."""
+    rng = random.Random(29)
+    nonplanar = above = 0
+    for _ in range(1000):
+        g = _planar_plus_edges(rng.randint(6, 40), rng)
+        if rng.random() < 1 / 3:
+            h = _planar_plus_edges(rng.randint(6, 40), rng)
+            g = _joined(g, h, rng.choice(g.vertices), rng.choice(h.vertices))
+        want = _networkx_planar(g)
+        assert is_planar(g) == want, g.edges
+        core = {v: set(g.neighbors(v)) for v in g.vertices}
+        _core(core)
+        nonplanar += not want
+        above += len(core) > PLANAR_KERNEL_MAX
+    assert nonplanar > 400 and above > 40, (nonplanar, above)
+
+
+def _k33_pair() -> Graph:
+    """Two K3,3 sharing the vertex a."""
+    second = [(u if u == "a" else f"{u}2", f"{v}2") for u, v in k33().edges]
+    return Graph(edges=[*k33().edges, *second])
+
+
+def _k5_beside_k4() -> Graph:
+    k4 = complete_graph(list("wxyz"))
+    return add(complete_graph(list("abcde")), k4.vertices, k4.edges)
+
+
+def _octahedron_with_k5_at_a_cut_vertex() -> Graph:
+    """The octahedron with a K5 through its vertex 6, so 6 is a cut vertex."""
+    return add(octahedron(), list("pqrs"), complete_graph(list("6pqrs")).edges)
+
+
 def _subdivided(g: Graph) -> Graph:
     """g with every edge replaced by a path of length two."""
     return Graph(
         g.vertices,
         [e for u, v in g.edges for e in ((u, f"{u}~{v}"), (f"{u}~{v}", v))],
     )
+
+
+# the rungs of a circular ladder whose core is just above the kernel's limit
+LADDER = PLANAR_KERNEL_MAX // 2 + 1
 
 
 def _prism() -> Graph:
@@ -109,8 +167,16 @@ def _prism() -> Graph:
         (Graph(edges=[("a", "b"), ("b", "c"), ("b", "d"), ("d", "e"), ("d", "f")]), (0, 0), True),
         (k33(), (6, 9), False),
         (_prism(), (6, 9), True),
+        (_k33_pair(), (11, 18), False),
+        (_k5_beside_k4(), (9, 16), False),
+        (_octahedron_with_k5_at_a_cut_vertex(), (10, 22), False),
+        # every vertex has degree 3, so the core is the whole graph
+        (_from_networkx(nx.circular_ladder_graph(LADDER)), (2 * LADDER, 3 * LADDER), True),
     ],
-    ids=["subdivided-k5", "subdivided-k33", "subdivided-triangle", "tree", "k33", "prism"],
+    ids=[
+        "subdivided-k5", "subdivided-k33", "subdivided-triangle", "tree", "k33", "prism",
+        "k33-pair", "k5-beside-k4", "octahedron-with-k5", "ladder-above-the-kernel-limit",
+    ],
 )
 def test_is_planar_hand_cases(g, core_size, planar, monkeypatch):
     assert _networkx_planar(g) is planar
@@ -123,8 +189,8 @@ def test_is_planar_hand_cases(g, core_size, planar, monkeypatch):
         planarity.nx, "check_planarity", lambda *a, **k: calls.append(a) or check(*a, **k)
     )
     assert is_planar(g) is planar
-    # only a core with 9 edges on 6 vertices is left to networkx
-    assert len(calls) == (core_size == (6, 9))
+    # only a core above the kernel's limit is left to networkx
+    assert len(calls) == (core_size[0] > PLANAR_KERNEL_MAX)
 
 
 def three_terminal_fence(g: Graph, ts) -> Graph:

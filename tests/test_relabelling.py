@@ -3,7 +3,7 @@ import random
 from wheelkit.coloring import four_color
 from wheelkit.generate import canonical_form, random_graph, small_graph_classes
 from wheelkit.graph import Graph, norm_edge, vkey
-from wheelkit.planarity import TerminalGraph, is_disc_planar
+from wheelkit.planarity import TerminalGraph, is_disc_planar, is_planar
 from wheelkit.separations import enumerate_separations, is_k_connected, side_verdict
 from wheelkit.subdivisions import find_disjoint_paths, find_k5_subdivision
 
@@ -13,8 +13,9 @@ MIXED_IDS = ["9", "10", "2", "11", "100", "a", "b1", "t2", "t10", "x", "7a", "c3
 
 def test_relabelling_onto_mixed_length_ids_changes_no_answer():
     """A random bijection π onto ids of mixed lengths changes no verdict
-    and no canonical key, maps the separations onto the separations, and
-    leaves each cut and each side1 in vkey order."""
+    (planarity and disc-planarity among them) and no canonical key, maps
+    the separations onto the separations, and leaves each cut and each
+    side1 in vkey order."""
     rng = random.Random(41)
     graphs = small_graph_classes(6) + [
         random_graph(rng.randrange(5, 11), rng.uniform(0.3, 0.8), rng) for _ in range(40)
@@ -27,6 +28,7 @@ def test_relabelling_onto_mixed_length_ids_changes_no_answer():
             return tuple(pi[v] for v in vs)
 
         assert (four_color(g) is None) == (four_color(h) is None), g.edges
+        assert is_planar(g) == is_planar(h), g.edges
         assert (find_k5_subdivision(g) is None) == (find_k5_subdivision(h) is None), g.edges
         for k in range(1, 5):
             assert is_k_connected(g, k) == is_k_connected(h, k), (g.edges, k)
