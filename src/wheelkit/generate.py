@@ -4,11 +4,17 @@ planar graphs, and wheel-plus-crossing hosts.
 `canonical_form` is the package's one isomorphism test: the enumerators
 and the catalog's rooted isomorphism all compare its keys.  It works on
 per-vertex adjacency bitmasks: a graph is indexed once by
-`kernels.index_graph`, and `_canon_masks` refines colours and searches
-the vertex orders inside the cells for the least adjacency bitstring.
-It cuts an order whose rows placed so far exceed the best bitstring's,
-places one member per twin class, and raises `ResourceLimitError` past
-`MAX_SEARCH_NODES`, which no graph with at most 9 vertices reaches.
+`kernels.index_graph`, and `_canon_masks` refines colours, then reads
+the least adjacency bitstring over the vertex orders inside the cells.
+Twins (same terminal status, N(v) - w = N(w) - v) have equal open or
+equal closed neighbourhoods, so `_twin_classes` finds them in one
+grouping pass.  When every refined cell is one twin class, every order
+gives the same bitstring and the key is read off directly.  Otherwise a
+search cuts an order whose rows placed so far exceed the best
+bitstring's, places one member per twin class, and raises
+`ResourceLimitError` past `MAX_SEARCH_NODES` searched nodes, which no
+graph with at most 9 vertices reaches; a key read off directly spends
+none.
 
 `_classes` is the one level loop: it enumerates edge sets level by level
 (by edge count), deduplicating each level by the rooted canonical form
@@ -67,18 +73,31 @@ def canonical_form(g: Graph, terminals: Iterable[Vertex] = ()) -> tuple:
     that take the cells in colour order and permute only inside them.
     Terminals come first, so the key fixes the terminal set.
 
-    The search fills positions from the last one down, trying one member
-    per twin class at each.  Placing a vertex at position i completes
-    row i, and rows i and up are the most significant bits, so a branch
-    whose rows i and up exceed the best bitstring's is cut; ties are
-    kept.  Neither cut changes the key.  Each vertex tried is one node,
-    and past `MAX_SEARCH_NODES` the search raises ResourceLimitError.
-    One uncut cell of 9 vertices tries floor(e * 9!) - 1 = 986,409
-    nodes, so every graph with at most 9 vertices keys under any
-    labelling.  Above that, hitting the budget can depend on the
-    labelling: C10, C12, the Petersen graph and the icosahedron key in
-    well under a second, and the dodecahedron, Q4 and C16 raise.  A
-    returned key is never wrong.
+    Non-adjacent twins have N(v) = N(w) and adjacent ones N[v] = N[w].
+    No vertex v has one of each: a twin x with N[x] = N[v] is in N(v),
+    so a twin w with N(w) = N(v) is adjacent to x, hence in N[x] = N[v],
+    but w is neither v nor adjacent to it.  So the twin classes are the
+    groups of equal (terminal bit, N(v)) and of equal (terminal bit,
+    N[v]), found in one pass.
+
+    When every cell is one twin class, the key is read off directly: the
+    vertices are placed cell by cell, in any order inside a cell.  Every
+    permutation of a twin class is a product of swaps of twins, each an
+    automorphism, so every order the search below could try gives this
+    bitstring.
+
+    Otherwise the search fills positions from the last one down, trying
+    one member per twin class at each.  Placing a vertex at position i
+    completes row i, and rows i and up are the most significant bits, so
+    a branch whose rows i and up exceed the best bitstring's is cut; ties
+    are kept.  Neither cut changes the key.  Each vertex tried is one
+    node, and past `MAX_SEARCH_NODES` the search raises
+    ResourceLimitError; a key read off directly counts no node.  One
+    uncut cell of 9 vertices tries floor(e * 9!) - 1 = 986,409 nodes, so
+    every graph with at most 9 vertices keys under any labelling.  Above
+    that, hitting the budget can depend on the labelling: C10, C12, the
+    Petersen graph and the icosahedron key in well under a second, and
+    the dodecahedron, Q4 and C16 raise.  A returned key is never wrong.
 
     Raises InputDomainError for a terminal that is not a vertex of g or
     is repeated.
@@ -102,7 +121,14 @@ def _terminal_mask(idx: dict[Vertex, int], terminals: Iterable[Vertex]) -> int:
 def _canon_masks(n: int, adj: list[int], tmask: int) -> tuple:
     """`canonical_form` of the graph on vertices 0..n-1 with adjacency
     bitmasks `adj` and terminal bitmask `tmask`."""
-    nbrs = [[u for u in range(n) if a >> u & 1] for a in adj]
+    nbrs = []
+    for a in adj:
+        row = []
+        while a:
+            b = a & -a
+            row.append(b.bit_length() - 1)
+            a ^= b
+        nbrs.append(row)
     # twins share a cell, so a cell per twin class refines no further
     twin = _twin_classes(n, adj, tmask)
     finest = len(set(twin))
@@ -117,6 +143,21 @@ def _canon_masks(n: int, adj: list[int], tmask: int) -> tuple:
         if cells == finest:
             break
         colour = [(c, tuple(sorted([colour[u] for u in nbrs[v]]))) for v, c in enumerate(colour)]
+    if cells == finest:
+        # each cell is one twin class: every order the search could try
+        # gives this bitstring
+        pos = [0] * n
+        for i, v in enumerate(sorted(range(n), key=colour.__getitem__)):
+            pos[v] = i
+        bits = 0
+        for v in range(n):
+            i = pos[v]
+            shift = i * n
+            for u in nbrs[v]:
+                j = pos[u]
+                if j > i:
+                    bits |= 1 << (shift + j)
+        return (tmask.bit_count(), n, bits)
     # position i draws from the twin classes of the i-th cell, as stacks
     members = [[v] for v in range(n)]
     classes: list[list[list[int]]] = [[] for _ in range(cells)]
@@ -161,17 +202,19 @@ def _canon_masks(n: int, adj: list[int], tmask: int) -> tuple:
 
 def _twin_classes(n: int, adj: list[int], tmask: int) -> list[int]:
     """For each vertex the least vertex with the same terminal status that
-    is its twin (N(v) - w = N(w) - v), which names its twin class."""
-    rep = list(range(n))
+    is its twin (N(v) - w = N(w) - v), which names its twin class: the
+    first vertex with its (terminal bit, N(v)) or (terminal bit, N[v])
+    (see `canonical_form`)."""
+    first: dict[int, int] = {}
+    rep = []
     for v in range(n):
-        for w in range(v):
-            if (
-                rep[w] == w
-                and (tmask >> v ^ tmask >> w) & 1 == 0
-                and adj[v] & ~(1 << w) == adj[w] & ~(1 << v)
-            ):
-                rep[v] = w
-                break
+        # (N(v), terminal bit) and (N[v], terminal bit) as one int each;
+        # N(u) = N[w] never holds, so the two kinds share one dict
+        key = adj[v] << 1 | tmask >> v & 1
+        w = first.setdefault(key, v)
+        if w == v:
+            w = first.setdefault(key | 2 << v, v)
+        rep.append(w)
     return rep
 
 

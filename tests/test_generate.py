@@ -209,9 +209,10 @@ def test_canonical_form_rejects_repeated_terminal():
 
 
 def test_small_graph_class_counts():
-    by_n = Counter(g.n for g in small_graph_classes(6))
-    assert [by_n[n] for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
-    assert sum(by_n.values()) == 208
+    # OEIS A000088
+    by_n = Counter(g.n for g in small_graph_classes(7))
+    assert [by_n[n] for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    assert sum(by_n.values()) == 1252
 
 
 def test_four_terminal_stream_counts_to_seven_vertices():
@@ -334,13 +335,29 @@ def reference_canon_masks(n, adj, tmask):
     key = (tmask.bit_count(), n)
     if cells == n:
         return key + (reference_bitstring(n, nbrs, [p[0] for p in parts]),)
-    twin = _twin_classes(n, adj, tmask)
+    twin = reference_twin_classes(n, adj, tmask)
     best = None
     for order in product(*[reference_arrangements(p, twin) for p in parts]):
         bits = reference_bitstring(n, nbrs, list(chain.from_iterable(order)))
         if best is None or bits < best:
             best = bits
     return key + (best,)
+
+
+def reference_twin_classes(n, adj, tmask):
+    """For each vertex the least vertex with the same terminal status that
+    is its twin (N(v) - w = N(w) - v), by scanning every pair."""
+    rep = list(range(n))
+    for v in range(n):
+        for w in range(v):
+            if (
+                rep[w] == w
+                and (tmask >> v ^ tmask >> w) & 1 == 0
+                and adj[v] & ~(1 << w) == adj[w] & ~(1 << v)
+            ):
+                rep[v] = w
+                break
+    return rep
 
 
 def reference_bitstring(n, nbrs, order):
@@ -392,17 +409,18 @@ def reference_arrangements(cell, twin):
     return out
 
 
-def test_pruned_search_matches_reference_on_every_small_terminal_set():
-    checked = 0
+def small_terminal_masks():
+    """(n, adj, tmask) for every graph with at most six vertices and every
+    terminal set: 11,290 masks."""
     for g in small_graph_classes(6):
         _, adj = index_graph(g)
         for tmask in range(1 << g.n):
-            assert _canon_masks(g.n, adj, tmask) == reference_canon_masks(g.n, adj, tmask)
-            checked += 1
-    assert checked == 11290
+            yield g.n, adj, tmask
 
 
-def test_pruned_search_matches_reference_on_seeded_masks():
+def seeded_masks():
+    """1,000 seeded (n, adj, tmask) with 7-9 vertices, G(n, p) with p
+    uniform, and 0-5 terminals."""
     rng = random.Random(21)
     for _ in range(1000):
         n = rng.randint(7, 9)
@@ -413,7 +431,71 @@ def test_pruned_search_matches_reference_on_seeded_masks():
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
         tmask = sum(1 << t for t in rng.sample(range(n), rng.randint(0, 5)))
+        yield n, adj, tmask
+
+
+def test_pruned_search_matches_reference_on_every_small_terminal_set():
+    checked = 0
+    for n, adj, tmask in small_terminal_masks():
         assert _canon_masks(n, adj, tmask) == reference_canon_masks(n, adj, tmask)
+        checked += 1
+    assert checked == 11290
+
+
+def test_pruned_search_matches_reference_on_seeded_masks():
+    for n, adj, tmask in seeded_masks():
+        assert _canon_masks(n, adj, tmask) == reference_canon_masks(n, adj, tmask)
+
+
+def test_twin_classes_match_the_pair_scan():
+    checked = 0
+    for n, adj, tmask in chain(small_terminal_masks(), seeded_masks()):
+        assert _twin_classes(n, adj, tmask) == reference_twin_classes(n, adj, tmask)
+        checked += 1
+    assert checked == 11290 + 1000
+
+
+def masks_of(nxg):
+    """(n, adj) of a networkx graph on the nodes 0..n-1."""
+    adj = [0] * nxg.number_of_nodes()
+    for u, v in nxg.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return nxg.number_of_nodes(), adj
+
+
+# Every refined cell is one twin class, so the key is read off the cells.
+DIRECT_KEYS = {
+    "edgeless 9": (nx.empty_graph(9), ()),
+    "K9": (nx.complete_graph(9), ()),
+    "K4,5": (nx.complete_bipartite_graph(4, 5), ()),
+    "K4,5 side of 4": (nx.complete_bipartite_graph(4, 5), (0, 1, 2, 3)),
+    "K4,5 side of 5": (nx.complete_bipartite_graph(4, 5), (4, 5, 6, 7, 8)),
+    "K1,8": (nx.star_graph(8), ()),
+    "K1,8 centre": (nx.star_graph(8), (0,)),
+    "K1,8 leaf": (nx.star_graph(8), (1,)),
+    "C4 side": (nx.cycle_graph(4), (0, 2)),
+    "C4 vertex": (nx.cycle_graph(4), (0,)),
+}
+
+
+@pytest.mark.parametrize("name", DIRECT_KEYS)
+def test_direct_key_spends_no_search_node(name, monkeypatch):
+    nxg, terminals = DIRECT_KEYS[name]
+    n, adj = masks_of(nxg)
+    tmask = sum(1 << t for t in terminals)
+    monkeypatch.setattr(generate, "MAX_SEARCH_NODES", 0)
+    assert _canon_masks(n, adj, tmask) == reference_canon_masks(n, adj, tmask)
+
+
+# C4 and C10 are regular, so refinement leaves one cell, of two twin
+# classes in C4 and of ten in C10: both are searched.
+@pytest.mark.parametrize("nxg", [nx.cycle_graph(4), nx.cycle_graph(10)], ids=["C4", "C10"])
+def test_searched_key_raises_at_a_zero_node_budget(nxg, monkeypatch):
+    n, adj = masks_of(nxg)
+    monkeypatch.setattr(generate, "MAX_SEARCH_NODES", 0)
+    with pytest.raises(ResourceLimitError, match="passed 0 nodes"):
+        _canon_masks(n, adj, 0)
 
 
 def relabelled(nxg, seed):
