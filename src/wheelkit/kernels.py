@@ -3,12 +3,11 @@
 These are the hot loops of the whole package: exact 4-coloring, exact
 vertex-disjoint linkage, the Menger count of internally disjoint paths
 between two vertices that screens the K5 search before linkage, and
-exact planarity of small graphs by path addition.  A graph enters the
+planarity and planar embedding by path addition.  A graph enters the
 first three through `index_graph`, which numbers its vertices in
 canonical order and builds one adjacency bitmask per vertex.  Vertex
 counts are capped at 63 so vertex sets fit in one word.  The planarity
-kernel gets its bitmasks from `planarity._planar`, which indexes a
-reduced core of at most `planarity.PLANAR_KERNEL_MAX` vertices.
+kernels get bitmasks of any size from `planarity`.
 
 All kernels are deterministic:
 - coloring picks the uncolored vertex with the fewest admissible colors
@@ -18,7 +17,7 @@ All kernels are deterministic:
 - the disjoint-path count answers yes or no, from common neighbors or
   from breadth-first augmenting paths;
 - planarity embeds one path at a time, a forced fragment first, else the
-  first fragment in its first admissible face, and answers yes or no.
+  first fragment in its first admissible face.
 """
 
 from __future__ import annotations
@@ -295,34 +294,58 @@ def disjoint_paths_at_least(n: int, adj: list[int], s: int, t: int, k: int) -> b
 
 
 def planar_masks(n: int, adj: list[int]) -> bool:
-    """Exact planarity test by path addition (Demoucron, Malgrange and
-    Pertuiset, 1964).
+    """Exact planarity test, one connected part at a time: a part with at
+    most 8 edges or cycle rank below 3 is planar (a subdivided K5 or K3,3
+    has 9 edges or more and cycle rank 4 or more), one with more than
+    3n - 6 edges is not, and `_embed_part` decides the rest."""
+    parts = _parts(n, adj)
+    while parts:
+        part = parts.pop()
+        size = part.bit_count()
+        m = sum((adj[v] & part).bit_count() for v in _bits(part)) // 2
+        if m <= 8 or m - size < 3:
+            continue
+        if m > 3 * size - 6 or _embed_part(adj, part, parts) is None:
+            return False
+    return True
 
-    Each connected part is tested on its own.  A part with a cycle starts
-    from that cycle as the embedded subgraph H, with two faces.  Each round
-    computes the fragments of H: an edge between embedded vertices that is
-    not yet embedded (a chord), or a component of the part minus H with
-    the edges that join it to H.  A fragment's attachments are the
-    embedded vertices it meets; it fits a face that holds all of them.  A
-    fragment that fits no face makes the graph non-planar.  A fragment
-    that fits exactly one face goes there; otherwise the first fragment
-    goes into its first face.  One path of the fragment between two
-    attachments is embedded, which splits that face in two.  A component
-    with a single attachment v is a union of blocks hanging at v, so it is
-    set aside with v as a part of its own and dropped from the current one;
-    every fragment left has two attachments or more, and H stays
-    2-connected, its faces cycles.
-    """
+
+def planar_rotation(n: int, adj: list[int]) -> list[list[int]] | None:
+    """The neighbours of each vertex in the cyclic order of a planar
+    embedding, or None when the graph is not planar.  Each face walk
+    ... p v s ... of a part from `_embed_part` puts s just after p around
+    v; these pairs chain into one cycle per block at v, and the blocks at
+    a cut vertex follow each other there."""
+    succ: list[dict[int, int]] = [{} for _ in range(n)]
+    parts = _parts(n, adj)
+    while parts:
+        faces = _embed_part(adj, parts.pop(), parts)
+        if faces is None:
+            return None
+        for face in faces:
+            for i, v in enumerate(face):
+                succ[v][face[i - 1]] = face[(i + 1) % len(face)]
+    rotation = []
+    for after in succ:
+        order = []
+        while after:
+            u = next(iter(after))
+            while u in after:
+                order.append(u)
+                u = after.pop(u)
+        rotation.append(order)
+    return rotation
+
+
+def _parts(n: int, adj: list[int]) -> list[int]:
+    """The vertex bitmasks of the connected components."""
     parts = []
     left = (1 << n) - 1
     while left:
         part, _ = _flood(adj, left & -left, left)
         left &= ~part
         parts.append(part)
-    while parts:
-        if not _embed_part(adj, parts.pop(), parts):
-            return False
-    return True
+    return parts
 
 
 def _flood(adj: list[int], seed: int, allowed: int) -> tuple[int, int]:
@@ -343,12 +366,13 @@ def _flood(adj: list[int], seed: int, allowed: int) -> tuple[int, int]:
 
 
 def _cycle(adj: list[int], part: int) -> list[int]:
-    """A cycle of the subgraph induced by `part`, which must hold one: the
-    tree path that the first back edge of a depth-first search closes."""
+    """A cycle of the connected subgraph induced by `part`, or [] when it
+    has none: the tree path that the first back edge of a depth-first
+    search closes."""
     v = (part & -part).bit_length() - 1
     path = [v]
     on_path = seen = 1 << v
-    while True:
+    while path:
         u = path[-1]
         back = adj[u] & on_path
         if len(path) > 1:
@@ -364,19 +388,34 @@ def _cycle(adj: list[int], part: int) -> list[int]:
         else:
             path.pop()
             on_path ^= 1 << u
+    return []
 
 
-def _embed_part(adj: list[int], part: int, parts: list[int]) -> bool:
-    """Whether the connected subgraph induced by `part` is planar.  Parts
-    hanging at a single vertex are appended to `parts`."""
-    size = part.bit_count()
-    m = sum((adj[v] & part).bit_count() for v in _bits(part)) // 2
-    # A subdivided K5 or K3,3 has 9 edges or more and cycle rank 4 or more.
-    if m <= 8 or m - size < 3:
-        return True
-    if m > 3 * size - 6:
-        return False
+def _embed_part(adj: list[int], part: int, parts: list[int]) -> list[list[int]] | None:
+    """The faces, as closed walks, of a planar embedding of the connected
+    subgraph induced by `part` by path addition (Demoucron, Malgrange and
+    Pertuiset, 1964), or None if it is not planar.  Parts hanging at a
+    single vertex are appended to `parts`.
+
+    A part with no cycle hands back each edge u-w as the walk u w, a block
+    of its own at both ends.  Otherwise the cycle and its reverse are the
+    two faces of the embedded subgraph H.  Each round computes the
+    fragments of H: an edge between embedded vertices that is not yet
+    embedded (a chord), or a component of the part minus H with the edges
+    that join it to H.  A fragment's attachments are the embedded
+    vertices it meets; it fits a face that holds all of them.  A fragment
+    that fits no face makes the part non-planar.  A fragment that fits
+    exactly one face goes there; otherwise the first fragment goes into
+    its first face.  One path of the fragment between two attachments is
+    embedded, which splits that face in two, each walked the way the face
+    was.  A component with a single attachment v is a union of blocks
+    hanging at v, so it is set aside with v as a part of its own and
+    dropped from the current one; every fragment left has two attachments
+    or more, and H stays 2-connected, its faces cycles.
+    """
     cycle = _cycle(adj, part)
+    if not cycle:
+        return [[u, w] for u in _bits(part) for w in _bits(adj[u] & part & ~((2 << u) - 1))]
     _, emb = face = _face(cycle)
     n = len(adj)
     done = [0] * n  # the embedded neighbours of each vertex
@@ -384,7 +423,7 @@ def _embed_part(adj: list[int], part: int, parts: list[int]) -> bool:
         u = cycle[i - 1]
         done[u] |= 1 << v
         done[v] |= 1 << u
-    faces = [face, face]
+    faces = [_face(cycle[::-1]), face]
     prev = [0] * n
     while True:
         # fragments as (attachments, component), a chord with component 0
@@ -404,12 +443,12 @@ def _embed_part(adj: list[int], part: int, parts: list[int]) -> bool:
                 parts.append(comp | att)
                 part &= ~comp
         if not frags:
-            return True
+            return [boundary for boundary, _ in faces]
         choice = None
         for att, comp in frags:
             fits = [i for i, (_, mask) in enumerate(faces) if not att & ~mask]
             if not fits:
-                return False
+                return None
             if len(fits) == 1:
                 choice = att, comp, fits[0]
                 break
@@ -447,15 +486,13 @@ def _embed_part(adj: list[int], part: int, parts: list[int]) -> bool:
         inner = path[1:-1]
         for v in inner:
             emb |= 1 << v
+        # the face walked from path[0]: up to path[-1], then back again
         boundary, _ = faces[fi]
-        i, j = boundary.index(path[0]), boundary.index(path[-1])
-        if i < j:
-            arc1, arc2 = boundary[i : j + 1], boundary[j:] + boundary[: i + 1]
-        else:
-            arc1, arc2 = boundary[i:] + boundary[: j + 1], boundary[j : i + 1]
-        # arc1 runs path[0] .. path[-1] along the face, arc2 back again
-        faces[fi] = _face(arc1 + inner[::-1])
-        faces.append(_face(arc2 + inner))
+        i = boundary.index(path[0])
+        walk = boundary[i:] + boundary[:i]
+        j = walk.index(path[-1])
+        faces[fi] = _face(walk[: j + 1] + inner[::-1])
+        faces.append(_face(walk[j:] + walk[:1] + inner))
 
 
 def _face(cycle: list[int]) -> tuple[list[int], int]:

@@ -16,28 +16,23 @@ augmentation that `_augmented` describes once for both users:
   joined to the consecutive terminals t_i and t_{i+1}, plus a hub
   adjacent to all f_i), which pins the cyclic boundary order up to
   rotation and reflection.
-`is_disc_planar` lays the augmentation onto a set-adjacency copy of G and
-decides it there, as `is_planar` does for a plain graph: neither verdict
-builds a `Graph`.  Both verdicts go through `_planar`: counting screens on
-the core, then path addition on bitmasks (`kernels.planar_masks`) for a
-core of at most `PLANAR_KERNEL_MAX` vertices, then networkx's left-right
-test for a larger one.  Embeddings still come from networkx, on the whole
-graph.  `embed_terminal` builds the augmented `Graph`, so that networkx
-sees its vertices and edges in canonical order.  The apex is
-cross-checked against a brute-force rotation-system oracle in the test
-suite, and the fence against the apex at three terminals and, over every
-cyclic order, at four and five.
+All four entry points work on a set-adjacency copy of G (with the
+augmentation, for disc-planarity) and build no `Graph`.  All planarity is
+path addition on bitmasks: the verdicts go through `_planar` (screens on
+the core, then `kernels.planar_masks`), the embeddings through
+`_rotation_system` (`kernels.planar_rotation` on the whole graph).  The
+apex is cross-checked against a brute-force rotation-system oracle in the
+test suite, and the fence against the apex at three terminals and, over
+every cyclic order, at four and five.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from wheelkit.errors import InputDomainError, PreconditionError
-from wheelkit.graph import Graph, Vertex, add, flood_components, vkey
-from wheelkit.kernels import planar_masks
+from wheelkit.graph import Graph, Vertex, flood_components, vkey
+from wheelkit.kernels import planar_masks, planar_rotation
 
 Dart = tuple[Vertex, Vertex]
 
@@ -92,55 +87,24 @@ class Embedding:
 
 
 def _trace_faces(rotation: dict[Vertex, tuple[Vertex, ...]]) -> tuple[tuple[Dart, ...], ...]:
-    nxt_index = {
-        v: {u: i for i, u in enumerate(ns)} for v, ns in rotation.items()
-    }
-    darts = sorted(
-        ((u, v) for u, ns in rotation.items() for v in ns),
-        key=lambda d: (vkey(d[0]), vkey(d[1])),
-    )
+    """The faces of the rotation system, each traced from its least dart
+    in vkey order, in the order of those darts: dart (u, v) is followed by
+    (v, w), w the neighbour after u around v."""
+    after = {(u, v): (v, ns[(i + 1) % len(ns)]) for v, ns in rotation.items() for i, u in enumerate(ns)}
     seen: set[Dart] = set()
     faces = []
-    for start in darts:
+    for start in sorted(after, key=lambda d: (vkey(d[0]), vkey(d[1]))):
         if start in seen:
             continue
-        face = []
-        d = start
-        while True:
+        face = [start]
+        while (d := after[face[-1]]) != start:
             face.append(d)
-            seen.add(d)
-            u, v = d
-            ns = rotation[v]
-            i = nxt_index[v][u]
-            d = (v, ns[(i + 1) % len(ns)])
-            if d == start:
-                break
+        seen.update(face)
         faces.append(tuple(face))
     return tuple(faces)
 
 
 # -- planarity tests --------------------------------------------------------
-
-
-def _to_networkx(g: Graph) -> nx.Graph:
-    h = nx.Graph()
-    h.add_nodes_from(g.vertices)
-    h.add_edges_from(g.edges)
-    return h
-
-
-# The largest core that `_planar` hands to `kernels.planar_masks`; larger
-# ones go to networkx.  Planar cores are the kernel's worst case, as every
-# fragment gets embedded.  Measured on the cores of seeded
-# `random_planar_graph`s (2-core machine, Python 3.11.7, networkx 3.6.1;
-# median of 30 cores per size band, indexing and graph building
-# included), kernel against networkx: 1.0 against 2.4 ms at 28-31 core
-# vertices, 2.3 against 3.4 ms at 40-43, 3.2 against 3.6 ms at 48-51,
-# 6.0 against 6.3 ms at 52-55, 5.4 against 4.7 ms at 56-59 and 11.0
-# against 6.8 ms at 80-83.  So the crossover is near 55 vertices, and the
-# limit sits below it.  Non-planar cores (a planar graph plus one edge)
-# the kernel rejects 4 to 10 times faster at every size from 8 to 83.
-PLANAR_KERNEL_MAX = 48
 
 
 def _core(adj: dict[Vertex, set[Vertex]]) -> None:
@@ -170,9 +134,8 @@ def _planar(adj: dict[Vertex, set[Vertex]]) -> bool:
     With n' vertices and m' edges left by `_core`, the core is planar when
     m' <= 8 (a subdivided K5 or K3,3 needs 9 edges) or n' <= 5 and
     m' <= 3n' - 6, and non-planar when n' >= 3 and m' > 3n' - 6.
-    Otherwise a core with at most `PLANAR_KERNEL_MAX` vertices is indexed
-    into bitmasks and decided by path addition (`kernels.planar_masks`),
-    and a larger one by networkx's left-right test, which is linear.
+    Otherwise the core is indexed into bitmasks and decided by path
+    addition (`kernels.planar_masks`).
     """
     _core(adj)
     n = len(adj)
@@ -181,25 +144,33 @@ def _planar(adj: dict[Vertex, set[Vertex]]) -> bool:
         return True
     if n >= 3 and m > 3 * n - 6:
         return False
-    if n <= PLANAR_KERNEL_MAX:
-        idx = {v: i for i, v in enumerate(adj)}
-        return planar_masks(n, [sum(1 << idx[u] for u in ns) for ns in adj.values()])
-    ok, _ = nx.check_planarity(nx.Graph(adj), counterexample=False)
-    return bool(ok)
+    return planar_masks(n, _masks(adj))
+
+
+def _masks(adj: dict[Vertex, set[Vertex]]) -> list[int]:
+    """Adjacency bitmasks of `adj`, its vertices indexed in key order."""
+    idx = {v: i for i, v in enumerate(adj)}
+    return [sum(1 << idx[u] for u in ns) for ns in adj.values()]
+
+
+def _adjacency(g: Graph) -> dict[Vertex, set[Vertex]]:
+    return {v: set(g.neighbors(v)) for v in g.vertices}
 
 
 def is_planar(g: Graph) -> bool:
     """Standard planarity test: `_planar` on a set-adjacency copy of g."""
-    return _planar({v: set(g.neighbors(v)) for v in g.vertices})
+    return _planar(_adjacency(g))
 
 
-def _rotation(g: Graph) -> dict[Vertex, tuple[Vertex, ...]] | None:
-    """The rotation system networkx's left-right test finds for g, or
-    None when g is not planar."""
-    ok, emb = nx.check_planarity(_to_networkx(g), counterexample=False)
-    if not ok:
-        return None
-    return {v: tuple(emb.neighbors_cw_order(v)) if g.degree(v) else () for v in g.vertices}
+def _rotation_system(adj: dict[Vertex, set[Vertex]], message: str) -> dict[Vertex, tuple[Vertex, ...]]:
+    """The rotation system that `kernels.planar_rotation` embeds for the
+    graph with adjacency `adj`; PreconditionError(message) when the graph
+    is not planar."""
+    names = list(adj)
+    rotation = planar_rotation(len(names), _masks(adj))
+    if rotation is None:
+        raise PreconditionError(message)
+    return {v: tuple(names[u] for u in ns) for v, ns in zip(names, rotation)}
 
 
 def _fresh_names(g: Graph, count: int, stem: str) -> list[Vertex]:
@@ -213,9 +184,9 @@ def _fresh_names(g: Graph, count: int, stem: str) -> list[Vertex]:
     return out
 
 
-def _augmented(tg: TerminalGraph) -> tuple[list[Vertex], list[tuple[Vertex, Vertex]]]:
-    """The fresh vertices and the new edges whose addition to tg.graph gives
-    a graph that is planar exactly when tg is disc-planar.
+def _augmented(tg: TerminalGraph) -> dict[Vertex, set[Vertex]]:
+    """A set-adjacency copy of tg.graph plus fresh vertices, which is
+    planar exactly when tg is disc-planar.
 
     Unordered terminals, and ordered ones up to three (which have one
     cyclic order up to reflection), get an apex joined to every terminal.
@@ -233,14 +204,18 @@ def _augmented(tg: TerminalGraph) -> tuple[list[Vertex], list[tuple[Vertex, Vert
         raise InputDomainError("disc-planarity needs at least one terminal")
     if tg.ordered and len(ts) > 3:
         k = len(ts)
-        names = _fresh_names(tg.graph, k + 1, "fence")
-        hub = names[k]
-        edges = []
-        for i, f in enumerate(names[:k]):
-            edges += [(f, ts[i]), (f, ts[(i + 1) % k]), (f, hub)]
-        return names, edges
-    (apex,) = _fresh_names(tg.graph, 1, "apex")
-    return [apex], [(apex, t) for t in ts]
+        *fence, hub = _fresh_names(tg.graph, k + 1, "fence")
+        fresh = {f: {ts[i], ts[(i + 1) % k]} for i, f in enumerate(fence)}
+        fresh[hub] = set(fence)
+    else:
+        (apex,) = _fresh_names(tg.graph, 1, "apex")
+        fresh = {apex: set(ts)}
+    adj = _adjacency(tg.graph)
+    adj.update(fresh)
+    for x, ns in fresh.items():
+        for y in ns:
+            adj[y].add(x)
+    return adj
 
 
 def is_disc_planar(tg: TerminalGraph) -> bool:
@@ -248,26 +223,15 @@ def is_disc_planar(tg: TerminalGraph) -> bool:
 
     Ordered terminal graphs must realize the given cyclic boundary order
     (up to rotation and reflection); unordered ones may use any order.
-    The augmentation of `_augmented` is laid onto a set-adjacency copy of
-    the graph, which `_planar` decides; no `Graph` is built.
+    `_planar` decides the set adjacency of `_augmented`; no `Graph` is
+    built.
     """
-    names, edges = _augmented(tg)
-    g = tg.graph
-    adj = {v: set(g.neighbors(v)) for v in g.vertices}
-    for v in names:
-        adj[v] = set()
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return _planar(adj)
+    return _planar(_augmented(tg))
 
 
 def embed(g: Graph) -> Embedding:
     """A deterministic combinatorial embedding of a planar graph."""
-    rotation = _rotation(g)
-    if rotation is None:
-        raise PreconditionError("graph is not planar")
-    return Embedding(rotation)
+    return Embedding(_rotation_system(_adjacency(g), "graph is not planar"))
 
 
 def _restrict_rotation(rotation, keep: set[Vertex]):
@@ -298,10 +262,8 @@ def embed_terminal(tg: TerminalGraph) -> Embedding:
     augmentation vertices; the merged face left behind is the disc
     boundary face.
     """
-    names, edges = _augmented(tg)
-    rot_aug = _rotation(add(tg.graph, names, edges))
-    if rot_aug is None:
-        raise PreconditionError("terminal pair is not disc-planar")
+    adj = _augmented(tg)
+    rot_aug = _rotation_system(adj, "terminal pair is not disc-planar")
     keep = set(tg.graph.vertices)
-    witness = _corner_dart(rot_aug, set(names), keep)
+    witness = _corner_dart(rot_aug, adj.keys() - keep, keep)
     return Embedding(_restrict_rotation(rot_aug, keep), outer_dart=witness)

@@ -36,7 +36,8 @@ def _grid(rows: int, cols: int) -> str:
 
 
 # the boundary cycle of the 5 x 8 grid from its corner 0; with the fence of
-# its 22 terminals the core has 63 vertices, so networkx decides it
+# its 22 terminals the core has 63 vertices, the largest that any row sends
+# to path addition
 GRID_RIM = [*range(8), 15, 23, 31, *range(39, 31, -1), 24, 16, 8]
 GRID_ROWS = [
     ("disc-planar", "grid5x8.txt", "--terminals", ",".join(map(str, rim)), "--ordered")

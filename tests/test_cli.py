@@ -1,10 +1,9 @@
-import networkx as nx
 import pytest
 
 import wheelkit
-from wheelkit import cli, planarity
+from wheelkit import cli
 from wheelkit.cli import main
-from tests.cli_cases import CASES, GRID_ROWS, MAP, problem, write_files
+from tests.cli_cases import CASES, MAP, problem, write_files
 
 
 @pytest.fixture
@@ -64,17 +63,6 @@ test_catalog_list_and_match = _rows(("catalog", "list"), ("catalog", "match", "w
 test_lift_demo = _rows(("lift", "--rule", "pair_chord", "--demo"))
 test_lift_with_mapped_file = _rows(("lift", "pair_chord_host.txt", "--rule", "pair_chord", "--map", MAP))
 test_usage_error_exit_2 = _rows(("planar", "missing.txt"))
-
-
-def test_disc_planar_on_the_grid_rim_reaches_networkx(run_row, monkeypatch):
-    """The fenced 5 x 8 grid has a core above `PLANAR_KERNEL_MAX`, so both
-    grid rows are decided by networkx, not by the path-addition kernel."""
-    calls = []
-    check = nx.check_planarity
-    monkeypatch.setattr(planarity.nx, "check_planarity", lambda *a, **k: calls.append(a) or check(*a, **k))
-    for argv in GRID_ROWS:
-        run_row(*argv)
-    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

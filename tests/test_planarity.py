@@ -1,16 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from functools import cache
 from itertools import combinations, permutations
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
-from wheelkit import graph, planarity
+import wheelkit
+from wheelkit import graph
 from wheelkit.errors import InputDomainError, PreconditionError
 from wheelkit.generate import random_planar_graph, small_graph_classes, terminal_set_classes
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, remove
 from wheelkit.planarity import (
-    PLANAR_KERNEL_MAX,
     TerminalGraph,
     _augmented,
     _core,
@@ -67,7 +71,10 @@ def _from_networkx(h) -> Graph:
 
 
 def _networkx_planar(g: Graph) -> bool:
-    return nx.check_planarity(planarity._to_networkx(g))[0]
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    return nx.check_planarity(h)[0]
 
 
 def test_is_planar_matches_networkx_on_graph_atlas():
@@ -103,23 +110,33 @@ def _joined(g: Graph, h: Graph, u, v) -> Graph:
     return add(g, names.values(), [(names[a], names[b]) for a, b in h.edges] + [(u, names[v])])
 
 
-def test_is_planar_matches_networkx_at_and_past_the_kernel_limit():
-    """Seeded planar graphs with 6-40 vertices plus 0-2 extra edges, and a
-    third of the time two such graphs joined by one edge, so cores fall on
-    both sides of `PLANAR_KERNEL_MAX`."""
+@cache
+def seeded_corpus() -> list[tuple[Graph, bool]]:
+    """1,000 seeded planar graphs with 6-40 vertices plus 0-2 extra edges,
+    a third of them two such graphs joined by one edge, each with
+    networkx's planarity verdict: built once for the two tests that walk
+    it."""
     rng = random.Random(29)
-    nonplanar = above = 0
+    corpus = []
     for _ in range(1000):
         g = _planar_plus_edges(rng.randint(6, 40), rng)
         if rng.random() < 1 / 3:
             h = _planar_plus_edges(rng.randint(6, 40), rng)
             g = _joined(g, h, rng.choice(g.vertices), rng.choice(h.vertices))
-        want = _networkx_planar(g)
+        corpus.append((g, _networkx_planar(g)))
+    return corpus
+
+
+def test_is_planar_matches_networkx_at_and_past_the_kernel_limit():
+    """The seeded corpus, in which more than 40 graphs have a core above
+    48 vertices."""
+    nonplanar = above = 0
+    for g, want in seeded_corpus():
         assert is_planar(g) == want, g.edges
         core = {v: set(g.neighbors(v)) for v in g.vertices}
         _core(core)
         nonplanar += not want
-        above += len(core) > PLANAR_KERNEL_MAX
+        above += len(core) > 48
     assert nonplanar > 400 and above > 40, (nonplanar, above)
 
 
@@ -147,8 +164,8 @@ def _subdivided(g: Graph) -> Graph:
     )
 
 
-# the rungs of a circular ladder whose core is just above the kernel's limit
-LADDER = PLANAR_KERNEL_MAX // 2 + 1
+# the rungs of a circular ladder whose core, the whole ladder, has 50 vertices
+LADDER = 25
 
 
 def _prism() -> Graph:
@@ -178,28 +195,21 @@ def _prism() -> Graph:
         "k33-pair", "k5-beside-k4", "octahedron-with-k5", "ladder-above-the-kernel-limit",
     ],
 )
-def test_is_planar_hand_cases(g, core_size, planar, monkeypatch):
+def test_is_planar_hand_cases(g, core_size, planar):
     assert _networkx_planar(g) is planar
     core = {v: set(g.neighbors(v)) for v in g.vertices}
     _core(core)
     assert (len(core), sum(map(len, core.values())) // 2) == core_size
-    calls = []
-    check = nx.check_planarity
-    monkeypatch.setattr(
-        planarity.nx, "check_planarity", lambda *a, **k: calls.append(a) or check(*a, **k)
-    )
     assert is_planar(g) is planar
-    # only a core above the kernel's limit is left to networkx
-    assert len(calls) == (core_size[0] > PLANAR_KERNEL_MAX)
 
 
-def three_terminal_fence(g: Graph, ts) -> Graph:
-    """g plus the fence of the terminal order t_1 t_2 t_3: fresh f_i joined
-    to t_i and t_{i+1} (indices mod 3), and a hub joined to every f_i.
+def fenced(g: Graph, ts) -> Graph:
+    """g plus the fence of the terminal order t_1 .. t_k: fresh f_i joined
+    to t_i and t_{i+1} (indices mod k), and a hub joined to every f_i.
     `_augmented` only fences four or more terminals."""
-    fs = [f"__f{i}" for i in range(3)]
+    fs = [f"__f{i}" for i in range(len(ts))]
     edges = [(f, ts[i]) for i, f in enumerate(fs)]
-    edges += [(f, ts[(i + 1) % 3]) for i, f in enumerate(fs)]
+    edges += [(f, ts[(i + 1) % len(ts)]) for i, f in enumerate(fs)]
     edges += [(f, "__hub") for f in fs]
     return add(g, [*fs, "__hub"], edges)
 
@@ -220,23 +230,26 @@ def test_fence_matches_apex_at_three_terminals():
     for g, by_size in terminal_set_corpus():
         for ts in by_size[3]:
             tg = TerminalGraph(g, ts, ordered=True)
-            assert is_planar(three_terminal_fence(g, ts)) == is_disc_planar(tg), (g.edges, ts)
+            assert is_planar(fenced(g, ts)) == is_disc_planar(tg), (g.edges, ts)
 
 
 def test_disc_planar_matches_the_augmented_graph():
     """`is_disc_planar` decides the augmentation on set adjacencies; the
-    `Graph` that `embed_terminal` builds from the same description gets
-    the same verdict from `is_planar`, for every terminal set of sizes 1
-    to 5 (up to rooted isomorphism) of every graph on at most 6 vertices,
-    ordered and unordered."""
+    augmented `Graph`, built here from its description and not by
+    `_augmented`, gets the same verdict from `is_planar`, for every
+    terminal set of sizes 1 to 5 (up to rooted isomorphism) of every graph
+    on at most 6 vertices, ordered and unordered."""
     cases = 0
     for g, by_size in terminal_set_corpus():
         for k in range(1, 6):
             for ts in by_size[k]:
                 for ordered in (True, False):
                     tg = TerminalGraph(g, ts, ordered=ordered)
-                    names, edges = _augmented(tg)
-                    assert is_planar(add(g, names, edges)) == is_disc_planar(tg), (g.edges, ts, ordered)
+                    if ordered and k > 3:
+                        h = fenced(g, ts)
+                    else:
+                        h = add(g, ["__apex"], [("__apex", t) for t in ts])
+                    assert is_planar(h) == is_disc_planar(tg), (g.edges, ts, ordered)
                     cases += 1
     assert cases == 2 * 5394
 
@@ -255,8 +268,7 @@ def test_disc_planar_matches_the_augmented_graph():
 )
 def test_disc_planar_builds_no_graph(g, ts, ordered, monkeypatch):
     tg = TerminalGraph(g, ts, ordered=ordered)
-    names, _ = _augmented(tg)
-    assert len(names) == (len(ts) + 1 if ordered and len(ts) > 3 else 1)
+    assert len(_augmented(tg)) - g.n == (len(ts) + 1 if ordered and len(ts) > 3 else 1)
     builds = []
     fill = graph.Graph._fill
     monkeypatch.setattr(graph.Graph, "_fill", lambda self, *a: builds.append(a) or fill(self, *a))
@@ -408,12 +420,42 @@ def test_outer_cycle_agrees_with_disc_planarity():
 
 
 def test_face_tracing_partitions_darts():
-    for g in (complete_graph(list("abcd")), octahedron(), cycle_graph(list("abcde"))):
+    """Every planar graph on at most 7 vertices and every graph of the
+    seeded corpus, whose joined graphs reach 77 vertices: each
+    rotation is a permutation of the neighbours, the faces split the darts,
+    and n - m + f = 1 + c.  `embed` refuses the corpus's non-planar ones."""
+    corpus = [(g, True) for g in small_graph_classes(7) if _networkx_planar(g)]
+    for g, planar in corpus + seeded_corpus():
+        if not planar:
+            with pytest.raises(PreconditionError):
+                embed(g)
+            continue
         emb = embed(g)
+        assert emb.rotation.keys() == set(g.vertices)
+        for v in g.vertices:
+            assert sorted(emb.rotation[v]) == sorted(g.neighbors(v)), (g.edges, v)
         darts = [d for face in emb.faces for d in face]
-        assert len(darts) == 2 * g.m
-        assert len(set(darts)) == len(darts)
+        assert len(darts) == len(set(darts)) == 2 * g.m
         assert set(darts) == {(u, v) for u, v in g.edges} | {(v, u) for u, v in g.edges}
+        assert g.n - g.m + emb.face_count() == 1 + len(g.components()), g.edges
+    assert len(corpus) == 1015 and max(g.n for g, _ in seeded_corpus()) > 63
+
+
+def test_library_runs_without_networkx():
+    """With networkx blocked from import, the library still imports and
+    decides, embeds and runs an experiment."""
+    script = """
+import sys
+sys.modules["networkx"] = None
+from wheelkit import Graph, TerminalGraph, embed, embed_terminal, is_planar
+from wheelkit.experiments import run_experiment
+k4 = Graph(edges=[(u, v) for u in "abcd" for v in "abcd" if u < v])
+assert is_planar(k4) and embed(k4).face_count() == 4
+assert embed_terminal(TerminalGraph(k4, ("a", "b", "c"))).face_count() == 4
+assert run_experiment("planar-no-k5").passed
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(wheelkit.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
 
 def test_embed_terminal_catalog_members_have_boundary_in_order():
