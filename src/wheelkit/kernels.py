@@ -3,11 +3,12 @@
 These are the hot loops of the whole package: exact 4-coloring, exact
 vertex-disjoint linkage, the Menger count of internally disjoint paths
 between two vertices that screens the K5 search before linkage, and
-planarity and planar embedding by path addition.  A graph enters the
-first three through `index_graph`, which numbers its vertices in
-canonical order and builds one adjacency bitmask per vertex.  Vertex
-counts are capped at 63 so vertex sets fit in one word.  The planarity
-kernels get bitmasks of any size from `planarity`.
+planarity and planar embedding by path addition.  A graph enters
+through `index_graph`, which numbers its vertices in canonical order and
+builds one adjacency bitmask per vertex.  It caps the vertex count at
+63 to bound the searches.  Planarity is uncapped: `planarity` indexes a
+graph of any size through the same loop, `_index`, and appends its
+augmentation vertices as the next bit positions.
 
 All kernels are deterministic:
 - coloring picks the uncolored vertex with the fewest admissible colors
@@ -42,6 +43,11 @@ def index_graph(g: Graph) -> tuple[dict[Vertex, int], list[int]]:
         raise ResourceLimitError(
             f"kernels capped at {MAX_KERNEL_VERTICES} vertices, got {g.n}"
         )
+    return _index(g)
+
+
+def _index(g: Graph) -> tuple[dict[Vertex, int], list[int]]:
+    """`index_graph` without the cap."""
     idx = {v: i for i, v in enumerate(g.vertices)}
     adj = [0] * g.n
     for u, v in g.edges:
@@ -294,20 +300,63 @@ def disjoint_paths_at_least(n: int, adj: list[int], s: int, t: int, k: int) -> b
 
 
 def planar_masks(n: int, adj: list[int]) -> bool:
-    """Exact planarity test, one connected part at a time: a part with at
-    most 8 edges or cycle rank below 3 is planar (a subdivided K5 or K3,3
-    has 9 edges or more and cycle rank 4 or more), one with more than
-    3n - 6 edges is not, and `_embed_part` decides the rest."""
-    parts = _parts(n, adj)
+    """Exact planarity test.  `_core` reduces a copy of the graph first:
+    deleting a vertex of degree at most 1 or smoothing one of degree 2
+    keeps planarity both ways, and keeps the cycle rank (smoothing onto
+    an edge that is already there lowers it by one).  Then each
+    connected part is screened, with `size` vertices and m edges; a part
+    no screen settles goes to `_embed_part`.
+    - m <= 8 or m - size < 3 is planar: a subdivided K5 or K3,3 has 9
+      edges or more, and cycle rank m - size + 1 of 4 or more.
+    - size <= 5 with m <= 3 size - 6 is planar: only K5 is non-planar on
+      at most 5 vertices, and it has 10 > 9 edges.
+    - m > 3 size - 6 is not planar, by Euler's formula (size >= 5 here).
+    """
+    adj = adj[:]
+    parts = _parts(_core(adj), adj)
     while parts:
         part = parts.pop()
         size = part.bit_count()
         m = sum((adj[v] & part).bit_count() for v in _bits(part)) // 2
-        if m <= 8 or m - size < 3:
+        if m <= 8 or m - size < 3 or (size <= 5 and m <= 3 * size - 6):
             continue
         if m > 3 * size - 6 or _embed_part(adj, part, parts) is None:
             return False
     return True
+
+
+def _core(adj: list[int]) -> int:
+    """Reduce `adj` in place to its core: delete vertices of degree at
+    most 1 and smooth vertices of degree 2 until none is left, and return
+    the bitmask of the vertices left, each of degree 3 or more.  Smoothing
+    v with neighbours a and b drops v and adds the edge a-b, unless it is
+    already there.  A deleted vertex keeps no neighbours, so popping it
+    again changes nothing."""
+    alive = (1 << len(adj)) - 1
+    stack = [v for v, ns in enumerate(adj) if ns.bit_count() <= 2]
+    while stack:
+        v = stack.pop()
+        ns = adj[v]
+        if ns.bit_count() > 2:
+            continue
+        bit = 1 << v
+        alive &= ~bit
+        adj[v] = 0
+        if not ns:
+            continue
+        a = ns & -ns
+        u = a.bit_length() - 1
+        adj[u] ^= bit
+        b = ns ^ a
+        if b:
+            w = b.bit_length() - 1
+            adj[u] |= b
+            adj[w] = (adj[w] ^ bit) | a
+        if adj[u].bit_count() <= 2:
+            stack.append(u)
+        if b and adj[w].bit_count() <= 2:
+            stack.append(w)
+    return alive
 
 
 def planar_rotation(n: int, adj: list[int]) -> list[list[int]] | None:
@@ -317,7 +366,7 @@ def planar_rotation(n: int, adj: list[int]) -> list[list[int]] | None:
     v; these pairs chain into one cycle per block at v, and the blocks at
     a cut vertex follow each other there."""
     succ: list[dict[int, int]] = [{} for _ in range(n)]
-    parts = _parts(n, adj)
+    parts = _parts((1 << n) - 1, adj)
     while parts:
         faces = _embed_part(adj, parts.pop(), parts)
         if faces is None:
@@ -337,10 +386,10 @@ def planar_rotation(n: int, adj: list[int]) -> list[list[int]] | None:
     return rotation
 
 
-def _parts(n: int, adj: list[int]) -> list[int]:
-    """The vertex bitmasks of the connected components."""
+def _parts(left: int, adj: list[int]) -> list[int]:
+    """The vertex bitmasks of the connected components of the subgraph
+    induced by `left`."""
     parts = []
-    left = (1 << n) - 1
     while left:
         part, _ = _flood(adj, left & -left, left)
         left &= ~part

@@ -11,19 +11,21 @@ fence augmentation that `is_disc_planar` tests.
 Disc-planarity of a terminal pair (G, S) is planarity of G plus the
 augmentation that `_augmented` describes once for both users:
 - unordered, or ordered with at most three terminals (which have one
-  cyclic order up to reflection): one fresh apex adjacent to all of S;
-- ordered with four or more terminals: a fence (fresh vertices f_i
-  joined to the consecutive terminals t_i and t_{i+1}, plus a hub
-  adjacent to all f_i), which pins the cyclic boundary order up to
-  rotation and reflection.
-All four entry points work on a set-adjacency copy of G (with the
-augmentation, for disc-planarity) and build no `Graph`.  All planarity is
-path addition on bitmasks: the verdicts go through `_planar` (screens on
-the core, then `kernels.planar_masks`), the embeddings through
-`_rotation_system` (`kernels.planar_rotation` on the whole graph).  The
-apex is cross-checked against a brute-force rotation-system oracle in the
-test suite, and the fence against the apex at three terminals and, over
-every cyclic order, at four and five.
+  cyclic order up to reflection): an apex adjacent to all of S;
+- ordered with four or more terminals: a fence (vertices f_i joined to
+  the consecutive terminals t_i and t_{i+1}, plus a hub adjacent to all
+  f_i), which pins the cyclic boundary order up to rotation and
+  reflection.
+All four entry points index G once into adjacency bitmasks, as
+`kernels.index_graph` does but without its vertex cap, and build no
+`Graph`.  The augmentation vertices are the bit positions after G's and
+have no names.  All planarity is path addition on those bitmasks: the
+verdicts come from `kernels.planar_masks`, which reduces the graph to its
+core and screens each part first, and the embeddings from
+`kernels.planar_rotation`, restricted to G's indices.  The apex is
+cross-checked against a brute-force rotation-system oracle in the test
+suite, and the fence against the apex at three terminals and, over every
+cyclic order, at four and five.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 from wheelkit.errors import InputDomainError, PreconditionError
 from wheelkit.graph import Graph, Vertex, flood_components, vkey
-from wheelkit.kernels import planar_masks, planar_rotation
+from wheelkit.kernels import _index, planar_masks, planar_rotation
 
 Dart = tuple[Vertex, Vertex]
 
@@ -107,91 +109,21 @@ def _trace_faces(rotation: dict[Vertex, tuple[Vertex, ...]]) -> tuple[tuple[Dart
 # -- planarity tests --------------------------------------------------------
 
 
-def _core(adj: dict[Vertex, set[Vertex]]) -> None:
-    """Reduce the adjacency `adj` in place: delete vertices of degree at
-    most 1 and smooth vertices of degree 2 until none is left.  Smoothing
-    v with neighbours a and b drops v and adds the edge a-b, unless it is
-    already there.  Every step keeps planarity in both directions."""
-    stack = [v for v, ns in adj.items() if len(ns) <= 2]
-    while stack:
-        v = stack.pop()
-        ns = adj.get(v)
-        if ns is None or len(ns) > 2:
-            continue
-        del adj[v]
-        for u in ns:
-            adj[u].discard(v)
-        if len(ns) == 2:
-            a, b = ns
-            adj[a].add(b)
-            adj[b].add(a)
-        stack.extend(u for u in ns if len(adj[u]) <= 2)
-
-
-def _planar(adj: dict[Vertex, set[Vertex]]) -> bool:
-    """Is the graph with adjacency `adj` planar?  Consumes `adj`.
-
-    With n' vertices and m' edges left by `_core`, the core is planar when
-    m' <= 8 (a subdivided K5 or K3,3 needs 9 edges) or n' <= 5 and
-    m' <= 3n' - 6, and non-planar when n' >= 3 and m' > 3n' - 6.
-    Otherwise the core is indexed into bitmasks and decided by path
-    addition (`kernels.planar_masks`).
-    """
-    _core(adj)
-    n = len(adj)
-    m = sum(len(ns) for ns in adj.values()) // 2
-    if m <= 8 or (n <= 5 and m <= 3 * n - 6):
-        return True
-    if n >= 3 and m > 3 * n - 6:
-        return False
-    return planar_masks(n, _masks(adj))
-
-
-def _masks(adj: dict[Vertex, set[Vertex]]) -> list[int]:
-    """Adjacency bitmasks of `adj`, its vertices indexed in key order."""
-    idx = {v: i for i, v in enumerate(adj)}
-    return [sum(1 << idx[u] for u in ns) for ns in adj.values()]
-
-
-def _adjacency(g: Graph) -> dict[Vertex, set[Vertex]]:
-    return {v: set(g.neighbors(v)) for v in g.vertices}
-
-
 def is_planar(g: Graph) -> bool:
-    """Standard planarity test: `_planar` on a set-adjacency copy of g."""
-    return _planar(_adjacency(g))
+    """Standard planarity test: `kernels.planar_masks` on g's bitmasks."""
+    _, adj = _index(g)
+    return planar_masks(len(adj), adj)
 
 
-def _rotation_system(adj: dict[Vertex, set[Vertex]], message: str) -> dict[Vertex, tuple[Vertex, ...]]:
-    """The rotation system that `kernels.planar_rotation` embeds for the
-    graph with adjacency `adj`; PreconditionError(message) when the graph
-    is not planar."""
-    names = list(adj)
-    rotation = planar_rotation(len(names), _masks(adj))
-    if rotation is None:
-        raise PreconditionError(message)
-    return {v: tuple(names[u] for u in ns) for v, ns in zip(names, rotation)}
-
-
-def _fresh_names(g: Graph, count: int, stem: str) -> list[Vertex]:
-    out = []
-    i = 0
-    while len(out) < count:
-        name = f"__{stem}{i}"
-        if not g.has_vertex(name):
-            out.append(name)
-        i += 1
-    return out
-
-
-def _augmented(tg: TerminalGraph) -> dict[Vertex, set[Vertex]]:
-    """A set-adjacency copy of tg.graph plus fresh vertices, which is
-    planar exactly when tg is disc-planar.
+def _augmented(tg: TerminalGraph) -> list[int]:
+    """The adjacency bitmasks of tg.graph, indexed as by
+    `kernels.index_graph`, plus augmentation vertices at indices n, n+1,
+    ...: a graph that is planar exactly when tg is disc-planar.
 
     Unordered terminals, and ordered ones up to three (which have one
     cyclic order up to reflection), get an apex joined to every terminal.
-    Four or more ordered terminals t_1..t_k get a fence: fresh f_i joined
-    to t_i and t_{i+1} (indices mod k), and a hub joined to every f_i.
+    Four or more ordered terminals t_1..t_k get a fence: f_i joined to
+    t_i and t_{i+1} (indices mod k), and a hub joined to every f_i.
     The cycle t_1 f_1 t_2 f_2 ... t_k f_k with the hub is a subdivided
     wheel, whose embedding is unique up to reflection.  Each of its spoke
     faces touches only one terminal, so every part of the graph that meets
@@ -199,22 +131,23 @@ def _augmented(tg: TerminalGraph) -> dict[Vertex, set[Vertex]]:
     in the given cyclic order.  A ring f_i f_{i+1} would add nothing to
     that, so the fence has none.
     """
-    ts = tg.terminals
-    if len(ts) < 1:
+    if not tg.terminals:
         raise InputDomainError("disc-planarity needs at least one terminal")
+    idx, adj = _index(tg.graph)
+    n = len(adj)
+    ts = [idx[t] for t in tg.terminals]
     if tg.ordered and len(ts) > 3:
         k = len(ts)
-        *fence, hub = _fresh_names(tg.graph, k + 1, "fence")
-        fresh = {f: {ts[i], ts[(i + 1) % k]} for i, f in enumerate(fence)}
-        fresh[hub] = set(fence)
+        for i, t in enumerate(ts):
+            u = ts[(i + 1) % k]
+            adj[t] |= 1 << (n + i)
+            adj[u] |= 1 << (n + i)
+            adj.append((1 << t) | (1 << u) | (1 << (n + k)))
+        adj.append((1 << (n + k)) - (1 << n))
     else:
-        (apex,) = _fresh_names(tg.graph, 1, "apex")
-        fresh = {apex: set(ts)}
-    adj = _adjacency(tg.graph)
-    adj.update(fresh)
-    for x, ns in fresh.items():
-        for y in ns:
-            adj[y].add(x)
+        for t in ts:
+            adj[t] |= 1 << n
+        adj.append(sum(1 << t for t in ts))
     return adj
 
 
@@ -223,47 +156,51 @@ def is_disc_planar(tg: TerminalGraph) -> bool:
 
     Ordered terminal graphs must realize the given cyclic boundary order
     (up to rotation and reflection); unordered ones may use any order.
-    `_planar` decides the set adjacency of `_augmented`; no `Graph` is
-    built.
+    `kernels.planar_masks` decides the bitmasks of `_augmented`.
     """
-    return _planar(_augmented(tg))
+    adj = _augmented(tg)
+    return planar_masks(len(adj), adj)
+
+
+def _rotation(adj: list[int], message: str) -> list[list[int]]:
+    """`kernels.planar_rotation` of the graph with adjacency bitmasks
+    `adj`; PreconditionError(message) when the graph is not planar."""
+    rotation = planar_rotation(len(adj), adj)
+    if rotation is None:
+        raise PreconditionError(message)
+    return rotation
 
 
 def embed(g: Graph) -> Embedding:
     """A deterministic combinatorial embedding of a planar graph."""
-    return Embedding(_rotation_system(_adjacency(g), "graph is not planar"))
-
-
-def _restrict_rotation(rotation, keep: set[Vertex]):
-    return {v: tuple(u for u in ns if u in keep) for v, ns in rotation.items() if v in keep}
-
-
-def _corner_dart(rotation, added: set[Vertex], keep: set[Vertex]) -> Dart | None:
-    """A dart of the rotation restricted to `keep` on the face that held
-    the apex or fence vertices `added` (connected, and disjoint from keep):
-    at the first kept vertex (in vkey order) with a neighbour in added, the
-    next kept neighbour after that one in rotation order.  None when no
-    kept vertex has such a next neighbour."""
-    for y in sorted(keep, key=vkey):
-        ns = rotation[y]
-        i = next((i for i, x in enumerate(ns) if x in added), None)
-        if i is None:
-            continue
-        z = next((z for z in ns[i + 1 :] + ns[:i] if z in keep), None)
-        if z is not None:
-            return (y, z)
-    return None
+    names = g.vertices
+    rotation = _rotation(_index(g)[1], "graph is not planar")
+    return Embedding({v: tuple(names[u] for u in ns) for v, ns in zip(names, rotation)})
 
 
 def embed_terminal(tg: TerminalGraph) -> Embedding:
     """A disc embedding: the outer face is the one holding the boundary.
 
     Built by embedding the apex/fence augmentation and deleting the
-    augmentation vertices; the merged face left behind is the disc
-    boundary face.
+    augmentation vertices, the indices from n on; the merged face left
+    behind is the disc boundary face.  Its corner dart: at the first
+    vertex y of G with an augmentation neighbour, the next neighbour z of
+    G after that one around y gives the dart (y, z).  With no such dart
+    the outer face is the first one.
     """
-    adj = _augmented(tg)
-    rot_aug = _rotation_system(adj, "terminal pair is not disc-planar")
-    keep = set(tg.graph.vertices)
-    witness = _corner_dart(rot_aug, adj.keys() - keep, keep)
-    return Embedding(_restrict_rotation(rot_aug, keep), outer_dart=witness)
+    names = tg.graph.vertices
+    n = len(names)
+    rotation = _rotation(_augmented(tg), "terminal pair is not disc-planar")
+    corner = None
+    for y, ns in enumerate(rotation[:n]):
+        i = next((i for i, x in enumerate(ns) if x >= n), None)
+        if i is None:
+            continue
+        z = next((z for z in ns[i + 1 :] + ns[:i] if z < n), None)
+        if z is not None:
+            corner = (names[y], names[z])
+            break
+    return Embedding(
+        {v: tuple(names[u] for u in ns if u < n) for v, ns in zip(names, rotation)},
+        outer_dart=corner,
+    )

@@ -14,10 +14,10 @@ from wheelkit import graph
 from wheelkit.errors import InputDomainError, PreconditionError
 from wheelkit.generate import random_planar_graph, small_graph_classes, terminal_set_classes
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, remove
+from wheelkit.kernels import _bits, _core, _index
 from wheelkit.planarity import (
     TerminalGraph,
     _augmented,
-    _core,
     embed,
     embed_terminal,
     is_disc_planar,
@@ -127,16 +127,22 @@ def seeded_corpus() -> list[tuple[Graph, bool]]:
     return corpus
 
 
-def test_is_planar_matches_networkx_at_and_past_the_kernel_limit():
+def core_of(g: Graph) -> list[int]:
+    """The degrees of the vertices left in the kernel's core of g."""
+    _, adj = _index(g)
+    return [adj[v].bit_count() for v in _bits(_core(adj))]
+
+
+def test_is_planar_matches_networkx_on_large_cores():
     """The seeded corpus, in which more than 40 graphs have a core above
-    48 vertices."""
+    48 vertices; every vertex left in a core has degree 3 or more."""
     nonplanar = above = 0
     for g, want in seeded_corpus():
         assert is_planar(g) == want, g.edges
-        core = {v: set(g.neighbors(v)) for v in g.vertices}
-        _core(core)
+        degrees = core_of(g)
+        assert all(d >= 3 for d in degrees), g.edges
         nonplanar += not want
-        above += len(core) > 48
+        above += len(degrees) > 48
     assert nonplanar > 400 and above > 40, (nonplanar, above)
 
 
@@ -164,7 +170,8 @@ def _subdivided(g: Graph) -> Graph:
     )
 
 
-# the rungs of a circular ladder whose core, the whole ladder, has 50 vertices
+# the rungs of a circular ladder whose core, the whole ladder, is large:
+# 50 vertices
 LADDER = 25
 
 
@@ -192,14 +199,13 @@ def _prism() -> Graph:
     ],
     ids=[
         "subdivided-k5", "subdivided-k33", "subdivided-triangle", "tree", "k33", "prism",
-        "k33-pair", "k5-beside-k4", "octahedron-with-k5", "ladder-above-the-kernel-limit",
+        "k33-pair", "k5-beside-k4", "octahedron-with-k5", "ladder-with-a-large-core",
     ],
 )
 def test_is_planar_hand_cases(g, core_size, planar):
     assert _networkx_planar(g) is planar
-    core = {v: set(g.neighbors(v)) for v in g.vertices}
-    _core(core)
-    assert (len(core), sum(map(len, core.values())) // 2) == core_size
+    degrees = core_of(g)
+    assert (len(degrees), sum(degrees) // 2) == core_size
     assert is_planar(g) is planar
 
 
@@ -443,15 +449,20 @@ def test_face_tracing_partitions_darts():
 
 def test_library_runs_without_networkx():
     """With networkx blocked from import, the library still imports and
-    decides, embeds and runs an experiment."""
+    decides, embeds (through the apex and the fence) and runs an
+    experiment."""
     script = """
 import sys
 sys.modules["networkx"] = None
-from wheelkit import Graph, TerminalGraph, embed, embed_terminal, is_planar
+from wheelkit import Graph, TerminalGraph, embed, embed_terminal, is_disc_planar, is_planar
 from wheelkit.experiments import run_experiment
 k4 = Graph(edges=[(u, v) for u in "abcd" for v in "abcd" if u < v])
 assert is_planar(k4) and embed(k4).face_count() == 4
 assert embed_terminal(TerminalGraph(k4, ("a", "b", "c"))).face_count() == 4
+c5 = Graph(edges=[(u, v) for u, v in zip("abcde", "bcdea")])
+fenced = TerminalGraph(c5, ("a", "b", "c", "d"))
+assert is_disc_planar(fenced) and embed_terminal(fenced).face_count() == 2
+assert not is_disc_planar(TerminalGraph(c5, ("a", "c", "b", "d")))
 assert run_experiment("planar-no-k5").passed
 """
     env = {**os.environ, "PYTHONPATH": str(Path(wheelkit.__file__).parents[1])}

@@ -7,8 +7,13 @@ from wheelkit.planarity import TerminalGraph, is_disc_planar, is_planar
 from wheelkit.separations import enumerate_separations, is_k_connected, side_verdict
 from wheelkit.subdivisions import find_disjoint_paths, find_k5_subdivision
 
-# string order and vkey order disagree on these: "10" < "9" but 9 comes first
-MIXED_IDS = ["9", "10", "2", "11", "100", "a", "b1", "t2", "t10", "x", "7a", "c30"]
+# string order and vkey order disagree on these: "10" < "9" but 9 comes
+# first; the "__" ids look like names a library might give an apex or
+# fence vertex of its own
+MIXED_IDS = [
+    "9", "10", "2", "11", "100", "a", "b1", "t2", "t10", "x", "7a", "c30",
+    "__apex0", "__fence0", "__fence5",
+]
 
 
 def test_relabelling_onto_mixed_length_ids_changes_no_answer():
