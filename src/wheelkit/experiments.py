@@ -71,7 +71,7 @@ class Config:
         search grows about tenfold per two vertices, so search_bound stops
         at 16, where the default instances still take seconds.  The oracles
         of oracle-equivalence grow faster (its default instances took about
-        3 s at oracle_bound 10 and 8 s at 11 on 2 cores): it stops at 10.
+        2 s at oracle_bound 10 and 4.5 s at 11 on 2 cores): it stops at 10.
         The stream refuses more than DEFAULT_GENERATION_LIMIT (9) vertices,
         so generation_bound stops there.
         """

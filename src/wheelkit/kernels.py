@@ -299,7 +299,7 @@ def disjoint_paths_at_least(n: int, adj: list[int], s: int, t: int, k: int) -> b
     return True
 
 
-def planar_masks(n: int, adj: list[int]) -> bool:
+def planar_masks(adj: list[int]) -> bool:
     """Exact planarity test.  `_core` reduces a copy of the graph first:
     deleting a vertex of degree at most 1 or smoothing one of degree 2
     keeps planarity both ways, and keeps the cycle rank (smoothing onto

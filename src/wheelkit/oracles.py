@@ -19,8 +19,11 @@ their answers or witnesses:
   at 1, in lexicographic order;
 - separations index the vertices and edges as bitmasks, and their sides
   and cut-internal edge splits are submasks;
-- path systems list each pair's simple paths the first time the search
-  reaches that pair;
+- path systems index the graph once per call (the K5 oracle once for
+  all its 5-sets), walk each pair's simple paths over neighbour
+  positions, and hold each path's interior as a vertex bitmask, so two
+  paths conflict when their interiors share a bit; a pair's paths are
+  listed the first time the search reaches that pair;
 - rotation systems index each component's vertices once and encode the
   dart (a, b) as the int a*n + b; a system is one successor list from
   dart to dart, rewritten in place vertex by vertex, and its faces are
@@ -75,73 +78,118 @@ def brute_four_color(g: Graph) -> dict[Vertex, int] | None:
 
 
 def all_simple_paths(g: Graph, s: Vertex, t: Vertex, banned: frozenset) -> list[tuple[Vertex, ...]]:
-    """Every simple s-t path whose interior avoids `banned`."""
-    out: list[tuple[Vertex, ...]] = []
-
-    def walk(path: list[Vertex], used: set[Vertex]):
-        cur = path[-1]
-        for w in g.neighbors(cur):
-            if w == t:
-                out.append(tuple(path + [t]))
-                continue
-            if w in used or w in banned:
-                continue
-            path.append(w)
-            used.add(w)
-            walk(path, used)
-            used.remove(w)
-            path.pop()
-
-    walk([s], {s})
-    return out
+    """Every simple s-t path whose interior avoids `banned`, in the order
+    of a depth-first walk that tries each vertex's neighbours in
+    `g.neighbors` order.  Ends that are equal or not vertices of `g`
+    raise `InputDomainError`; banned ids outside `g` are ignored."""
+    _check_ends(g, [(s, t)])
+    vs, pos, nbrs = _indexed(g)
+    return [tuple(vs[x] for x in p) for p, _ in _paths(nbrs, pos[s], pos[t], _mask(pos, banned))]
 
 
 def brute_disjoint_paths(g: Graph, pairs, forbidden=()) -> tuple[tuple[Vertex, ...], ...] | None:
     """The first system of internally disjoint paths, one per pair in
     order, whose interiors avoid `forbidden` and every pair's ends.
 
-    Pair i's paths come from `all_simple_paths`, in its order, and the
-    search tries them depth first: path 0 of pair 0, then every fitting
-    path of pair 1, and so on.  A pair's list is built the first time the
-    search reaches that pair, with each path's interior as a frozenset.
-    If an early pair cannot be linked, the later lists are never built;
-    that skips no system that could be returned, so nothing is pruned.
-    An end that is not a vertex of `g` raises `InputDomainError`, whether
-    or not its pair is reached.
+    Pair i's paths come from `all_simple_paths`' walk, in its order, and
+    `_link` tries them depth first: path 0 of pair 0, then every fitting
+    path of pair 1, and so on.  A pair whose ends are equal, or an end
+    that is not a vertex of `g`, raises `InputDomainError`, whether or
+    not its pair is reached; forbidden ids outside `g` are ignored.
     """
     pairs = [tuple(p) for p in pairs]
-    endpoints = {x for p in pairs for x in p}
-    unknown = [x for x in endpoints if not g.has_vertex(x)]
-    if unknown:
-        raise InputDomainError(f"unknown vertex ids: {sorted(unknown, key=vkey)}")
-    banned = frozenset(forbidden) | frozenset(endpoints)
-    choices: list = [None] * len(pairs)
-
-    def pick(i: int, used_interiors: frozenset) -> list | None:
-        if i == len(pairs):
-            return []
-        if choices[i] is None:
-            s, t = pairs[i]
-            choices[i] = [(p, frozenset(p[1:-1])) for p in all_simple_paths(g, s, t, banned - {s, t})]
-        for p, interior in choices[i]:
-            if interior & used_interiors:
-                continue
-            rest = pick(i + 1, used_interiors | interior)
-            if rest is not None:
-                return [p] + rest
-        return None
-
-    got = pick(0, frozenset())
-    return tuple(got) if got is not None else None
+    _check_ends(g, pairs)
+    vs, pos, nbrs = _indexed(g)
+    banned = _mask(pos, forbidden) | _mask(pos, (x for p in pairs for x in p))
+    got = _link(nbrs, [(pos[s], pos[t]) for s, t in pairs], banned)
+    return None if got is None else tuple(tuple(vs[x] for x in p) for p in got)
 
 
 def brute_k5_subdivision(g: Graph) -> bool:
-    """All 5-subsets (no degree pruning) x all path systems."""
-    for combo in combinations(g.vertices, 5):
-        pairs = [(combo[i], combo[j]) for i, j in combinations(range(5), 2)]
-        if brute_disjoint_paths(g, pairs) is not None:
+    """All 5-subsets (no degree pruning) x all path systems: `_link` asks
+    for the ten pairs of each 5-set, with its five vertices banned from
+    every interior."""
+    _, _, nbrs = _indexed(g)
+    for combo in combinations(range(g.n), 5):
+        pairs = list(combinations(combo, 2))
+        if _link(nbrs, pairs, sum(1 << i for i in combo)) is not None:
             return True
     return False
+
+
+def _check_ends(g: Graph, pairs: list) -> None:
+    """Refuse a pair with equal ends and an end that is not a vertex."""
+    for s, t in pairs:
+        if s == t:
+            raise InputDomainError("pair endpoints must be distinct")
+    unknown = {x for p in pairs for x in p if not g.has_vertex(x)}
+    if unknown:
+        raise InputDomainError(f"unknown vertex ids: {sorted(unknown, key=vkey)}")
+
+
+def _indexed(g: Graph) -> tuple[tuple[Vertex, ...], dict[Vertex, int], list[list[int]]]:
+    """The vertices, each one's position in `g.vertices`, and each one's
+    neighbours as positions in `g.neighbors` order."""
+    vs = g.vertices
+    pos = {v: i for i, v in enumerate(vs)}
+    return vs, pos, [[pos[w] for w in g.neighbors(v)] for v in vs]
+
+
+def _mask(pos: dict[Vertex, int], ids) -> int:
+    """The bitmask of the positions of those `ids` that `pos` holds."""
+    mask = 0
+    for x in ids:
+        if x in pos:
+            mask |= 1 << pos[x]
+    return mask
+
+
+def _paths(nbrs: list[list[int]], s: int, t: int, banned: int):
+    """Every simple s-t path whose interior avoids the bitmask `banned`,
+    as (its positions, the bitmask of its interior), depth first with the
+    neighbours in `nbrs` order.  t ends a path wherever it is met, even
+    when banned."""
+    path = [s]
+    blocked = used = banned | 1 << s
+    stack = [iter(nbrs[s])]
+    while stack:
+        for w in stack[-1]:
+            if w == t:
+                yield (*path, t), used ^ blocked
+            elif not used >> w & 1:
+                path.append(w)
+                used |= 1 << w
+                stack.append(iter(nbrs[w]))
+                break
+        else:
+            stack.pop()
+            used ^= 1 << path.pop()
+
+
+def _link(nbrs: list[list[int]], pairs: list[tuple[int, int]], banned: int) -> list | None:
+    """The first system of paths, one per pair in order, with pairwise
+    disjoint interiors that avoid `banned`, or None.
+
+    Depth first over each pair's `_paths` in order.  A pair's list is
+    built the first time the search reaches that pair; if an early pair
+    cannot be linked, the later lists are never built.  That skips no
+    system that could be returned, so nothing is pruned.
+    """
+    lists: list = [None] * len(pairs)
+
+    def pick(i: int, used: int) -> list | None:
+        if i == len(pairs):
+            return []
+        if lists[i] is None:
+            lists[i] = list(_paths(nbrs, *pairs[i], banned))
+        for p, inside in lists[i]:
+            if not inside & used:
+                rest = pick(i + 1, used | inside)
+                if rest is not None:
+                    return [p, *rest]
+        return None
+
+    return pick(0, 0)
 
 
 def brute_separations(g: Graph, k: int) -> set:

@@ -112,7 +112,7 @@ def _trace_faces(rotation: dict[Vertex, tuple[Vertex, ...]]) -> tuple[tuple[Dart
 def is_planar(g: Graph) -> bool:
     """Standard planarity test: `kernels.planar_masks` on g's bitmasks."""
     _, adj = _index(g)
-    return planar_masks(len(adj), adj)
+    return planar_masks(adj)
 
 
 def _augmented(tg: TerminalGraph) -> list[int]:
@@ -159,7 +159,7 @@ def is_disc_planar(tg: TerminalGraph) -> bool:
     `kernels.planar_masks` decides the bitmasks of `_augmented`.
     """
     adj = _augmented(tg)
-    return planar_masks(len(adj), adj)
+    return planar_masks(adj)
 
 
 def _rotation(adj: list[int], message: str) -> list[list[int]]:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
+from operator import not_
 from typing import Iterator
 
 from wheelkit.catalog import CatalogMember, matches_catalog
 from wheelkit.errors import InputDomainError, PreconditionError
-from wheelkit.graph import Graph, Vertex, flood_components, vkey
-from wheelkit.kernels import disjoint_paths_at_least, index_graph
+from wheelkit.graph import Graph, Vertex, vkey
+from wheelkit.kernels import _index, _parts, disjoint_paths_at_least, index_graph
 from wheelkit.planarity import TerminalGraph, is_disc_planar
 from wheelkit.wheels import Wheel, find_s_good_wheel
 
@@ -58,29 +59,43 @@ def enumerate_separations(g: Graph, k: int) -> Iterator[Separation]:
     swapping sides; side1 is the side whose vertices come first in vkey
     order (the two sides' vertex sets always differ).
 
-    For every k-cut, `flood_components` finds the components of G - cut
-    in the vkey order of their least vertices, every nonempty group of
-    them is `split` off, and the cut-internal edges stay with the rest.
-    The rest may hold no component only when it owns a cut-internal edge
-    (a complete graph's (n-1)-separations are of this shape).  With no
-    cut-internal edge a group and its complement give the same
-    separation, so only the smaller group is split off, or at equal sizes
-    the one holding component 0.
+    Vertex i of `g.vertices` is bit i.  For every k-cut, `kernels._parts`
+    finds the components of G - cut in order of their least bits, which
+    is the vkey order of their least vertices.  Every nonempty group of
+    them is split off by `_split`, the mask form of `split`, and the
+    cut-internal edges stay with the rest.  The rest may hold no
+    component only when it owns a cut-internal edge (a complete graph's
+    (n-1)-separations are of this shape).  With no cut-internal edge a
+    group and its complement give the same separation, so only the
+    smaller group is split off, or at equal sizes the one holding
+    component 0.  `_first` orders the two sides by their masks.
     """
     if k < 0:
         raise InputDomainError("separation order must be nonnegative")
-    for cut in combinations(g.vertices, k):
-        cset = set(cut)
-        comps = flood_components(g._adj, g.vertices, cut)
-        inner = any(e[0] in cset and e[1] in cset for e in g.edges)
+    _, adj, ends = _indexed(g)
+    every = (1 << g.n) - 1
+    for cut in combinations([1 << i for i in range(g.n)], k):
+        c = sum(cut)
+        comps = _parts(every ^ c, adj)
+        inner = any(not e & ~c for e in ends)
         n = len(comps)
         for r in range(1, n + 1 if inner else n // 2 + 1):
             for group in combinations(range(n), r):
                 if not inner and 2 * r == n and group[0] != 0:
                     continue
-                sep = split(g, cut, set().union(*(comps[i] for i in group)))
-                sides = sorted((sep.side1, sep.side2), key=lambda s: list(map(vkey, s.vertices)))
-                yield Separation(*sides)
+                a = sum(comps[i] for i in group)
+                sep = _split(g, a, c, ends)
+                yield sep if _first(a | c, every ^ a) else Separation(sep.side2, sep.side1)
+
+
+def _first(x: int, y: int) -> bool:
+    """Whether the vertex list of the mask x sorts before that of the
+    mask y (x != y), vertex i being bit i.  The lists agree up to the
+    lowest bit where the masks differ.  When that bit is x's, x comes
+    first if y has a later bit; otherwise y's list is a prefix of x's and
+    comes first.  The other way about when the bit is y's."""
+    low = (x ^ y) & -(x ^ y)
+    return bool(y & -low) if x & low else not x & -low
 
 
 def split(g: Graph, cut, exclusive) -> Separation:
@@ -88,22 +103,34 @@ def split(g: Graph, cut, exclusive) -> Separation:
     every edge that meets `exclusive`; side2 is the rest of g, with the
     cut-internal edges.  An unknown vertex id, or an edge from `exclusive`
     to a vertex outside `exclusive` and the cut, is an input error."""
-    a = set(exclusive)
-    vs1 = a | set(cut)
-    unknown = vs1 - set(g.vertices)
+    unknown = (set(exclusive) | set(cut)) - set(g.vertices)
     if unknown:
         raise InputDomainError(f"unknown vertex ids: {sorted(unknown, key=vkey)}")
-    e1, e2 = [], []
-    for e in g.edges:
-        if e[0] in a or e[1] in a:
-            if not (e[0] in vs1 and e[1] in vs1):
-                raise InputDomainError(f"edge {e} crosses the claimed separation")
-            e1.append(e)
-        else:
-            e2.append(e)
+    idx, _, ends = _indexed(g)
+    a = sum({1 << idx[v] for v in exclusive})
+    c = sum({1 << idx[v] for v in cut})
+    for e, em in zip(g.edges, ends):
+        if em & a and em & ~(a | c):
+            raise InputDomainError(f"edge {e} crosses the claimed separation")
+    return _split(g, a, c, ends)
+
+
+def _indexed(g: Graph) -> tuple[dict[Vertex, int], list[int], list[int]]:
+    """`kernels._index` of g, and the mask of the ends of each edge of
+    `g.edges`."""
+    idx, adj = _index(g)
+    return idx, adj, [1 << idx[u] | 1 << idx[v] for u, v in g.edges]
+
+
+def _split(g: Graph, a: int, c: int, ends: list[int]) -> Separation:
+    """`split` on masks: `a` the exclusive vertices, `c` the cut, and
+    `ends[j]` the mask of the ends of edge j of `g.edges`."""
+    vs, es = g.vertices, g.edges
+    b = ((1 << len(vs)) - 1) ^ a
+    one = [bool(e & a) for e in ends]
     return Separation(
-        Graph._from_canonical((v for v in g.vertices if v in vs1), e1),
-        Graph._from_canonical((v for v in g.vertices if v not in a), e2),
+        Graph._from_canonical([v for i, v in enumerate(vs) if (a | c) >> i & 1], compress(es, one)),
+        Graph._from_canonical([v for i, v in enumerate(vs) if b >> i & 1], compress(es, map(not_, one))),
     )
 
 

@@ -232,12 +232,35 @@ def test_four_color_oracle_on_c5_and_k5():
 # -- path systems --------------------------------------------------------------
 
 
+def set_walk_paths(g, s, t, banned):
+    """Every simple s-t path whose interior avoids `banned`: a recursive
+    walk over vertex names and a set of used vertices."""
+    out = []
+
+    def walk(path, used):
+        for w in g.neighbors(path[-1]):
+            if w == t:
+                out.append(tuple(path + [t]))
+                continue
+            if w in used or w in banned:
+                continue
+            path.append(w)
+            used.add(w)
+            walk(path, used)
+            used.remove(w)
+            path.pop()
+
+    walk([s], {s})
+    return out
+
+
 def eager_disjoint_paths(g, pairs, forbidden=()):
-    """`brute_disjoint_paths` listing every pair's paths before the search."""
+    """`brute_disjoint_paths` listing every pair's paths, by
+    `set_walk_paths`, before the search."""
     pairs = [tuple(p) for p in pairs]
     endpoints = {x for p in pairs for x in p}
     banned = frozenset(forbidden) | frozenset(endpoints)
-    choices = [all_simple_paths(g, s, t, banned - {s, t}) for s, t in pairs]
+    choices = [set_walk_paths(g, s, t, banned - {s, t}) for s, t in pairs]
 
     def pick(i, used_interiors):
         if i == len(pairs):
@@ -253,6 +276,22 @@ def eager_disjoint_paths(g, pairs, forbidden=()):
 
     got = pick(0, set())
     return tuple(got) if got is not None else None
+
+
+def test_path_walk_matches_the_vertex_set_walk():
+    """The same paths in the same order, with no banned vertex, with
+    banned vertices, and with banned ids that are ends or not vertices."""
+    rng = random.Random(37)
+    walked = 0
+    for g in random_graphs(37, 200, 3, 8, 0.3, 0.8):
+        s, t = rng.sample(g.vertices, 2)
+        rest = [v for v in g.vertices if v not in (s, t)]
+        some = frozenset(rng.sample(rest, rng.randrange(len(rest) + 1)))
+        for banned in (frozenset(), some, some | {s, t, "zz"}):
+            got = all_simple_paths(g, s, t, banned)
+            assert got == set_walk_paths(g, s, t, banned), (g.edges, s, t, banned)
+            walked += len(got)
+    assert walked > 5000
 
 
 def test_lazy_path_lists_return_the_eager_witnesses():
@@ -277,6 +316,16 @@ def test_lazy_path_lists_return_the_eager_witnesses():
             linked += got is not None
             unlinked += got is None
     assert linked >= 100 and unlinked >= 100
+
+
+def test_path_oracles_reject_a_pair_with_equal_ends():
+    """A path from a vertex to itself would be a closed walk; the library
+    search refuses such a pair with the same message."""
+    g = complete_graph(list("abcd"))
+    with pytest.raises(InputDomainError, match="pair endpoints must be distinct"):
+        all_simple_paths(g, "a", "a", frozenset())
+    with pytest.raises(InputDomainError, match="pair endpoints must be distinct"):
+        brute_disjoint_paths(g, [("a", "b"), ("c", "c")])
 
 
 def test_path_oracle_rejects_an_unknown_end_of_an_unreached_pair():

@@ -124,11 +124,26 @@ def test_enumeration_order_matches_the_seen_set_reference():
         graphs.append(random_graph(rng.randrange(4, 8), rng.uniform(0.2, 0.8), rng))
     emitted = 0
     for g in graphs:
-        for k in range(5):
+        for k in range(7):
             got = list(enumerate_separations(g, k))
             assert got == list(seen_set_separations(g, k)), (g.edges, k)
             emitted += len(got)
-    assert emitted == 6411
+    assert emitted == 7287
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_complete_graph_side_order_when_one_side_is_the_cut(n):
+    """At k = n - 1 and k = n - 2 one side is the cut with its internal
+    edges, and its vertex list can be a prefix of the other side's.  The
+    rest of the graph is one component, so each cut gives one separation
+    when it holds an edge (K3 has no 1-separation)."""
+    g = complete_graph(list("abcdef")[:n])
+    for k, count in ((n - 1, n), (n - 2, n * (n - 1) // 2 if n > 3 else 0)):
+        got = list(enumerate_separations(g, k))
+        assert got == list(seen_set_separations(g, k)), (n, k)
+        assert len(got) == count
+        for sep in got:
+            assert list(map(vkey, sep.side1.vertices)) < list(map(vkey, sep.side2.vertices))
 
 
 def test_component_order_and_side1_follow_vkey_order():
@@ -139,7 +154,7 @@ def test_component_order_and_side1_follow_vkey_order():
     ids = ["9", "10", "2", "11", "a", "b1", "t2", "t10"]
     for _ in range(40):
         g = random_graph(rng.sample(ids, rng.randrange(3, 8)), rng.uniform(0.1, 0.6), rng)
-        for k in range(4):
+        for k in range(7):
             got = list(enumerate_separations(g, k))
             assert got == list(seen_set_separations(g, k))
             for sep in got:
