@@ -18,17 +18,22 @@ none.
 
 `_classes` is the one level loop: it enumerates edge sets level by level
 (by edge count), deduplicating each level by the rooted canonical form
-and optionally pruning by a monotone property.  Each graph of a level
-keeps its bitmasks; a candidate is a parent's masks with one more edge,
-and it becomes a `Graph` only when its key is new.  Twins of the parent
-with the same terminal status are swapped by an automorphism, so only
-the first candidate joining each pair of twin classes is keyed: the
-others would have been duplicates.  Neither twin argument changes a key,
-a representative or the order in which they are found.
+and optionally pruning by a monotone property `keep(adj, tmask)`, which
+it decides on the candidate's bitmasks.  Each graph of a level keeps its
+bitmasks; a candidate is a parent's masks with one more edge, and its
+labelled edge set is one int.  A labelled candidate already met in the
+level (from another parent) is not keyed again, so each is keyed once,
+and it becomes a `Graph` only when its key is new and `keep` keeps it.
+Twins of the parent with the same terminal status are swapped by an
+automorphism, so only the first candidate joining each pair of twin
+classes is keyed: the others would have been duplicates.  None of these
+skips changes a key, a representative or the order in which they are
+found.
 
 The loop feeds the disc-planar terminal-graph stream (disc-planarity is
 monotone under edge deletion, so a non-disc-planar graph never recovers
-by adding edges) and the unrooted small-graph classes.
+by adding edges; the stream's `keep` is `planarity._disc_planar_masks`)
+and the unrooted small-graph classes.
 `terminal_set_classes` is the one rooted dedup of a graph's terminal
 sets.
 """
@@ -42,7 +47,7 @@ from typing import Iterable, Iterator
 from wheelkit.errors import InputDomainError, ResourceLimitError
 from wheelkit.graph import Graph, Vertex, add, remove
 from wheelkit.kernels import index_graph
-from wheelkit.planarity import TerminalGraph, is_disc_planar
+from wheelkit.planarity import TerminalGraph, _disc_planar_masks
 from wheelkit.wheels import Wheel
 
 DEFAULT_GENERATION_LIMIT = 9
@@ -228,24 +233,33 @@ def _classes(names, terminals, pairs, keep=None) -> Iterator[dict[tuple, Termina
     isomorphism class: one dict per edge count, from the edgeless graph
     up, mapping the canonical form to the first graph found with it.
 
-    A candidate failing `keep` is dropped together with every supergraph,
-    so `keep` must be monotone under edge deletion.  Its key is remembered
-    for the level, so `keep` sees each class at most once.
+    `keep(adj, tmask)` decides a candidate on its adjacency bitmasks
+    (vertex i is names[i]) and terminal bitmask, and must leave `adj` as
+    it is.  A candidate failing it is dropped together with every
+    supergraph, so `keep` must be monotone under edge deletion, and it
+    must not depend on the labelling.  The failing key is remembered for
+    the level, so `keep` sees each class at most once.
 
-    Each graph of a level keeps its adjacency bitmasks (vertex i is
-    names[i]); a candidate is a parent's masks with one more edge, keyed
-    by `_canon_masks`, and becomes a `TerminalGraph` only when its key is
-    new.  Twins of the parent with the same terminal status can be
-    swapped by an automorphism that keeps `pairs` (whether a pair is in
-    it must depend only on its ends' terminal status), so every candidate
-    joining the same two twin classes is isomorphic to the first one in
-    `pairs` order, and only that one is keyed.  The later ones would have
-    been duplicates, so the levels are those of keying every candidate.
+    Each graph of a level keeps its bitmasks, from which its labelled
+    edge set is read as one int, with bit i * n + j for the edge between
+    i < j.  A candidate is a parent's masks with one more edge, and its
+    labelled edge set is the parent's plus one bit.  The same labelled
+    candidate can be reached from several parents; it is keyed by
+    `_canon_masks` the first time only, since its key is then already in
+    the level or dead.  A `TerminalGraph` is built only for a new key
+    that `keep` keeps, so a dead class builds no `Graph`.  Twins of the
+    parent with the same terminal status can be swapped by an automorphism
+    that keeps `pairs` (whether a pair is in it must depend only on its
+    ends' terminal status), so every candidate joining the same two twin
+    classes is isomorphic to the first one in `pairs` order, and only
+    that one is keyed.  The later ones would have been duplicates, so the
+    levels are those of keying every candidate.
     """
     index = {v: i for i, v in enumerate(names)}
     n = len(names)
     tmask = _terminal_mask(index, terminals)
     pairs = [(index[a], index[b], a, b) for a, b in pairs]
+    pairs = [(i, j, 1 << (min(i, j) * n + max(i, j)), a, b) for i, j, a, b in pairs]
     empty = [0] * n
     key = _canon_masks(n, empty, tmask)
     level = {key: TerminalGraph(Graph(names, ()), terminals, ordered=False)}
@@ -255,11 +269,15 @@ def _classes(names, terminals, pairs, keep=None) -> Iterator[dict[tuple, Termina
         nxt: dict[tuple, TerminalGraph] = {}
         nxt_masks: dict[tuple, list[int]] = {}
         dead: set[tuple] = set()
+        met: set[int] = set()  # labelled edge sets keyed in this level
         for key, tg in level.items():
             adj = masks[key]
+            edges = 0  # the labelled edge set, bit i * n + j for i < j
+            for v in range(n):
+                edges |= (adj[v] >> (v + 1)) << (v * n + v + 1)
             twin = _twin_classes(n, adj, tmask)
             tried = set()
-            for i, j, a, b in pairs:
+            for i, j, bit, a, b in pairs:
                 if adj[i] >> j & 1:
                     continue
                 ci, cj = twin[i], twin[j]
@@ -267,17 +285,21 @@ def _classes(names, terminals, pairs, keep=None) -> Iterator[dict[tuple, Termina
                 if classes in tried:
                     continue
                 tried.add(classes)
+                bigger_edges = edges | bit
+                if bigger_edges in met:
+                    continue
+                met.add(bigger_edges)
                 bigger_adj = adj.copy()
                 bigger_adj[i] |= 1 << j
                 bigger_adj[j] |= 1 << i
                 bigger_key = _canon_masks(n, bigger_adj, tmask)
                 if bigger_key in nxt or bigger_key in dead:
                     continue
-                bigger = TerminalGraph(add(tg.graph, (), [(a, b)]), terminals, ordered=False)
-                if keep is not None and not keep(bigger):
+                if keep is not None and not keep(bigger_adj, tmask):
                     dead.add(bigger_key)  # monotone: no supergraph recovers
                     continue
-                nxt[bigger_key] = bigger
+                bigger = add(tg.graph, (), [(a, b)])
+                nxt[bigger_key] = TerminalGraph(bigger, terminals, ordered=False)
                 nxt_masks[bigger_key] = bigger_adj
         level, masks = nxt, nxt_masks
 
@@ -295,7 +317,10 @@ def small_graph_classes(n_max: int) -> list[Graph]:
 
 def terminal_set_classes(g: Graph, size: int) -> list[tuple[Vertex, ...]]:
     """The terminal sets of g with `size` vertices, one per rooted
-    isomorphism class: the first of each class in `combinations` order."""
+    isomorphism class: the first of each class in `combinations` order.
+    Raises InputDomainError for a negative size."""
+    if size < 0:
+        raise InputDomainError(f"terminal set size must be non-negative, got {size}")
     idx, adj = index_graph(g)
     first: dict[tuple, tuple[Vertex, ...]] = {}
     for ts in combinations(g.vertices, size):
@@ -330,7 +355,7 @@ def generate_terminal_planar(n_max: int, s_size: int, filters=()) -> Iterator[Te
             for a, b in combinations(names, 2)
             if not (independent and a in ts and b in ts)
         ]
-        for level in _classes(names, ts, pairs, keep=is_disc_planar):
+        for level in _classes(names, ts, pairs, keep=_disc_planar_masks):
             for key in sorted(level):
                 yield level[key]
 
@@ -348,9 +373,13 @@ def random_graph(names: int | Iterable[Vertex], p: float, rng: random.Random) ->
 
 def random_planar_graph(n: int, rng: random.Random, *, keep_fraction: float = 0.8) -> Graph:
     """A seeded random planar graph: grow a stacked triangulation, then
-    delete a random fraction of its edges."""
+    delete a random fraction of its edges: `keep_fraction` of them, in
+    [0, 1], stay.  Raises InputDomainError for fewer than 3 vertices or a
+    fraction outside [0, 1]."""
     if n < 3:
         raise InputDomainError("need at least 3 vertices")
+    if not 0 <= keep_fraction <= 1:
+        raise InputDomainError(f"keep_fraction must be in [0, 1], got {keep_fraction}")
     names = [str(i) for i in range(n)]
     edges = [(names[0], names[1]), (names[1], names[2]), (names[0], names[2])]
     faces = [(names[0], names[1], names[2])]

@@ -9,7 +9,7 @@ embedding of a disc-planar terminal pair, read off the same apex or
 fence augmentation that `is_disc_planar` tests.
 
 Disc-planarity of a terminal pair (G, S) is planarity of G plus the
-augmentation that `_augmented` describes once for both users:
+augmentation that `_augment` builds on G's bitmasks for every user:
 - unordered, or ordered with at most three terminals (which have one
   cyclic order up to reflection): an apex adjacent to all of S;
 - ordered with four or more terminals: a fence (vertices f_i joined to
@@ -18,14 +18,16 @@ augmentation that `_augmented` describes once for both users:
   reflection.
 All four entry points index G once into adjacency bitmasks, as
 `kernels.index_graph` does but without its vertex cap, and build no
-`Graph`.  The augmentation vertices are the bit positions after G's and
-have no names.  All planarity is path addition on those bitmasks: the
-verdicts come from `kernels.planar_masks`, which reduces the graph to its
-core and screens each part first, and the embeddings from
-`kernels.planar_rotation`, restricted to G's indices.  The apex is
-cross-checked against a brute-force rotation-system oracle in the test
-suite, and the fence against the apex at three terminals and, over every
-cyclic order, at four and five.
+`Graph`; `_disc_planar_masks` takes bitmasks the caller already holds,
+as the terminal-graph stream does for each candidate.  The augmentation
+vertices are the bit positions after G's and have no names.  All
+planarity is path addition on those bitmasks: the verdicts come from
+`kernels.planar_masks`, which reduces the graph to its core and screens
+each part first, and the embeddings from `kernels.planar_rotation`,
+restricted to G's indices.  The apex is cross-checked against a
+brute-force rotation-system oracle in the test suite, and the fence
+against the apex at three terminals and, over every cyclic order, at
+four and five.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 from wheelkit.errors import InputDomainError, PreconditionError
 from wheelkit.graph import Graph, Vertex, flood_components, vkey
-from wheelkit.kernels import _index, planar_masks, planar_rotation
+from wheelkit.kernels import _bits, _index, planar_masks, planar_rotation
 
 Dart = tuple[Vertex, Vertex]
 
@@ -115,10 +117,11 @@ def is_planar(g: Graph) -> bool:
     return planar_masks(adj)
 
 
-def _augmented(tg: TerminalGraph) -> list[int]:
-    """The adjacency bitmasks of tg.graph, indexed as by
-    `kernels.index_graph`, plus augmentation vertices at indices n, n+1,
-    ...: a graph that is planar exactly when tg is disc-planar.
+def _augment(adj: list[int], ts: list[int], ordered: bool) -> list[int]:
+    """A copy of the adjacency bitmasks `adj` (vertices 0..n-1) plus
+    augmentation vertices at indices n, n+1, ...: a graph that is planar
+    exactly when the graph is disc-planar with the terminals at indices
+    `ts`, in boundary order when `ordered`.  `adj` is left as it is.
 
     Unordered terminals, and ordered ones up to three (which have one
     cyclic order up to reflection), get an apex joined to every terminal.
@@ -131,12 +134,9 @@ def _augmented(tg: TerminalGraph) -> list[int]:
     in the given cyclic order.  A ring f_i f_{i+1} would add nothing to
     that, so the fence has none.
     """
-    if not tg.terminals:
-        raise InputDomainError("disc-planarity needs at least one terminal")
-    idx, adj = _index(tg.graph)
     n = len(adj)
-    ts = [idx[t] for t in tg.terminals]
-    if tg.ordered and len(ts) > 3:
+    adj = adj.copy()
+    if ordered and len(ts) > 3:
         k = len(ts)
         for i, t in enumerate(ts):
             u = ts[(i + 1) % k]
@@ -151,6 +151,21 @@ def _augmented(tg: TerminalGraph) -> list[int]:
     return adj
 
 
+def _augmented(tg: TerminalGraph) -> list[int]:
+    """`_augment` of tg.graph, indexed by `_index`, at tg's terminals."""
+    if not tg.terminals:
+        raise InputDomainError("disc-planarity needs at least one terminal")
+    idx, adj = _index(tg.graph)
+    return _augment(adj, [idx[t] for t in tg.terminals], tg.ordered)
+
+
+def _disc_planar_masks(adj: list[int], tmask: int) -> bool:
+    """`is_disc_planar` of the unordered terminal graph with adjacency
+    bitmasks `adj` and terminal bitmask `tmask` (at least one terminal),
+    without building it; `adj` is left as it is."""
+    return planar_masks(_augment(adj, _bits(tmask), False))
+
+
 def is_disc_planar(tg: TerminalGraph) -> bool:
     """Can the graph be drawn in a closed disc with S on the boundary?
 
@@ -158,8 +173,7 @@ def is_disc_planar(tg: TerminalGraph) -> bool:
     (up to rotation and reflection); unordered ones may use any order.
     `kernels.planar_masks` decides the bitmasks of `_augmented`.
     """
-    adj = _augmented(tg)
-    return planar_masks(adj)
+    return planar_masks(_augmented(tg))
 
 
 def _rotation(adj: list[int], message: str) -> list[list[int]]:

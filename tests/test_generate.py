@@ -24,7 +24,7 @@ from wheelkit.generate import (
 from wheelkit.graph import Graph, add, remove
 from wheelkit.kernels import index_graph
 from wheelkit.oracles import brute_rooted_isomorphic
-from wheelkit.planarity import TerminalGraph, is_disc_planar, is_planar
+from wheelkit.planarity import TerminalGraph, _disc_planar_masks, is_disc_planar, is_planar
 from wheelkit.subdivisions import find_disjoint_paths, wheel_plus_paths_to_k5
 from wheelkit.wheels import is_wheel
 
@@ -120,14 +120,43 @@ def test_keep_sees_each_rooted_class_once():
     names = ts + ("u1", "u2", "u3")
     seen = []
 
-    def keep(tg):
-        seen.append(rooted_canonical_form(tg))
-        return is_disc_planar(tg)
+    def keep(adj, tmask):
+        seen.append(_canon_masks(len(adj), adj, tmask))
+        return _disc_planar_masks(adj, tmask)
 
     levels = list(_classes(names, ts, list(combinations(names, 2)), keep=keep))
     kept = {key for level in levels for key in level}
     assert len(seen) == len(set(seen))
     assert set(seen) - kept  # some class was rejected, so the dead set was used
+
+
+@pytest.mark.parametrize(
+    "run, calls",
+    [
+        (lambda: list(generate_terminal_planar(7, 5, ("s-independent",))), 121),
+        (lambda: small_graph_classes(7), 6447),
+    ],
+    ids=["stream-k5-n7", "small-graph-classes-7"],
+)
+def test_level_loop_keys_each_labelled_candidate_once(run, calls, monkeypatch):
+    # a labelled graph reached from two parents is keyed the first time
+    # only; keying every candidate that passes the twin check would make
+    # 177 and 8,708 calls.  Labelled graphs of different levels or vertex
+    # counts differ, so "once in the run" is "once per level".
+    keyed = []
+
+    def spy(n, adj, tmask):
+        keyed.append((n, tuple(adj), tmask))
+        return _canon_masks(n, adj, tmask)
+
+    monkeypatch.setattr(generate, "_canon_masks", spy)
+    run()
+    assert len(keyed) == len(set(keyed)) == calls
+
+
+def test_terminal_set_classes_rejects_a_negative_size():
+    with pytest.raises(InputDomainError, match="non-negative"):
+        terminal_set_classes(Graph(["a", "b"], [("a", "b")]), -1)
 
 
 def test_terminal_set_classes_one_per_rooted_class():
@@ -173,6 +202,12 @@ def test_random_planar_graph_matches_one_add_per_vertex(keep_fraction):
             got = random_planar_graph(n, rng, keep_fraction=keep_fraction)
             assert got == one_add_per_vertex(n, ref, keep_fraction)
             assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("keep_fraction", [-0.5, 1.5, float("nan")])
+def test_random_planar_graph_rejects_a_fraction_outside_the_unit_interval(keep_fraction):
+    with pytest.raises(InputDomainError, match="keep_fraction"):
+        random_planar_graph(5, random.Random(0), keep_fraction=keep_fraction)
 
 
 def test_random_wheel_hosts_build_k5():
@@ -306,13 +341,15 @@ def test_level_loop_matches_reference(s_size):
         names = ts + tuple(f"u{i}" for i in range(1, n - s_size + 1))
         pairs = [(a, b) for a, b in combinations(names, 2) if not (a in ts and b in ts)]
 
-        def levels(loop):
+        def levels(loop, keep):
             return [
                 [(key, tg.graph.vertices, tg.graph.edges) for key, tg in level.items()]
-                for level in loop(names, ts, pairs, keep=is_disc_planar)
+                for level in loop(names, ts, pairs, keep=keep)
             ]
 
-        assert levels(_classes) == levels(reference_classes)
+        # the reference keeps by `is_disc_planar` on its graphs, so this
+        # also checks the mask-level predicate the loop is given
+        assert levels(_classes, _disc_planar_masks) == levels(reference_classes, is_disc_planar)
 
 
 def reference_canon_masks(n, adj, tmask):

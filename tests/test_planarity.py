@@ -18,6 +18,7 @@ from wheelkit.kernels import _bits, _core, _index
 from wheelkit.planarity import (
     TerminalGraph,
     _augmented,
+    _disc_planar_masks,
     embed,
     embed_terminal,
     is_disc_planar,
@@ -258,6 +259,25 @@ def test_disc_planar_matches_the_augmented_graph():
                     assert is_planar(h) == is_disc_planar(tg), (g.edges, ts, ordered)
                     cases += 1
     assert cases == 2 * 5394
+
+
+def test_mask_disc_planarity_matches_is_disc_planar():
+    """`_disc_planar_masks`, which the terminal-graph stream decides its
+    candidates with, gives `is_disc_planar`'s unordered verdict on every
+    terminal set of sizes 1 to 5 (not only one per rooted class) of every
+    graph on at most 6 vertices, and leaves the masks as they are."""
+    cases = rejected = 0
+    for g in small_graph_classes(6):
+        idx, adj = _index(g)
+        before = adj.copy()
+        for k in range(1, 6):
+            for ts in combinations(g.vertices, k):
+                expect = is_disc_planar(TerminalGraph(g, ts, ordered=False))
+                assert _disc_planar_masks(adj, sum(1 << idx[t] for t in ts)) == expect, (g.edges, ts)
+                cases += 1
+                rejected += not expect
+        assert adj == before
+    assert (cases, rejected) == (10926, 1988)
 
 
 @pytest.mark.parametrize(
