@@ -16,19 +16,14 @@ bitstring's, places one member per twin class, and raises
 graph with at most 9 vertices reaches; a key read off directly spends
 none.
 
-`_classes` is the one level loop: it enumerates edge sets level by level
-(by edge count), deduplicating each level by the rooted canonical form
-and optionally pruning by a monotone property `keep(adj, tmask)`, which
-it decides on the candidate's bitmasks.  Each graph of a level keeps its
-bitmasks; a candidate is a parent's masks with one more edge, and its
-labelled edge set is one int.  A labelled candidate already met in the
-level (from another parent) is not keyed again, so each is keyed once,
-and it becomes a `Graph` only when its key is new and `keep` keeps it.
-Twins of the parent with the same terminal status are swapped by an
-automorphism, so only the first candidate joining each pair of twin
-classes is keyed: the others would have been duplicates.  None of these
-skips changes a key, a representative or the order in which they are
-found.
+`_classes` is the one level loop, on vertex indices and bitmasks only.
+It enumerates edge sets level by level (by edge count), deduplicating
+each level by the rooted canonical form and optionally pruning by a
+monotone property `keep(adj, tmask)`, and yields each level as one dict
+from key to adjacency bitmasks.  It keys each labelled candidate once,
+and one candidate per pair of twin classes of its parent.  Vertex names
+come in only at emission, where `_from_masks` builds each emitted class
+as a `Graph` once.
 
 The loop feeds the disc-planar terminal-graph stream (disc-planarity is
 monotone under edge deletion, so a non-disc-planar graph never recovers
@@ -46,7 +41,7 @@ from typing import Iterable, Iterator
 
 from wheelkit.errors import InputDomainError, ResourceLimitError
 from wheelkit.graph import Graph, Vertex, add, remove
-from wheelkit.kernels import index_graph
+from wheelkit.kernels import _bits, index_graph
 from wheelkit.planarity import TerminalGraph, _disc_planar_masks
 from wheelkit.wheels import Wheel
 
@@ -228,56 +223,43 @@ def rooted_canonical_form(tg: TerminalGraph) -> tuple:
     return canonical_form(tg.graph, tg.terminals)
 
 
-def _classes(names, terminals, pairs, keep=None) -> Iterator[dict[tuple, TerminalGraph]]:
-    """The graphs on `names` with edges from `pairs`, one per rooted
+def _classes(n: int, tmask: int, pairs, keep=None) -> Iterator[dict[tuple, list[int]]]:
+    """The graphs on the vertices 0..n-1 with terminal bitmask `tmask`
+    and edges from the index pairs i < j of `pairs`, one per rooted
     isomorphism class: one dict per edge count, from the edgeless graph
-    up, mapping the canonical form to the first graph found with it.
+    up, mapping the canonical form to the adjacency bitmasks (not to be
+    changed) of the first graph found with it.
 
-    `keep(adj, tmask)` decides a candidate on its adjacency bitmasks
-    (vertex i is names[i]) and terminal bitmask, and must leave `adj` as
-    it is.  A candidate failing it is dropped together with every
-    supergraph, so `keep` must be monotone under edge deletion, and it
-    must not depend on the labelling.  The failing key is remembered for
-    the level, so `keep` sees each class at most once.
+    `keep(adj, tmask)` decides a candidate on its bitmasks and must leave
+    `adj` as it is.  A candidate failing it is dropped with every
+    supergraph, so `keep` must be monotone under edge deletion and must
+    not depend on the labelling.  Its failing key is remembered for the
+    level, so `keep` sees each class at most once.
 
-    Each graph of a level keeps its bitmasks, from which its labelled
-    edge set is read as one int, with bit i * n + j for the edge between
-    i < j.  A candidate is a parent's masks with one more edge, and its
-    labelled edge set is the parent's plus one bit.  The same labelled
-    candidate can be reached from several parents; it is keyed by
-    `_canon_masks` the first time only, since its key is then already in
-    the level or dead.  A `TerminalGraph` is built only for a new key
-    that `keep` keeps, so a dead class builds no `Graph`.  Twins of the
-    parent with the same terminal status can be swapped by an automorphism
-    that keeps `pairs` (whether a pair is in it must depend only on its
-    ends' terminal status), so every candidate joining the same two twin
-    classes is isomorphic to the first one in `pairs` order, and only
-    that one is keyed.  The later ones would have been duplicates, so the
-    levels are those of keying every candidate.
+    A labelled edge set is one int, with bit i * n + j for the edge
+    between i < j; a candidate is a parent's masks and edge set plus one
+    edge.  A labelled candidate reached from several parents is keyed by
+    `_canon_masks` the first time only: its key is then already in the
+    level or dead.  Twins of the parent with the same terminal status
+    are swapped by an automorphism that keeps `pairs` (whether a pair is
+    in it must depend only on its ends' terminal status), so of the
+    candidates joining the same two twin classes only the first in
+    `pairs` order is keyed.  The others would have been duplicates, so
+    the levels are those of keying every candidate.
     """
-    index = {v: i for i, v in enumerate(names)}
-    n = len(names)
-    tmask = _terminal_mask(index, terminals)
-    pairs = [(index[a], index[b], a, b) for a, b in pairs]
-    pairs = [(i, j, 1 << (min(i, j) * n + max(i, j)), a, b) for i, j, a, b in pairs]
+    pairs = [(i, j, 1 << (i * n + j)) for i, j in pairs]
     empty = [0] * n
-    key = _canon_masks(n, empty, tmask)
-    level = {key: TerminalGraph(Graph(names, ()), terminals, ordered=False)}
-    masks = {key: empty}
+    level = {_canon_masks(n, empty, tmask): empty}
     while level:
         yield level
-        nxt: dict[tuple, TerminalGraph] = {}
-        nxt_masks: dict[tuple, list[int]] = {}
+        nxt: dict[tuple, list[int]] = {}
         dead: set[tuple] = set()
         met: set[int] = set()  # labelled edge sets keyed in this level
-        for key, tg in level.items():
-            adj = masks[key]
-            edges = 0  # the labelled edge set, bit i * n + j for i < j
-            for v in range(n):
-                edges |= (adj[v] >> (v + 1)) << (v * n + v + 1)
+        for adj in level.values():
+            edges = sum((a >> v + 1) << v * n + v + 1 for v, a in enumerate(adj))
             twin = _twin_classes(n, adj, tmask)
             tried = set()
-            for i, j, bit, a, b in pairs:
+            for i, j, bit in pairs:
                 if adj[i] >> j & 1:
                     continue
                 ci, cj = twin[i], twin[j]
@@ -289,19 +271,24 @@ def _classes(names, terminals, pairs, keep=None) -> Iterator[dict[tuple, Termina
                 if bigger_edges in met:
                     continue
                 met.add(bigger_edges)
-                bigger_adj = adj.copy()
-                bigger_adj[i] |= 1 << j
-                bigger_adj[j] |= 1 << i
-                bigger_key = _canon_masks(n, bigger_adj, tmask)
-                if bigger_key in nxt or bigger_key in dead:
+                bigger = adj.copy()
+                bigger[i] |= 1 << j
+                bigger[j] |= 1 << i
+                key = _canon_masks(n, bigger, tmask)
+                if key in nxt or key in dead:
                     continue
-                if keep is not None and not keep(bigger_adj, tmask):
-                    dead.add(bigger_key)  # monotone: no supergraph recovers
+                if keep is not None and not keep(bigger, tmask):
+                    dead.add(key)  # monotone: no supergraph recovers
                     continue
-                bigger = add(tg.graph, (), [(a, b)])
-                nxt[bigger_key] = TerminalGraph(bigger, terminals, ordered=False)
-                nxt_masks[bigger_key] = bigger_adj
-        level, masks = nxt, nxt_masks
+                nxt[key] = bigger
+        level = nxt
+
+
+def _from_masks(names: tuple[Vertex, ...], adj: list[int]) -> Graph:
+    """The graph with vertex names[i] for index i and adjacency bitmasks
+    `adj`; with `names` in vkey order the edges are read in edge order."""
+    edges = [(names[i], names[j]) for i, a in enumerate(adj) for j in _bits(a & -(2 << i))]
+    return Graph._from_canonical(names, edges)
 
 
 def small_graph_classes(n_max: int) -> list[Graph]:
@@ -309,9 +296,10 @@ def small_graph_classes(n_max: int) -> list[Graph]:
     vertices, by vertex count, then edge count, then order of discovery."""
     out = []
     for n in range(1, n_max + 1):
+        # "0" .. "n-1" are in vkey order, as `_from_masks` needs
         names = tuple(str(i) for i in range(n))
-        for level in _classes(names, (), list(combinations(names, 2))):
-            out.extend(tg.graph for tg in level.values())
+        for level in _classes(n, 0, list(combinations(range(n), 2))):
+            out.extend(_from_masks(names, adj) for adj in level.values())
     return out
 
 
@@ -349,15 +337,16 @@ def generate_terminal_planar(n_max: int, s_size: int, filters=()) -> Iterator[Te
     independent = "s-independent" in filters
     ts = tuple(f"t{i}" for i in range(1, s_size + 1))
     for n in range(s_size, n_max + 1):
+        # n <= 9, so t1 .. t9 then u1 .. u8 are in vkey order, as
+        # `_from_masks` needs; the terminals are the first s_size indices
         names = ts + tuple(f"u{i}" for i in range(1, n - s_size + 1))
-        pairs = [
-            (a, b)
-            for a, b in combinations(names, 2)
-            if not (independent and a in ts and b in ts)
-        ]
-        for level in _classes(names, ts, pairs, keep=_disc_planar_masks):
-            for key in sorted(level):
-                yield level[key]
+        pairs = [(i, j) for i, j in combinations(range(n), 2) if not (independent and j < s_size)]
+        for level in _classes(n, (1 << s_size) - 1, pairs, keep=_disc_planar_masks):
+            # the level's graphs are built before the first is yielded, as the level
+            # is, so the time between emissions (gen-stream's instances) is the loop's
+            yield from [
+                TerminalGraph(_from_masks(names, level[key]), ts, ordered=False) for key in sorted(level)
+            ]
 
 
 # -- random graphs -------------------------------------------------------------
@@ -366,7 +355,12 @@ def generate_terminal_planar(n_max: int, s_size: int, filters=()) -> Iterator[Te
 def random_graph(names: int | Iterable[Vertex], p: float, rng: random.Random) -> Graph:
     """A seeded G(n, p) on `names`, or on the ids 0..n-1 when given a
     count n: one `rng.random()` per pair in `combinations` order, an edge
-    when it falls below p."""
+    when it falls below p.  Raises InputDomainError for a negative count
+    or a p outside [0, 1]."""
+    if isinstance(names, int) and names < 0:
+        raise InputDomainError(f"vertex count must be non-negative, got {names}")
+    if not 0 <= p <= 1:
+        raise InputDomainError(f"p must be in [0, 1], got {p}")
     names = [str(i) for i in range(names)] if isinstance(names, int) else list(names)
     return Graph(names, [e for e in combinations(names, 2) if rng.random() < p])
 

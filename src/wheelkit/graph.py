@@ -38,7 +38,11 @@ class Graph:
     __slots__ = ("_vertices", "_edges", "_adj", "_hash")
 
     def __init__(self, vertices: Iterable[Vertex] = (), edges: Iterable = ()):
-        vs = set(vertices)
+        vs = set()
+        for v in vertices:
+            if not isinstance(v, str):
+                raise InputDomainError(f"vertex ids must be strings: {v!r}")
+            vs.add(v)
         es = set()
         for e in edges:
             u, v = e
@@ -57,7 +61,8 @@ class Graph:
         """The graph on `vertices`, already in vkey order, and `edges`,
         already normalised and in edge order, with their ends among the
         vertices.  Nothing is checked or sorted: subgraphs filtered out
-        of a graph's own vertex and edge tuples are already canonical."""
+        of a graph's own tuples, and `generate._from_masks` graphs over
+        names in vkey order, are already canonical."""
         g = cls.__new__(cls)
         g._fill(tuple(vertices), tuple(edges))
         return g

@@ -136,7 +136,7 @@ def linkage_masks(
     lbs = []
     for s, t in pairs:
         block = (forbidden | ep_mask) & ~((1 << s) | (1 << t))
-        d = bfs_dist(n, adj, s, t, block)
+        d = bfs_dist(adj, s, t, block)
         if d < 0:
             return None
         lbs.append(d)
@@ -153,7 +153,7 @@ def linkage_masks(
         for j in range(i, k):
             s, t = pairs[j]
             block = (used | forbidden) & ~((1 << s) | (1 << t))
-            if bfs_dist(n, adj, s, t, block) < 0:
+            if bfs_dist(adj, s, t, block) < 0:
                 return False
         return True
 
@@ -359,14 +359,14 @@ def _core(adj: list[int]) -> int:
     return alive
 
 
-def planar_rotation(n: int, adj: list[int]) -> list[list[int]] | None:
+def planar_rotation(adj: list[int]) -> list[list[int]] | None:
     """The neighbours of each vertex in the cyclic order of a planar
     embedding, or None when the graph is not planar.  Each face walk
     ... p v s ... of a part from `_embed_part` puts s just after p around
     v; these pairs chain into one cycle per block at v, and the blocks at
     a cut vertex follow each other there."""
-    succ: list[dict[int, int]] = [{} for _ in range(n)]
-    parts = _parts((1 << n) - 1, adj)
+    succ: list[dict[int, int]] = [{} for _ in adj]
+    parts = _parts((1 << len(adj)) - 1, adj)
     while parts:
         faces = _embed_part(adj, parts.pop(), parts)
         if faces is None:
@@ -552,7 +552,7 @@ def _face(cycle: list[int]) -> tuple[list[int], int]:
     return cycle, mask
 
 
-def bfs_dist(n: int, adj: list[int], s: int, t: int, block: int) -> int:
+def bfs_dist(adj: list[int], s: int, t: int, block: int) -> int:
     """Shortest path length from s to t with interior vertices outside
     `block`; -1 when unreachable."""
     if s == t:

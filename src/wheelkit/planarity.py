@@ -179,7 +179,7 @@ def is_disc_planar(tg: TerminalGraph) -> bool:
 def _rotation(adj: list[int], message: str) -> list[list[int]]:
     """`kernels.planar_rotation` of the graph with adjacency bitmasks
     `adj`; PreconditionError(message) when the graph is not planar."""
-    rotation = planar_rotation(len(adj), adj)
+    rotation = planar_rotation(adj)
     if rotation is None:
         raise PreconditionError(message)
     return rotation

@@ -12,9 +12,11 @@ from wheelkit.errors import InputDomainError, ResourceLimitError
 from wheelkit.generate import (
     _canon_masks,
     _classes,
+    _from_masks,
     _twin_classes,
     canonical_form,
     generate_terminal_planar,
+    random_graph,
     random_planar_graph,
     random_wheel_host,
     rooted_canonical_form,
@@ -116,15 +118,14 @@ def test_unknown_filter_name_raises():
 def test_keep_sees_each_rooted_class_once():
     # rooted keys of different levels differ in edge count, so "once in the
     # whole run" is "at most once per level"
-    ts = ("t1", "t2", "t3")
-    names = ts + ("u1", "u2", "u3")
+    # six vertices, the first three of them terminals
     seen = []
 
     def keep(adj, tmask):
         seen.append(_canon_masks(len(adj), adj, tmask))
         return _disc_planar_masks(adj, tmask)
 
-    levels = list(_classes(names, ts, list(combinations(names, 2)), keep=keep))
+    levels = list(_classes(6, 0b111, list(combinations(range(6), 2)), keep=keep))
     kept = {key for level in levels for key in level}
     assert len(seen) == len(set(seen))
     assert set(seen) - kept  # some class was rejected, so the dead set was used
@@ -208,6 +209,15 @@ def test_random_planar_graph_matches_one_add_per_vertex(keep_fraction):
 def test_random_planar_graph_rejects_a_fraction_outside_the_unit_interval(keep_fraction):
     with pytest.raises(InputDomainError, match="keep_fraction"):
         random_planar_graph(5, random.Random(0), keep_fraction=keep_fraction)
+
+
+@pytest.mark.parametrize(
+    "n, p, match",
+    [(-3, 0.5, "non-negative"), (5, -0.5, r"\[0, 1\]"), (5, 1.5, r"\[0, 1\]"), (5, float("nan"), r"\[0, 1\]")],
+)
+def test_random_graph_rejects_a_negative_count_or_p_outside_the_unit_interval(n, p, match):
+    with pytest.raises(InputDomainError, match=match):
+        random_graph(n, p, random.Random(0))
 
 
 def test_random_wheel_hosts_build_k5():
@@ -339,17 +349,23 @@ def test_level_loop_matches_reference(s_size):
     ts = tuple(f"t{i}" for i in range(1, s_size + 1))
     for n in range(s_size, 8):
         names = ts + tuple(f"u{i}" for i in range(1, n - s_size + 1))
-        pairs = [(a, b) for a, b in combinations(names, 2) if not (a in ts and b in ts)]
-
-        def levels(loop, keep):
-            return [
-                [(key, tg.graph.vertices, tg.graph.edges) for key, tg in level.items()]
-                for level in loop(names, ts, pairs, keep=keep)
-            ]
-
+        pairs = [(i, j) for i, j in combinations(range(n), 2) if j >= s_size]
+        got = [
+            {key: _from_masks(names, adj) for key, adj in level.items()}
+            for level in _classes(n, (1 << s_size) - 1, pairs, keep=_disc_planar_masks)
+        ]
         # the reference keeps by `is_disc_planar` on its graphs, so this
         # also checks the mask-level predicate the loop is given
-        assert levels(_classes, _disc_planar_masks) == levels(reference_classes, is_disc_planar)
+        named_pairs = [(names[i], names[j]) for i, j in pairs]
+        want = [
+            {key: tg.graph for key, tg in level.items()}
+            for level in reference_classes(names, ts, named_pairs, keep=is_disc_planar)
+        ]
+
+        def levels(graph_levels):
+            return [[(key, g.vertices, g.edges) for key, g in level.items()] for level in graph_levels]
+
+        assert levels(got) == levels(want)
 
 
 def reference_canon_masks(n, adj, tmask):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wheelkit.errors import InputDomainError
+from wheelkit.generate import generate_terminal_planar, small_graph_classes
 from wheelkit.graph import (
     Graph,
     add,
@@ -39,6 +40,16 @@ def test_graph_basics():
 def test_graph_rejects_self_loop():
     with pytest.raises(InputDomainError):
         Graph(edges=[("a", "a")])
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [([1, 2], ()), (["a", 3], ()), ((), [("a", 3)])],
+    ids=["int-vertices", "mixed-vertices", "int-edge-end"],
+)
+def test_graph_rejects_non_string_ids(vertices, edges):
+    with pytest.raises(InputDomainError, match="vertex ids must be strings"):
+        Graph(vertices, edges)
 
 
 def test_remove_vertex_gives_induced_subgraph():
@@ -223,3 +234,11 @@ def test_subgraphs_equal_a_fresh_build_from_the_same_data(g, data):
     e1 = [e for e in g.edges if set(e) & exclusive]
     same_graph(sep.side1, Graph(exclusive | cut, e1))
     same_graph(sep.side2, Graph(set(g.vertices) - exclusive, [e for e in g.edges if e not in e1]))
+
+
+def test_generated_graphs_equal_a_fresh_build_from_the_same_data():
+    """The level loop's graphs are built from their masks without the
+    sorting of `Graph(...)`; each must be the graph `Graph(...)` builds."""
+    stream = [tg.graph for tg in generate_terminal_planar(8, 5, ("s-independent",))]
+    for g in small_graph_classes(7) + stream:
+        same_graph(g, Graph(g.vertices, g.edges))

@@ -157,7 +157,7 @@ def separated_by_fewer_than(n, adj, s, t, k):
     cut_adj = [a & ~((1 << s) | (1 << t)) if v in (s, t) else a for v, a in enumerate(adj)]
     others = [v for v in range(n) if v not in (s, t)]
     return any(
-        kernels.bfs_dist(n, cut_adj, s, t, sum(1 << v for v in cut)) < 0
+        kernels.bfs_dist(cut_adj, s, t, sum(1 << v for v in cut)) < 0
         for size in range(k - direct)
         for cut in combinations(others, size)
     )
