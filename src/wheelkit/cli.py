@@ -27,7 +27,7 @@ from wheelkit.graph import Graph, vkey
 from wheelkit.planarity import TerminalGraph, embed, is_disc_planar
 from wheelkit.separations import check_trichotomy, enumerate_separations, split
 from wheelkit.subdivisions import DEFAULT_SEARCH_LIMIT, find_k5_subdivision
-from wheelkit.wheels import DEFAULT_WHEEL_LIMIT, find_s_good_wheel
+from wheelkit.wheels import find_s_good_wheel
 
 
 def _read(path: str):
@@ -83,7 +83,7 @@ def cmd_disc_planar(args):
 
 def cmd_good_wheel(args):
     g, ts = _read_terminals(args)
-    w = find_s_good_wheel(TerminalGraph(g, ts, ordered=False), limit=args.limit)
+    w = find_s_good_wheel(TerminalGraph(g, ts, ordered=False))
     if w is None:
         return {"found": False}, False
     spokes = sorted(w.spokes, key=vkey)
@@ -277,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("good-wheel", help="search for a terminal-good wheel")
     common(p)
     p.add_argument("--terminals")
-    p.add_argument("--limit", type=int, default=DEFAULT_WHEEL_LIMIT)
     p.set_defaults(func=cmd_good_wheel)
 
     p = sub.add_parser("k5", help="exact K5-subdivision search")

@@ -12,7 +12,7 @@ identical outputs, and values are safe to share between workers.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from wheelkit.errors import InputDomainError
 
@@ -271,29 +271,3 @@ def complete_graph(names: Iterable[Vertex]) -> Graph:
     ns = list(names)
     return Graph(ns, combinations(ns, 2))
 
-
-def enumerate_cycles(g: Graph, length: int) -> Iterator[tuple[Vertex, ...]]:
-    """All simple cycles of exactly `length` vertices, each emitted once.
-
-    Canonical form: starts at its vkey-smallest vertex, and of the two
-    traversal directions the one whose second vertex sorts below the last
-    is emitted.  Enumeration order is deterministic.
-    """
-    order = {v: i for i, v in enumerate(g.vertices)}
-
-    def extend(path: list[Vertex], used: set[Vertex]) -> Iterator[tuple[Vertex, ...]]:
-        if len(path) == length:
-            if g.has_edge(path[-1], path[0]) and order[path[1]] < order[path[-1]]:
-                yield tuple(path)
-            return
-        for w in g.neighbors(path[-1]):
-            if w in used or order[w] <= order[path[0]]:
-                continue
-            path.append(w)
-            used.add(w)
-            yield from extend(path, used)
-            used.remove(w)
-            path.pop()
-
-    for start in g.vertices:
-        yield from extend([start], {start})

@@ -9,7 +9,6 @@ from wheelkit.graph import (
     add,
     complete_graph,
     cycle_graph,
-    enumerate_cycles,
     flood_components,
     identify,
     norm_edge,
@@ -116,13 +115,6 @@ def test_identify_edge_count_formula():
 def test_union_glues_on_shared_ids():
     g = union(path_graph(["a", "b"]), path_graph(["b", "c"]))
     assert g == path_graph(["a", "b", "c"])
-
-
-def test_enumerate_cycles_counts():
-    assert len(list(enumerate_cycles(k4(), 3))) == 4
-    assert len(list(enumerate_cycles(k4(), 4))) == 3
-    assert len(list(enumerate_cycles(c5(), 5))) == 1
-    assert list(enumerate_cycles(c5(), 4)) == []
 
 
 # -- property tests ----------------------------------------------------------

@@ -1,8 +1,17 @@
+import random
+
 import pytest
 
+from wheelkit.cli import main
 from wheelkit.errors import InputDomainError, ResourceLimitError
-from wheelkit.graph import Graph, add, complete_graph, cycle_graph
-from wheelkit.oracles import brute_wheel_search
+from wheelkit.generate import (
+    generate_terminal_planar,
+    random_planar_graph,
+    small_graph_classes,
+    terminal_set_classes,
+)
+from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph
+from wheelkit.oracles import _all_cycles, brute_wheel_search
 from wheelkit.planarity import TerminalGraph
 from wheelkit.wheels import Wheel, find_s_good_wheel, is_s_good, is_wheel
 
@@ -69,10 +78,24 @@ def test_find_wheel_none_on_cycle():
     assert find_s_good_wheel(tg) is None
 
 
-def test_find_wheel_respects_limit():
-    tg = TerminalGraph(icosahedron(), (), ordered=False)
+def test_find_wheel_decides_a_30_vertex_graph():
+    g = random_planar_graph(30, random.Random(30))
+    ts = g.vertices[:5]
+    w = find_s_good_wheel(TerminalGraph(g, ts, ordered=False))
+    assert w is not None
+    assert w.center not in ts and is_wheel(g, w) and is_s_good(g, w, ts)
+
+
+def test_find_wheel_beyond_the_kernel_cap_exits_2(tmp_path, capsys):
+    g = path_graph([str(i) for i in range(64)])
     with pytest.raises(ResourceLimitError):
-        find_s_good_wheel(tg, limit=10)
+        find_s_good_wheel(TerminalGraph(g, (), ordered=False))
+    path = tmp_path / "p64.txt"
+    path.write_text("64\n" + "".join(f"{i} {i + 1}\n" for i in range(63)))
+    assert main(["good-wheel", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: kernels capped at 63 vertices, got 64"]
 
 
 def test_find_wheel_agrees_with_brute_force():
@@ -123,3 +146,59 @@ def test_wheel_never_centered_at_terminal():
     tg2 = TerminalGraph(g, ("c",), ordered=False)
     w = find_s_good_wheel(tg2)
     assert w is None or w.center not in tg2.terminals
+
+
+def shortest_good_rim(g: Graph, ts, center) -> int | None:
+    """The fewest rim vertices of an S-good wheel centred at `center`,
+    from the oracle's cycles of g - center."""
+    nbrs = set(g.neighbors(center))
+    rest = g.induced([v for v in g.vertices if v != center])
+    bad = set(ts) - nbrs
+    rims = (c for c in _all_cycles(rest) if len(nbrs.intersection(c)) >= 3 and bad.isdisjoint(c))
+    return min(map(len, rims), default=None)
+
+
+def wheel_oracle_mismatches(cases) -> tuple[int, list]:
+    """The number of S-good wheels `find_s_good_wheel` finds among the
+    terminal graphs `cases`, and the cases where it is wrong: its verdict
+    differs from `brute_wheel_search`'s, or its witness is not an S-good
+    wheel centred off S whose rim is a shortest S-good rim at its center."""
+    found, bad = 0, []
+    for tg in cases:
+        g, ts = tg.graph, tg.terminals
+        w = find_s_good_wheel(tg)
+        if (w is None) != (brute_wheel_search(g, ts) is None):
+            bad.append(tg)
+        elif w is not None:
+            found += 1
+            if not (
+                w.center not in ts
+                and is_wheel(g, w)
+                and is_s_good(g, w, ts)
+                and len(w.rim) == shortest_good_rim(g, ts, w.center)
+            ):
+                bad.append(tg)
+    return found, bad
+
+
+def rooted_classes(n_max: int) -> list[TerminalGraph]:
+    """Every `terminal_set_classes(g, k)`, k = 4 and 5, over
+    `small_graph_classes(n_max)`."""
+    return [
+        TerminalGraph(g, ts, ordered=False)
+        for g in small_graph_classes(n_max)
+        for k in (4, 5)
+        for ts in terminal_set_classes(g, k)
+    ]
+
+
+def test_find_wheel_matches_the_oracle_on_rooted_classes_to_6_vertices():
+    cases = rooted_classes(6)
+    found, bad = wheel_oracle_mismatches(cases)
+    assert (len(cases), found, bad) == (1823, 366, [])
+
+
+def test_find_wheel_matches_the_oracle_on_the_five_terminal_stream():
+    cases = [tg for tg in generate_terminal_planar(8, 5, ("s-independent",)) if tg.graph.n > 5]
+    found, bad = wheel_oracle_mismatches(cases)
+    assert (len(cases), found, bad) == (748, 31, [])
