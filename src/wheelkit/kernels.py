@@ -1,14 +1,14 @@
 """Search kernels over bitmask adjacency, in pure Python.
 
 These are the hot loops of the whole package: exact 4-coloring, exact
-vertex-disjoint linkage, the Menger count of internally disjoint paths
-between two vertices that screens the K5 search before linkage, and
-planarity and planar embedding by path addition.  A graph enters
-through `index_graph`, which numbers its vertices in canonical order and
-builds one adjacency bitmask per vertex.  It caps the vertex count at
-63 to bound the searches.  Planarity is uncapped: `planarity` indexes a
-graph of any size through the same loop, `_index`, and appends its
-augmentation vertices as the next bit positions.
+vertex-disjoint linkage, the width-3 elimination and the Menger count of
+internally disjoint paths between two vertices that screen the K5 search
+before linkage, and planarity and planar embedding by path addition.  A
+graph enters through `index_graph`, which numbers its vertices in
+canonical order and builds one adjacency bitmask per vertex.  It caps
+the vertex count at 63 to bound the searches.  Planarity is uncapped:
+`planarity` indexes a graph of any size through the same loop, `_index`,
+and appends its augmentation vertices as the next bit positions.
 
 All kernels are deterministic:
 - coloring picks the uncolored vertex with the fewest admissible colors
@@ -17,6 +17,7 @@ All kernels are deterministic:
   paths by ascending neighbor index;
 - the disjoint-path count answers yes or no, from common neighbors or
   from breadth-first augmenting paths;
+- the width-3 elimination removes the lowest-index vertex it can;
 - planarity embeds one path at a time, a forced fragment first, else the
   first fragment in its first admissible face.
 """
@@ -120,7 +121,9 @@ def linkage_masks(
     every pair endpoint, and each other.  Paths may share endpoints only
     where the pairs themselves do.  Complete: returns None only when no
     linkage exists.  Iterative deepening on the total edge count makes the
-    first witness a minimum-total one.
+    first witness a minimum-total one.  A round that fails without the
+    budget cutting a single branch searched every linkage of every total,
+    so the search stops there: a larger budget would walk the same tree.
     """
     k = len(pairs)
     if k == 0:
@@ -148,6 +151,7 @@ def linkage_masks(
     ub = free + k
     paths: list[list[int]] = [[] for _ in range(k)]
     nbrs = [_bits(adj[v]) for v in range(n)]
+    cut = False  # the current round's budget has cut a branch
 
     def reachable_all(i: int, used: int) -> bool:
         for j in range(i, k):
@@ -166,6 +170,7 @@ def linkage_masks(
         limit = budget - suffix_lb[i + 1]
 
         def extend(v: int, length: int, interior: int) -> bool:
+            nonlocal cut
             for w in nbrs[v]:
                 if w == t:
                     paths[i] = [s] + interior_order + [t]
@@ -177,6 +182,7 @@ def linkage_masks(
                 if (used | interior) & bit:
                     continue
                 if length + 1 >= limit:
+                    cut = True
                     continue
                 interior_order.append(w)
                 if extend(w, length + 1, interior | bit):
@@ -192,6 +198,9 @@ def linkage_masks(
     while total <= ub:
         if route(0, ep_mask | forbidden, total):
             return [p[:] for p in paths]
+        if not cut:
+            return None
+        cut = False
         total += 1
     return None
 
@@ -296,6 +305,39 @@ def disjoint_paths_at_least(n: int, adj: list[int], s: int, t: int, k: int) -> b
                 prv[x] = -1
             w = x
         found += 1
+    return True
+
+
+def width_at_most_3(adj: list[int]) -> bool:
+    """Whether an elimination proves the graph's treewidth at most 3.
+
+    Each step removes the lowest-index live vertex with at most 3 live
+    neighbours and joins those neighbours pairwise.  The order of removal
+    is then an elimination ordering of width at most 3, so True proves
+    treewidth at most 3.  False, returned once every live vertex has 4
+    live neighbours or more, proves nothing: a partial 3-tree can need
+    other reductions (Arnborg and Proskurowski, SIAM J. Alg. Disc. Meth.
+    1986), and it is then left to the caller's exact test.
+    """
+    adj = adj[:]
+    live = (1 << len(adj)) - 1
+    while live:
+        rest = live
+        while rest:
+            b = rest & -rest
+            ns = adj[b.bit_length() - 1]
+            if ns.bit_count() <= 3:
+                break
+            rest ^= b
+        else:
+            return False
+        live ^= b
+        rest = ns
+        while rest:
+            c = rest & -rest
+            rest ^= c
+            u = c.bit_length() - 1
+            adj[u] = (adj[u] | ns) & ~(b | c)
     return True
 
 

@@ -160,10 +160,25 @@ def find_k5_subdivision(g: Graph, *, limit: int = DEFAULT_SEARCH_LIMIT) -> Subdi
     """Complete exact search for a K5-subdivision.
 
     Branch candidates are the vertices of degree >= 4 (forced by the
-    definition).  A K5-subdivision joins two branch vertices by their own
-    path and one through each other branch vertex, so a pair of
-    candidates that no 4 internally disjoint paths join lies in no branch
-    set.  The 5-sets are grown in canonical (lexicographic) order, and a
+    definition).  Three screens run before any linkage search, cheapest
+    first:
+    - fewer than 5 candidates or fewer than 10 edges: no K5-subdivision;
+    - `kernels.width_at_most_3`: a graph it certifies has treewidth at
+      most 3 and no K5-subdivision, so the search returns None at once;
+    - the Menger screen: a K5-subdivision joins two branch vertices by
+      their own path and one through each other branch vertex, so a pair
+      of candidates that no 4 internally disjoint paths join lies in no
+      branch set.
+    The width screen proves what the Menger screen would conclude.  In a
+    graph of treewidth at most 3, two vertices that share no bag are
+    separated by an adhesion set of at most 3 vertices that holds
+    neither; subtrees of the decomposition that meet pairwise share a bag
+    (the Helly property), and a bag holds at most 4 vertices.  So no 5
+    vertices are pairwise joined by 4 internally disjoint paths, and the
+    Menger screen would reject every 5-set: no verdict, witness or
+    linkage call changes.
+
+    The 5-sets are grown in canonical (lexicographic) order, and a
     prefix is extended only by a candidate joined in that way to every
     vertex already in it; each pair is asked of
     `kernels.disjoint_paths_at_least` at most once, when first needed.
@@ -178,7 +193,7 @@ def find_k5_subdivision(g: Graph, *, limit: int = DEFAULT_SEARCH_LIMIT) -> Subdi
     _, adj = kernels.index_graph(g)
     n = g.n
     cands = [v for v in range(n) if adj[v].bit_count() >= 4]
-    if len(cands) < 5 or g.m < 10:
+    if len(cands) < 5 or g.m < 10 or kernels.width_at_most_3(adj):
         return None
     joined: dict[int, bool] = {}  # s*n + t -> 4 paths join s < t
 

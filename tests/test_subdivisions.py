@@ -29,7 +29,7 @@ from wheelkit.subdivisions import (
     wheel_plus_paths_to_k5,
 )
 from wheelkit.wheels import Wheel
-from tests.test_planarity import icosahedron
+from tests.test_planarity import icosahedron, k33, octahedron
 
 
 def petersen():
@@ -135,6 +135,23 @@ def test_linkage_agrees_with_oracle_on_small_cases():
         got = find_disjoint_paths(g, pairs)
         want = brute_disjoint_paths(g, pairs)
         assert (got is None) == (want is None)
+
+
+def test_linkage_agrees_with_oracle_on_stacked_triangulations():
+    """Three random pairs on 200 seeded stacked triangulations with 12
+    vertices.  On 10 of them a linkage exists but the deepening fails
+    its first round with the budget cutting a branch, so a kernel that
+    stopped at any failed round would call them unlinkable."""
+    rng = random.Random(5)
+    linked = 0
+    for _ in range(200):
+        g = random_planar_graph(12, rng, keep_fraction=1.0)
+        vs = rng.sample(g.vertices, len(g.vertices))
+        pairs = list(zip(vs[0:6:2], vs[1:6:2]))
+        got = find_disjoint_paths(g, pairs)
+        assert (got is None) == (brute_disjoint_paths(g, pairs) is None), (g.edges, pairs)
+        linked += got is not None
+    assert linked == 141
 
 
 def test_k5_agrees_with_oracle_on_small_cases():
@@ -401,6 +418,74 @@ def test_screen_linkage_call_counts(monkeypatch):
     assert sum(g.degree(v) >= 4 for v in g.vertices) == 8
     assert find_k5_subdivision(g) is None
     assert calls == []
+
+
+# -- the width-3 screen --------------------------------------------------------
+
+
+def antiprism(k):
+    """Two k-cycles a0..a(k-1) and b0..b(k-1), with ai joined to bi and
+    b(i+1): a 4-regular planar graph."""
+    a = [f"a{i}" for i in range(k)]
+    b = [f"b{i}" for i in range(k)]
+    edges = [(x[i], x[(i + 1) % k]) for x in (a, b) for i in range(k)]
+    edges += [(a[i], b[i]) for i in range(k)] + [(a[i], b[(i + 1) % k]) for i in range(k)]
+    return Graph(a + b, edges)
+
+
+def width_certified(g):
+    return kernels.width_at_most_3(kernels.index_graph(g)[1])
+
+
+def width_lemma_counts(graphs, four_paths):
+    """The number of graphs that `kernels.width_at_most_3` certifies, and
+    the certified graphs with 5 branch candidates that `four_paths` joins
+    pairwise by 4 internally disjoint paths (treewidth 3 leaves none)."""
+    certified, bad = 0, []
+    for g in graphs:
+        _, adj = kernels.index_graph(g)
+        if not kernels.width_at_most_3(adj):
+            continue
+        certified += 1
+        cands = [v for v in range(g.n) if adj[v].bit_count() >= 4]
+        joined = {(s, t) for s, t in combinations(cands, 2) if four_paths(g.n, adj, s, t, 4)}
+        if any(all(p in joined for p in combinations(c, 2)) for c in combinations(cands, 5)):
+            bad.append(g)
+    return certified, bad
+
+
+def test_width_certified_graphs_have_no_k5_subdivision():
+    certified = [g for g in small_graph_classes(7) if width_certified(g)]
+    assert len(certified) == 1057
+    assert not any(brute_k5_subdivision(g) for g in certified)
+
+
+def test_width_certified_graphs_have_no_five_pairwise_joined_candidates():
+    certified, bad = width_lemma_counts(small_graph_classes(7), arcset_disjoint_paths_at_least)
+    assert (certified, bad) == (1057, [])
+
+
+def test_width_kernel_refuses_and_certifies():
+    for g in (complete_graph(list("abcde")), octahedron(), icosahedron()):
+        assert not width_certified(g), g.edges
+    assert width_certified(k33())
+    assert all(width_certified(g) for g in k5_search_graphs())
+
+
+def test_planar_graphs_of_width_four_go_through_the_menger_screen(monkeypatch):
+    asked = []
+    menger = kernels.disjoint_paths_at_least
+
+    def recorded(*args):
+        asked.append(args)
+        return menger(*args)
+
+    monkeypatch.setattr(kernels, "disjoint_paths_at_least", recorded)
+    for g in (octahedron(), antiprism(5), icosahedron()):
+        assert not width_certified(g)
+        asked.clear()
+        assert find_k5_subdivision(g) is None, g.edges
+        assert asked, g.edges
 
 
 def test_validate_subdivision_rejects_shared_interior():
