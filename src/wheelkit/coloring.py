@@ -15,12 +15,19 @@ from wheelkit.errors import InputDomainError, ResourceLimitError
 from wheelkit.graph import Graph, Vertex
 
 COLORS = (1, 2, 3, 4)
+_COLOR_SET = frozenset(COLORS)
 DEFAULT_COLOR_LIMIT = 32
 
 
 def is_proper(g: Graph, coloring: Mapping[Vertex, int], *, total: bool = False) -> bool:
-    """Independent propriety check: no edge with both ends colored equal."""
+    """Independent propriety check: every color is in 1..4 and no edge has
+    both ends colored equal."""
     if total and set(coloring) != set(g.vertices):
+        return False
+    try:
+        if not _COLOR_SET.issuperset(coloring.values()):
+            return False
+    except TypeError:  # an unhashable value is no color
         return False
     for u, v in g.edges:
         cu, cv = coloring.get(u), coloring.get(v)
@@ -33,11 +40,11 @@ def four_color(g: Graph, *, limit: int = DEFAULT_COLOR_LIMIT) -> dict[Vertex, in
     """A total proper 4-coloring, or None; exact backtracking search."""
     if g.n > limit:
         raise ResourceLimitError(f"coloring search capped at {limit} vertices, got {g.n}")
-    idx, adj = kernels.index_graph(g)
+    _, adj = kernels.index_graph(g)
     res = kernels.four_color_masks(g.n, adj)
     if res is None:
         return None
-    out = {v: res[idx[v]] + 1 for v in g.vertices}
+    out = {v: c + 1 for v, c in zip(g.vertices, res)}
     assert is_proper(g, out, total=True)
     return out
 

@@ -11,8 +11,10 @@ the vertex count at 63 to bound the searches.  Planarity is uncapped:
 and appends its augmentation vertices as the next bit positions.
 
 All kernels are deterministic:
-- coloring picks the uncolored vertex with the fewest admissible colors
-  (ties by index) and tries colors in ascending order;
+- coloring holds one mask per color (the uncolored vertices that may
+  still take it), counts every vertex's admissible colors at once with a
+  bit-sliced adder, picks the uncolored vertex with the fewest (ties by
+  index) and tries colors in ascending order;
 - linkage runs iterative deepening on the total path length and grows
   paths by ascending neighbor index;
 - the disjoint-path count answers yes or no, from common neighbors or
@@ -30,8 +32,6 @@ from wheelkit.graph import Graph, Vertex
 BACKEND = "pure"
 
 MAX_KERNEL_VERTICES = 63
-
-_FULL = 0b1111
 
 
 def index_graph(g: Graph) -> tuple[dict[Vertex, int], list[int]]:
@@ -60,53 +60,65 @@ def _index(g: Graph) -> tuple[dict[Vertex, int], list[int]]:
 def four_color_masks(n: int, adj: list[int]) -> list[int] | None:
     """Exact proper 4-coloring; colors are 0..3, or None if none exists.
 
-    Backtracking with forced-move propagation: assigning a color removes
-    it from uncolored neighbors, and a neighbor left with no admissible
-    color fails the branch immediately.
+    Backtracking with forced-move propagation on four color masks p0..p3:
+    bit v of the mask of color c is set while v is uncolored and may
+    still take c.  Coloring v with c clears v from every mask and
+    `adj[v] & pc` from pc; the branch is dead when that set meets the
+    vertices with exactly one admissible color, since one of them would
+    be left with none.  So every uncolored vertex keeps at least one
+    color, and the union of the masks is the uncolored set.
+
+    Each node counts every vertex's colors at once with two half adders,
+    `p0 + p1` and `p2 + p3`, summed into bits h0 and h1 (a count of 4
+    wraps to 0, like a colored vertex).  It colors the lowest vertex of
+    the first non-empty mask among "exactly 1", "exactly 2", "exactly
+    3" and "uncolored" (then all have 4).  That is the vertex a scan in
+    index order for the fewest admissible colors would pick: the least
+    count wins, and the lowest set bit is the lowest index.  The
+    children, one per admissible color that survives the check, go on
+    an explicit stack in descending color order, so they are searched
+    depth first in ascending color order, and the coloring returned is
+    the first complete one in that order.
     """
     if n == 0:
         return []
     colors = [-1] * n
-    avail = [_FULL] * n
-    nbrs = [_bits(adj[v]) for v in range(n)]
-
-    def solve() -> bool:
-        best = -1
-        best_k = 5
-        for v in range(n):
-            if colors[v] == -1:
-                k = avail[v].bit_count()
-                if k < best_k:
-                    best_k = k
-                    best = v
-                    if k <= 1:
-                        break
-        if best == -1:
-            return True
-        v = best
-        mask = avail[v]
-        for c in range(4):
-            bit = 1 << c
-            if not mask & bit:
-                continue
-            colors[v] = c
-            trail = []
-            dead = False
-            for u in nbrs[v]:
-                if colors[u] == -1 and avail[u] & bit:
-                    avail[u] &= ~bit
-                    trail.append(u)
-                    if avail[u] == 0:
-                        dead = True
-                        break
-            if not dead and solve():
-                return True
-            for u in trail:
-                avail[u] |= bit
-            colors[v] = -1
-        return False
-
-    return colors[:] if solve() else None
+    p0 = p1 = p2 = p3 = (1 << n) - 1
+    stack = []
+    push = stack.append
+    while True:
+        x0 = p0 ^ p1
+        x1 = p2 ^ p3
+        h0 = x0 ^ x1
+        h1 = p0 & p1 ^ p2 & p3 ^ x0 & x1
+        one = h0 & ~h1
+        pick = one or h1 & ~h0 or h0 & h1 or p0 | p1 | p2 | p3
+        if not pick:
+            return colors
+        b = pick & -pick
+        v = b.bit_length() - 1
+        nb = adj[v]
+        k = ~b
+        if p3 & b:
+            hit = nb & p3
+            if not hit & one:
+                push((p0 & k, p1 & k, p2 & k, p3 & k & ~hit, v, 3))
+        if p2 & b:
+            hit = nb & p2
+            if not hit & one:
+                push((p0 & k, p1 & k, p2 & k & ~hit, p3 & k, v, 2))
+        if p1 & b:
+            hit = nb & p1
+            if not hit & one:
+                push((p0 & k, p1 & k & ~hit, p2 & k, p3 & k, v, 1))
+        if p0 & b:
+            hit = nb & p0
+            if not hit & one:
+                push((p0 & k & ~hit, p1 & k, p2 & k, p3 & k, v, 0))
+        if not stack:
+            return None
+        p0, p1, p2, p3, v, c = stack.pop()
+        colors[v] = c
 
 
 def linkage_masks(

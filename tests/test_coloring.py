@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given
 
+from wheelkit import kernels
 from wheelkit.coloring import assign_then_extend, four_color, is_proper
 from wheelkit.errors import InputDomainError
-from wheelkit.graph import Graph, add, complete_graph, cycle_graph
+from wheelkit.generate import random_graph, random_planar_graph, small_graph_classes
+from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph
 from wheelkit.oracles import brute_four_color
 
 from tests.test_graph import graphs
@@ -109,3 +113,97 @@ def test_assign_then_extend_rejects_base_color_outside_range(color):
     g = complete_graph(list("ab"))
     with pytest.raises(InputDomainError, match="outside 1..4"):
         assign_then_extend(g, {"a": color}, {}, ["b"])
+
+
+@pytest.mark.parametrize("color", [0, 7, -1, "1", None, [1]])
+def test_is_proper_rejects_a_color_outside_1_to_4(color):
+    g = path_graph(["a", "b"])
+    assert not is_proper(g, {"a": color, "b": 2}, total=True)
+    assert not is_proper(g, {"a": color})
+    assert is_proper(g, {"a": 1, "b": 2}, total=True)
+
+
+def reference_four_color(n, adj):
+    """The recursive search `kernels.four_color_masks` replaced: one
+    admissible-color mask per vertex, a scan for the uncolored vertex
+    with the fewest (ties by index), colors in ascending order, and a
+    trail that undoes the forward check on backtracking."""
+    if n == 0:
+        return []
+    colors = [-1] * n
+    avail = [0b1111] * n
+    nbrs = [[u for u in range(n) if adj[v] >> u & 1] for v in range(n)]
+
+    def solve():
+        best, best_k = -1, 5
+        for v in range(n):
+            if colors[v] == -1:
+                k = avail[v].bit_count()
+                if k < best_k:
+                    best, best_k = v, k
+                    if k <= 1:
+                        break
+        if best == -1:
+            return True
+        v = best
+        for c in range(4):
+            bit = 1 << c
+            if not avail[v] & bit:
+                continue
+            colors[v] = c
+            trail = []
+            dead = False
+            for u in nbrs[v]:
+                if colors[u] == -1 and avail[u] & bit:
+                    avail[u] &= ~bit
+                    trail.append(u)
+                    if avail[u] == 0:
+                        dead = True
+                        break
+            if not dead and solve():
+                return True
+            for u in trail:
+                avail[u] |= bit
+            colors[v] = -1
+        return False
+
+    return colors[:] if solve() else None
+
+
+def kernel_reference_mismatches(graphs):
+    """The number of `graphs` with no 4-coloring, and the graphs on which
+    `kernels.four_color_masks` returns another list than
+    `reference_four_color`."""
+    uncolorable, bad = 0, []
+    for g in graphs:
+        _, adj = kernels.index_graph(g)
+        want = reference_four_color(g.n, adj)
+        uncolorable += want is None
+        if kernels.four_color_masks(g.n, adj) != want:
+            bad.append(g)
+    return uncolorable, bad
+
+
+def test_kernel_matches_reference_on_graph_classes_to_7_vertices():
+    graphs = small_graph_classes(7)
+    assert (len(graphs), *kernel_reference_mismatches(graphs)) == (1252, 66, [])
+
+
+def test_kernel_matches_reference_on_random_planar_graphs():
+    rng = random.Random(38)
+    graphs = [random_planar_graph(9 + i % 4, rng, keep_fraction=0.95) for i in range(400)]
+    assert kernel_reference_mismatches(graphs) == (0, [])
+
+
+def test_kernel_matches_reference_on_random_graphs():
+    rng = random.Random(13)
+    graphs = [random_graph(i % 14, rng.random(), rng) for i in range(500)]
+    assert kernel_reference_mismatches(graphs) == (115, [])
+
+
+def test_four_color_matches_enumeration_on_graph_classes_to_6_vertices():
+    graphs = small_graph_classes(6)
+    verdicts = [(four_color(g) is None, brute_four_color(g) is None) for g in graphs]
+    assert len(graphs) == 208
+    assert sum(ours for ours, _ in verdicts) == 7
+    assert all(ours == brute for ours, brute in verdicts)
