@@ -11,12 +11,11 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from wheelkit import kernels
-from wheelkit.errors import InputDomainError, ResourceLimitError
+from wheelkit.errors import InputDomainError
 from wheelkit.graph import Graph, Vertex
 
 COLORS = (1, 2, 3, 4)
 _COLOR_SET = frozenset(COLORS)
-DEFAULT_COLOR_LIMIT = 32
 
 
 def is_proper(g: Graph, coloring: Mapping[Vertex, int], *, total: bool = False) -> bool:
@@ -36,10 +35,9 @@ def is_proper(g: Graph, coloring: Mapping[Vertex, int], *, total: bool = False) 
     return True
 
 
-def four_color(g: Graph, *, limit: int = DEFAULT_COLOR_LIMIT) -> dict[Vertex, int] | None:
-    """A total proper 4-coloring, or None; exact backtracking search."""
-    if g.n > limit:
-        raise ResourceLimitError(f"coloring search capped at {limit} vertices, got {g.n}")
+def four_color(g: Graph) -> dict[Vertex, int] | None:
+    """A total proper 4-coloring, or None; exact backtracking search.  The
+    kernels' vertex cap applies."""
     _, adj = kernels.index_graph(g)
     res = kernels.four_color_masks(g.n, adj)
     if res is None:

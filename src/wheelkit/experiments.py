@@ -20,7 +20,6 @@ from wheelkit.catalog import catalog, matches_catalog, verify_catalog
 from wheelkit.errors import InputDomainError, WheelkitError
 from wheelkit.gadgets import gadget_library, lift_subdivision, reduced_witnesses, validate_rule
 from wheelkit.generate import (
-    DEFAULT_GENERATION_LIMIT,
     generate_terminal_planar,
     random_graph,
     random_planar_graph,
@@ -29,6 +28,7 @@ from wheelkit.generate import (
     terminal_set_classes,
 )
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, remove, union
+from wheelkit.kernels import MAX_KERNEL_VERTICES
 from wheelkit.oracles import (
     brute_disc_planar,
     brute_disjoint_paths,
@@ -58,29 +58,26 @@ class Config:
     seed: int = 20191105
     oracle_bound: int = 8
     search_bound: int = 12
-    generation_bound: int = 9
     instances: int = 200
 
     def validate(self) -> None:
         """Raise InputDomainError naming the first key out of its range.
 
         oracle-equivalence draws graphs of 5 to oracle_bound vertices for
-        its K5 check, planar-no-k5 draws graphs of 5 to search_bound
-        vertices, and gen-catalog-members streams graphs with 5 terminals,
-        so all three bounds must reach 5.  planar-no-k5's exhaustive K5
-        search grows about tenfold per two vertices, so search_bound stops
-        at 16, where the default instances still take seconds.  The oracles
-        of oracle-equivalence grow faster (its default instances took about
+        its K5 check and planar-no-k5 draws graphs of 5 to search_bound
+        vertices, so both bounds must reach 5.  The oracles of
+        oracle-equivalence grow fastest (its default instances took about
         2 s at oracle_bound 10 and 4.5 s at 11 on 2 cores): it stops at 10.
-        The stream refuses more than DEFAULT_GENERATION_LIMIT (9) vertices,
-        so generation_bound stops there.
+        planar-no-k5's inputs all pass the K5 search's width-3 screen, so
+        search_bound stops only at the kernels' MAX_KERNEL_VERTICES (63),
+        where the default instances take under a second.
         """
-        minimums = {"oracle_bound": 5, "search_bound": 5, "generation_bound": 5, "instances": 1}
+        minimums = {"oracle_bound": 5, "search_bound": 5, "instances": 1}
         for key, low in minimums.items():
             value = getattr(self, key)
             if value < low:
                 raise InputDomainError(f"config {key} = {value} is below its minimum {low}")
-        maximums = {"oracle_bound": 10, "search_bound": 16, "generation_bound": DEFAULT_GENERATION_LIMIT}
+        maximums = {"oracle_bound": 10, "search_bound": MAX_KERNEL_VERTICES}
         for key, high in maximums.items():
             value = getattr(self, key)
             if value > high:
@@ -345,13 +342,12 @@ def run_trichotomy_regression(seed):
     return instances, counterexamples
 
 
-def run_gen_catalog_members(generation_bound):
+def run_gen_catalog_members():
     instances, counterexamples = 0, []
     found = set()
-    # W1 and W2 have six vertices; a larger bound would only add graphs
-    # that cannot match them.
-    n_max = min(generation_bound, 6)
-    for tg in generate_terminal_planar(n_max, 5, filters=("s-independent",)):
+    # W1 and W2 have six vertices: a larger stream would only add graphs
+    # that cannot match them, and a smaller one misses both.
+    for tg in generate_terminal_planar(6, 5, filters=("s-independent",)):
         instances += 1
         m = matches_catalog(tg)
         if m is not None:

@@ -46,9 +46,11 @@ def from_graph6(line: str) -> Graph:
     if not 0 <= n <= _G6_MAX:
         raise InputDomainError("unsupported graph6 size prefix")
     need = (n * (n - 1) // 2 + 5) // 6
-    body = s[1 : 1 + need]
+    body = s[1:]
     if len(body) < need:
         raise InputDomainError("truncated graph6 line")
+    if len(body) > need:
+        raise InputDomainError(f"graph6 line holds {len(body) - need} bytes past its {n}-vertex encoding")
     bits = []
     for ch in body:
         val = ord(ch) - 63

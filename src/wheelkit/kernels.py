@@ -79,6 +79,11 @@ def four_color_masks(n: int, adj: list[int]) -> list[int] | None:
     an explicit stack in descending color order, so they are searched
     depth first in ascending color order, and the coloring returned is
     the first complete one in that order.
+
+    When every uncolored vertex has 4 colors, the colored ones fill whole
+    components, whose colors no later branch depends on.  The stack is
+    dropped there, so a component with no coloring is not retried under
+    every coloring of those before it; no coloring changes.
     """
     if n == 0:
         return []
@@ -92,9 +97,12 @@ def four_color_masks(n: int, adj: list[int]) -> list[int] | None:
         h0 = x0 ^ x1
         h1 = p0 & p1 ^ p2 & p3 ^ x0 & x1
         one = h0 & ~h1
-        pick = one or h1 & ~h0 or h0 & h1 or p0 | p1 | p2 | p3
+        pick = one or h1 & ~h0 or h0 & h1
         if not pick:
-            return colors
+            pick = p0 | p1 | p2 | p3
+            if not pick:
+                return colors
+            stack.clear()
         b = pick & -pick
         v = b.bit_length() - 1
         nb = adj[v]

@@ -77,25 +77,15 @@ def brute_four_color(g: Graph) -> dict[Vertex, int] | None:
     return None
 
 
-def all_simple_paths(g: Graph, s: Vertex, t: Vertex, banned: frozenset) -> list[tuple[Vertex, ...]]:
-    """Every simple s-t path whose interior avoids `banned`, in the order
-    of a depth-first walk that tries each vertex's neighbours in
-    `g.neighbors` order.  Ends that are equal or not vertices of `g`
-    raise `InputDomainError`; banned ids outside `g` are ignored."""
-    _check_ends(g, [(s, t)])
-    vs, pos, nbrs = _indexed(g)
-    return [tuple(vs[x] for x in p) for p, _ in _paths(nbrs, pos[s], pos[t], _mask(pos, banned))]
-
-
 def brute_disjoint_paths(g: Graph, pairs, forbidden=()) -> tuple[tuple[Vertex, ...], ...] | None:
     """The first system of internally disjoint paths, one per pair in
     order, whose interiors avoid `forbidden` and every pair's ends.
 
-    Pair i's paths come from `all_simple_paths`' walk, in its order, and
-    `_link` tries them depth first: path 0 of pair 0, then every fitting
-    path of pair 1, and so on.  A pair whose ends are equal, or an end
-    that is not a vertex of `g`, raises `InputDomainError`, whether or
-    not its pair is reached; forbidden ids outside `g` are ignored.
+    Pair i's paths come from `_paths`' walk, in its order, and `_link`
+    tries them depth first: path 0 of pair 0, then every fitting path of
+    pair 1, and so on.  A pair whose ends are equal, or an end that is
+    not a vertex of `g`, raises `InputDomainError`, whether or not its
+    pair is reached; forbidden ids outside `g` are ignored.
     """
     pairs = [tuple(p) for p in pairs]
     _check_ends(g, pairs)

@@ -101,14 +101,19 @@ def _first(x: int, y: int) -> bool:
 def split(g: Graph, cut, exclusive) -> Separation:
     """The separation of g whose side1 is `exclusive` plus the cut, with
     every edge that meets `exclusive`; side2 is the rest of g, with the
-    cut-internal edges.  An unknown vertex id, or an edge from `exclusive`
-    to a vertex outside `exclusive` and the cut, is an input error."""
-    unknown = (set(exclusive) | set(cut)) - set(g.vertices)
+    cut-internal edges.  An unknown vertex id, an id named twice (in one
+    list or in both), or an edge from `exclusive` to a vertex outside
+    `exclusive` and the cut, is an input error."""
+    ids = [*cut, *exclusive]
+    unknown = set(ids) - set(g.vertices)
     if unknown:
         raise InputDomainError(f"unknown vertex ids: {sorted(unknown, key=vkey)}")
+    twice = {v for v in ids if ids.count(v) > 1}
+    if twice:
+        raise InputDomainError(f"vertex ids named twice in the cut and side: {sorted(twice, key=vkey)}")
     idx, _, ends = _indexed(g)
-    a = sum({1 << idx[v] for v in exclusive})
-    c = sum({1 << idx[v] for v in cut})
+    a = sum(1 << idx[v] for v in exclusive)
+    c = sum(1 << idx[v] for v in cut)
     for e, em in zip(g.edges, ends):
         if em & a and em & ~(a | c):
             raise InputDomainError(f"edge {e} crosses the claimed separation")

@@ -23,6 +23,7 @@ from itertools import combinations
 from pathlib import Path
 
 from wheelkit.catalog import catalog
+from wheelkit.coloring import is_proper
 from wheelkit.gio import from_graph6, parse_edgelist
 from wheelkit.graph import Graph
 from wheelkit.planarity import TerminalGraph, is_disc_planar
@@ -63,6 +64,7 @@ FILES = {
     "two_triangles.txt": "6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n",
     "c5.txt": "5\n0 1\n1 2\n2 3\n3 4\n4 0\nS: 0 1 2 3 4\n",
     "c6.txt": "6\n0 1\n0 5\n1 2\n2 3\n3 4\n4 5\n",
+    "c8.txt": "8\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 0\n",
     # the catalog member W1: hub 0 on four of its five terminals
     "w1.txt": "6\n0 1\n0 2\n0 3\n0 4\nS: 1 2 3 4 5\n",
     # W1 (hub 0, terminals 3..7) glued on its terminals to the edge 1-2,
@@ -77,6 +79,8 @@ FILES = {
     "grid5x8.txt": _grid(5, 8),
     "bad_index.txt": "3\n0 5\n",
     "bad_line.txt": "3\n0 1 2\n",
+    # five vertices need two bytes after the size byte
+    "junk.g6": "D??junk\n",
     "not_utf8.txt": b"\xff\xfe\x00",
     "quick.cfg": "# a short run\n\ninstances = 10\n",
     "bench.cfg": "seed = 99\ninstances = 20\n",
@@ -157,10 +161,17 @@ CASES = [
     (("k5", "k5.g6"), 0,
      {"found": True, "branch": list("01234"), "paths": [list(e) for e in combinations("01234", 2)]}),
     (("k5", "wheel10.txt"), 1, {"found": False}),
+    # the K5 search keeps its 12-vertex default cap
+    (("k5", "grid5x8.txt"), 2, "error: subdivision search capped at 12 vertices, got 40"),
     (("color", "wheel10.txt"), 0, {"colorable": True, "assignment": {
         "0": 1, "1": 2, "2": 3, "3": 2, "4": 3, "5": 2, "6": 3, "7": 2, "8": 3, "9": 2, "10": 3,
     }}),
     (("color", "k5.g6"), 1, {"colorable": False, "assignment": None}),
+    # past 32 vertices: only the kernels' 63-vertex cap bounds the coloring
+    (("color", "grid5x8.txt"), 0, lambda report: report["colorable"] and is_proper(
+        parse_edgelist(FILES["grid5x8.txt"])[0], report["assignment"], total=True
+    )),
+    (("color", "junk.g6"), 2, "error: graph6 line holds 4 bytes past its 5-vertex encoding"),
     (("color", "bad_index.txt"), 2, "error: vertex index 5 out of range 0..2"),
     (("color", "bad_line.txt"), 2, "error: bad edge line: '0 1 2'"),
     (("separations", "star_k7.g6", "--planar-side", "-k", "4"), 0, _planar_sides_with_star),
@@ -189,6 +200,8 @@ CASES = [
      "error: edge ('1', '2') crosses the claimed separation"),
     (("trichotomy", "w1_glued.txt", "--cut", "3,4,5,6,7", "--side", "99"), 2,
      "error: unknown vertex ids: ['99']"),
+    (("trichotomy", "c8.txt", "--cut", "0,2,4", "--side", "1,2,3"), 2,
+     "error: vertex ids named twice in the cut and side: ['2']"),
     (("catalog", "list"), 0, lambda report: [m["name"] for m in report] == [m.name for m in catalog()]),
     (("catalog", "dump", "--format", "graph6"), 0,
      _dumps(lambda tg, text: from_graph6(text) == _indexed(tg)[0])),
@@ -248,7 +261,7 @@ CASES = [
     (("verify", "planar-no-k5", "--config", "bad_key.cfg"), 2,
      "error: bad_key.cfg:1: unknown config key 'sead'"),
     (("verify", "gen-catalog-members", "--config", "gen4.cfg"), 2,
-     "error: config generation_bound = 4 is below its minimum 5"),
+     "error: gen4.cfg:1: unknown config key 'generation_bound'"),
     (("planar", "not_utf8.txt"), 2,
      "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     (("planar", "missing.txt"), 2, "error: [Errno 2] No such file or directory: 'missing.txt'"),

@@ -82,12 +82,10 @@ def test_lift_map_rejects_bad_entries(run_row, extra, message):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("generation_bound", 4),
-        ("generation_bound", 10),
         ("oracle_bound", 4),
         ("oracle_bound", 11),
         ("search_bound", 4),
-        ("search_bound", 17),
+        ("search_bound", 64),
         ("instances", 0),
     ],
 )

@@ -7,9 +7,11 @@ from wheelkit import kernels
 from wheelkit.coloring import assign_then_extend, four_color, is_proper
 from wheelkit.errors import InputDomainError
 from wheelkit.generate import random_graph, random_planar_graph, small_graph_classes
-from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph
+from wheelkit.gio import parse_edgelist
+from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, union
 from wheelkit.oracles import brute_four_color
 
+from tests.cli_cases import _grid
 from tests.test_graph import graphs
 
 
@@ -32,6 +34,23 @@ def test_five_wheel_colorable():
     g = add(cycle_graph(rim), {"x"}, [("x", v) for v in rim])
     col = four_color(g)
     assert col is not None and is_proper(g, col, total=True)
+
+
+def test_four_color_colors_planar_graphs_to_the_kernel_cap():
+    """Only the kernels' 63-vertex cap bounds the search."""
+    rng = random.Random(39)
+    for n in range(33, 64):
+        g = random_planar_graph(n, rng, keep_fraction=rng.uniform(0.6, 1.0))
+        col = four_color(g)
+        assert col is not None and is_proper(g, col, total=True), n
+
+
+def test_four_color_refuses_k5_beside_a_grid_of_56_vertices():
+    """The grid's vertices come first, so a search that backtracked into
+    a finished component would retry the K5 under every grid coloring."""
+    grid, _ = parse_edgelist(_grid(7, 8))
+    g = union(complete_graph([f"k{i}" for i in range(5)]), grid)
+    assert g.n == 61 and four_color(g) is None
 
 
 @given(graphs(max_n=6))

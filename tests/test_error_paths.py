@@ -32,9 +32,11 @@ def test_k5_search_limit():
 
 
 def test_four_color_limit():
-    g = cycle_graph([f"v{i}" for i in range(40)])
-    with pytest.raises(ResourceLimitError):
-        four_color(g, limit=32)
+    # the kernels' cap; 63 vertices still color
+    assert four_color(cycle_graph([f"v{i}" for i in range(63)])) is not None
+    g = cycle_graph([f"v{i}" for i in range(64)])
+    with pytest.raises(ResourceLimitError, match="kernels capped at 63 vertices, got 64"):
+        four_color(g)
 
 
 def test_separations_negative_order():

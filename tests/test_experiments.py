@@ -8,7 +8,7 @@ from wheelkit.errors import InputDomainError
 from wheelkit.experiments import EXPERIMENTS, Config, run_experiment
 from wheelkit.gadgets import Lift, gadget_case
 
-from tests.test_acceptance import GOLDEN, without_elapsed
+from tests.test_acceptance import GOLDEN
 
 
 def test_unknown_experiment_errors():
@@ -44,18 +44,6 @@ def test_programming_error_is_not_a_counterexample(monkeypatch):
         run_experiment("wheel-k5-construction")
 
 
-def test_generation_bound_steers_gen_catalog_members():
-    full = run_experiment("gen-catalog-members")
-    assert full.passed
-    assert without_elapsed(full) == GOLDEN["gen-catalog-members"]
-    short = run_experiment("gen-catalog-members", Config(generation_bound=5))
-    assert not short.passed
-    assert short.counterexamples == [
-        "stream missed catalog member W1",
-        "stream missed catalog member W2",
-    ]
-
-
 def test_search_bound_steers_planar_no_k5():
     # graphs are drawn with 5 to search_bound vertices, so a bound below
     # the default 12 still runs every instance inside the search cap
@@ -87,9 +75,7 @@ def test_each_experiment_takes_only_the_keys_it_reads():
 def test_keys_not_echoed_do_not_change_the_report(name):
     # disc-planar-oracle is left out for time; it reads no key at all
     base = Config(instances=20)
-    other = Config(
-        seed=base.seed + 1, oracle_bound=7, search_bound=13, generation_bound=8, instances=21
-    )
+    other = Config(seed=base.seed + 1, oracle_bound=7, search_bound=13, instances=21)
     unread = {f.name: getattr(other, f.name) for f in fields(Config) if f.name not in GOLDEN[name]["config"]}
     a = run_experiment(name, base).as_dict()
     b = run_experiment(name, replace(base, **unread)).as_dict()

@@ -52,6 +52,18 @@ def test_graph6_header_accepted():
     assert g.n == 4 and g.m == 6
 
 
+def test_graph6_bytes_past_the_encoding_error():
+    """Five vertices need two bytes after the size byte; networkx refuses
+    the same line ("Expected 10 bits but got 36")."""
+    assert from_graph6("D??").m == 0
+    with pytest.raises(InputDomainError, match="4 bytes past its 5-vertex encoding"):
+        from_graph6("D??junk")
+    with pytest.raises(InputDomainError, match="1 bytes past its 4-vertex encoding"):
+        sniff_graph(">>graph6<<C~~\n")
+    with pytest.raises(InputDomainError, match="truncated"):
+        from_graph6("D?")
+
+
 def test_edgelist_round_trip_with_terminals():
     g = cycle_graph(["a", "b", "c", "d", "e"])
     text = to_edgelist(g, terminals=("a", "c"))

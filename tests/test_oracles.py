@@ -12,7 +12,6 @@ from wheelkit.generate import random_graph, small_graph_classes
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, remove, union
 from wheelkit.oracles import (
     _component_faces,
-    all_simple_paths,
     brute_disc_planar,
     brute_disjoint_paths,
     brute_four_color,
@@ -279,19 +278,22 @@ def eager_disjoint_paths(g, pairs, forbidden=()):
 
 
 def test_path_walk_matches_the_vertex_set_walk():
-    """The same paths in the same order, with no banned vertex, with
-    banned vertices, and with banned ids that are ends or not vertices."""
+    """One pair's witness is the vertex-set walk's first path, or None when
+    that walk finds none, with no banned vertex, with banned vertices,
+    and with banned ids that are ends or not vertices."""
     rng = random.Random(37)
-    walked = 0
+    linked = unlinked = 0
     for g in random_graphs(37, 200, 3, 8, 0.3, 0.8):
         s, t = rng.sample(g.vertices, 2)
         rest = [v for v in g.vertices if v not in (s, t)]
         some = frozenset(rng.sample(rest, rng.randrange(len(rest) + 1)))
         for banned in (frozenset(), some, some | {s, t, "zz"}):
-            got = all_simple_paths(g, s, t, banned)
-            assert got == set_walk_paths(g, s, t, banned), (g.edges, s, t, banned)
-            walked += len(got)
-    assert walked > 5000
+            got = brute_disjoint_paths(g, [(s, t)], banned)
+            want = set_walk_paths(g, s, t, banned)
+            assert got == ((want[0],) if want else None), (g.edges, s, t, banned)
+            linked += got is not None
+            unlinked += got is None
+    assert linked >= 300 and unlinked >= 100
 
 
 def test_lazy_path_lists_return_the_eager_witnesses():
@@ -322,8 +324,6 @@ def test_path_oracles_reject_a_pair_with_equal_ends():
     """A path from a vertex to itself would be a closed walk; the library
     search refuses such a pair with the same message."""
     g = complete_graph(list("abcd"))
-    with pytest.raises(InputDomainError, match="pair endpoints must be distinct"):
-        all_simple_paths(g, "a", "a", frozenset())
     with pytest.raises(InputDomainError, match="pair endpoints must be distinct"):
         brute_disjoint_paths(g, [("a", "b"), ("c", "c")])
 

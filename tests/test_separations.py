@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from wheelkit.catalog import catalog
-from wheelkit.errors import PreconditionError
+from wheelkit.errors import InputDomainError, PreconditionError
 from wheelkit.generate import generate_terminal_planar, random_graph, small_graph_classes
 from wheelkit.gio import from_graph6
 from wheelkit.graph import Graph, add, complete_graph, cycle_graph, path_graph, union, vkey
@@ -17,6 +17,7 @@ from wheelkit.separations import (
     enumerate_separations,
     is_k_connected,
     side_verdict,
+    split,
     validate_separation,
 )
 
@@ -298,3 +299,16 @@ def test_trichotomy_rejects_wrong_order():
     side2 = Graph(g.vertices, [e for e in g.edges if e != ("a", "b")])
     with pytest.raises(PreconditionError):
         check_trichotomy(g, Separation(side1, side2))
+
+
+@pytest.mark.parametrize(
+    "cut, side, twice",
+    [(["0", "2", "4"], ["1", "2", "3"], "'2'"), (["0", "2", "0"], ["1"], "'0'"), (["0", "2"], ["1", "1"], "'1'")],
+)
+def test_split_rejects_an_id_named_twice(cut, side, twice):
+    """Without the check, the 8-cycle's cut 0, 2, 4 with the side 1, 2, 3
+    became a separation with the cut 0, 4."""
+    g = cycle_graph([str(i) for i in range(8)])
+    with pytest.raises(InputDomainError, match=rf"named twice in the cut and side: \[{twice}\]"):
+        split(g, cut, side)
+    assert split(g, ["0", "2"], ["1"]).cut == ("0", "2")
